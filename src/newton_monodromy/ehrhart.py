@@ -4,8 +4,13 @@ A Character is a finite-order homomorphism Z^n -> Q/Z given by
 v -> (coeffs . v)/modulus mod 1.  Interior points of the k-th dilate of
 a polytope are bucketed by character value; once the character kills
 every vertex, the generating series of each bucket is a polynomial of
-degree at most dim+1 over (1-t)^(dim+1), and those coefficient vectors
-(called phi here) drive the whole Hodge recursion downstream.
+degree at most dim+1 over (1-t)^(dim+1) (equivariant Ehrhart theory,
+Stapledon 2011), and those coefficient vectors (called phi here) drive
+the whole Hodge recursion downstream.  They are read off the dilates
+1..dim+2, checked by the vanishing of phi_{dim+2} in every bucket and
+by the total against the normalized volume, which scans no points.
+
+The memos hand out read-only mappings, so a caller cannot corrupt them.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
 point polytope.
@@ -13,10 +18,12 @@ point polytope.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
+from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
@@ -73,17 +80,19 @@ def conj(alpha: Fraction) -> Fraction:
 
 _COUNTS: dict = {}
 _PALPHA: dict = {}
+_VOLUMES: dict = {}
+_EMPTY = MappingProxyType({})
 
 
-def relint_counts(poly, char: Character, k: int) -> dict[Fraction, int]:
+def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
     """Bucketed count of interior lattice points of the k-th dilate.
 
     Keys are character values (Fractions in [0,1)), values are positive
-    counts.  k = 0 returns {}.  The relative interior of a point is the
-    point itself.
+    counts.  k = 0 returns an empty mapping.  The relative interior of a
+    point is the point itself.  Memoized; the mapping is read-only.
     """
     if k == 0:
-        return {}
+        return _EMPTY
     key = (poly.key, char, k)
     hit = _COUNTS.get(key)
     if hit is not None:
@@ -113,18 +122,22 @@ def relint_counts(poly, char: Character, k: int) -> dict[Fraction, int]:
                 r = (off + ila.dot(w, y)) % d
                 raw[r] = raw.get(r, 0) + 1
             out = {Fraction(r, d): c for r, c in sorted(raw.items())}
-    _COUNTS[key] = out
+    out = _COUNTS[key] = MappingProxyType(out)
     return out
 
 
-def p_alpha(poly, char: Character) -> dict[Fraction, tuple[int, ...]]:
+def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     """Numerator coefficients of each bucket's interior Ehrhart series.
 
     Returns {alpha: (phi_0, ..., phi_{dim+1})} where
     sum_k |relint(k*poly)|_alpha t^k = (phi_0 + ... + phi_{dim+1} t^{dim+1})
-    / (1-t)^{dim+1}.  Requires the character to vanish on every vertex;
-    polynomiality of the numerator is verified out to degree 2*(dim+1)
-    rather than assumed.
+    / (1-t)^{dim+1}.  Requires the character to vanish on every vertex,
+    which bounds the numerator's degree by dim+1.  The dilates 1..dim+2
+    are scanned: phi_1..phi_{dim+1} come from the first dim+1 of them,
+    and phi_{dim+2}, in which every scanned count has a nonzero
+    coefficient, must vanish in every bucket.  The phi of all buckets
+    must also add up to normalized_volume(poly), which scans nothing.
+    Memoized; the mapping is read-only.
     """
     key = (poly.key, char)
     hit = _PALPHA.get(key)
@@ -136,7 +149,7 @@ def p_alpha(poly, char: Character) -> dict[Fraction, tuple[int, ...]]:
                 f"character {char.coeffs}/{char.modulus} is not trivial on vertex {v}"
             )
     m = poly.dim
-    kmax = 2 * (m + 1)
+    kmax = m + 2
     counts = [relint_counts(poly, char, k) for k in range(kmax + 1)]
     alphas = set()
     for c in counts:
@@ -144,22 +157,23 @@ def p_alpha(poly, char: Character) -> dict[Fraction, tuple[int, ...]]:
     out = {}
     for a in sorted(alphas):
         ell = [c.get(a, 0) for c in counts]
-        phi = []
-        for j in range(kmax + 1):
-            s = 0
-            for k in range(1, j + 1):
-                c = j - k
-                if c <= m + 1:
-                    s += (-1) ** c * comb(m + 1, c) * ell[k]
-            phi.append(s)
-        for j in range(m + 2, kmax + 1):
-            if phi[j]:
-                raise InternalConsistencyError(
-                    "interior Ehrhart series has unexpected degree "
-                    f"(bucket {a}, coefficient {j} is {phi[j]})"
-                )
-        out[a] = tuple(phi[: m + 2])
-    _PALPHA[key] = out
+        phi = [
+            sum((-1) ** (j - k) * comb(m + 1, j - k) * ell[k] for k in range(1, j + 1))
+            for j in range(kmax + 1)
+        ]
+        if phi[kmax]:
+            raise InternalConsistencyError(
+                "interior Ehrhart series has unexpected degree "
+                f"(bucket {a}, coefficient {kmax} is {phi[kmax]})"
+            )
+        out[a] = tuple(phi[:kmax])
+    total = sum(sum(tup) for tup in out.values())
+    vol = normalized_volume(poly)
+    if total != vol:
+        raise InternalConsistencyError(
+            f"Ehrhart numerators add up to {total}, not the normalized volume {vol}"
+        )
+    out = _PALPHA[key] = MappingProxyType(out)
     return out
 
 
@@ -193,18 +207,33 @@ def skeleton_counts(poly, char: Character) -> dict[Fraction, int]:
     return {Fraction(r, d): c for r, c in sorted(raw.items())}
 
 
-def normalized_volume(poly, char: Character | None = None) -> int:
-    """dim! times the intrinsic-lattice volume, via the Ehrhart numerator."""
-    if char is None:
-        char = Character.trivial(poly.ambient_dim)
-    total = 0
-    for tup in p_alpha(poly, char).values():
-        total += sum(tup)
+def normalized_volume(poly) -> int:
+    """dim! times the intrinsic-lattice volume, by pyramids over facets.
+
+    Cutting the polytope into pyramids over its facets, with apex the
+    chart origin v (a point of the polytope), gives
+    NVol(P) = sum over facets u.y + b >= 0 of (u.v + b) * NVol(facet),
+    where u.v + b = b is the lattice distance of v from the facet, zero
+    on the facets through v.  No lattice point is scanned.  Memoized per
+    polytope.
+    """
+    hit = _VOLUMES.get(poly.key)
+    if hit is not None:
+        return hit
+    if poly.dim == 0:
+        total = 1
+    else:
+        total = 0
+        for (_, b), face in zip(poly.cfacets, poly.facet_vertex_sets):
+            if b:
+                total += b * normalized_volume(poly.face_polytope(face))
     if total <= 0:
         raise InternalConsistencyError("normalized volume must be positive")
+    _VOLUMES[poly.key] = total
     return total
 
 
 def clear_ehrhart_cache():
     _COUNTS.clear()
     _PALPHA.clear()
+    _VOLUMES.clear()

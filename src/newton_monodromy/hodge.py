@@ -208,7 +208,7 @@ def _post_checks(poly, char, table, bv, m):
                 f"conjugation symmetry broken at {(p, q, a)}"
             )
     total = sum(table.values())
-    want = (-1) ** (m - 1) * ehrhart.normalized_volume(poly, char)
+    want = (-1) ** (m - 1) * ehrhart.normalized_volume(poly)
     if total != want:
         raise InternalConsistencyError(
             f"table total {total} does not match signed volume {want}"

@@ -262,8 +262,10 @@ class Polytope:
         """Chart lattice points of the k-th dilate (interior only if relint).
 
         Returns ("np", int64 array of shape (N, dim)) when the chunked
-        numpy box scan applies, else ("py", list of int tuples).  The
-        numpy path is skipped when a dot product could overflow int64.
+        numpy fibre scan applies, else ("py", list of int tuples); either
+        way the points come in lexicographic order.  Boxes of at most 512
+        points, and dilates where a dot product could overflow int64, go
+        through the exact pure-Python fibre scan.
         """
         if self.dim == 0:
             return "py", [()]
@@ -276,18 +278,7 @@ class Polytope:
             pts = self._numpy_scan(k, box, facets, relint)
             if pts is not None:
                 return "np", pts
-        lo_off = 1 if relint else 0
-        out = []
-        ranges = [range(lo, hi + 1) for lo, hi in box]
-        for y in itertools.product(*ranges):
-            ok = True
-            for u, b in facets:
-                if ila.dot(u, y) + k * b < lo_off:
-                    ok = False
-                    break
-            if ok:
-                out.append(y)
-        return "py", out
+        return "py", self._python_scan(k, box, facets, relint)
 
     def chart_lattice_points(self, k: int, relint: bool):
         """Like lattice_scan, but always a list of int tuples."""
@@ -295,6 +286,32 @@ class Polytope:
         if kind == "np":
             return [tuple(int(x) for x in row) for row in data]
         return data
+
+    # Both scans walk the fibres of the last chart coordinate: for each
+    # point of the box of the leading coordinates, every facet
+    # u.y + k*b >= lo_off bounds the last coordinate y' through
+    # c*y' >= -s, with c = u[-1] and s = u[:-1].y + k*b - lo_off, so the
+    # fibre is one integer interval and only its points are produced.
+
+    def _python_scan(self, k, box, facets, relint):
+        lo_off = 1 if relint else 0
+        *lead_box, (last_lo, last_hi) = box
+        rows = [(u[:-1], u[-1], k * b - lo_off) for u, b in facets]
+        out = []
+        for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in lead_box)):
+            lo, hi = last_lo, last_hi
+            for ul, c, s in rows:
+                s += ila.dot(ul, lead)
+                if c > 0:
+                    lo = max(lo, -(s // c))
+                elif c < 0:
+                    hi = min(hi, s // -c)
+                elif s < 0:
+                    hi = lo - 1
+                if lo > hi:
+                    break
+            out.extend(lead + (y,) for y in range(lo, hi + 1))
+        return out
 
     def _numpy_scan(self, k, box, facets, relint):
         # Guard: every dot product must stay far below 2^63.
@@ -304,24 +321,31 @@ class Polytope:
         )
         if worst >= 2 ** 62:
             return None
-        first_lo, first_hi = box[0]
-        rest = [_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in box[1:]]
         lo_off = 1 if relint else 0
+        U = _np.asarray([u for u, _ in facets], dtype=_np.int64)
+        lead_u, c = U[:, :-1].T, U[:, -1]
+        s0 = _np.asarray([k * b - lo_off for _, b in facets], dtype=_np.int64)
+        up, down, flat = c > 0, c < 0, c == 0
+        *lead_box, (last_lo, last_hi) = box
         pieces = []
-        chunk = max(1, 2_000_000 // max(1, int(_np.prod([r.size for r in rest]))))
-        a = first_lo
-        while a <= first_hi:
-            b_hi = min(a + chunk - 1, first_hi)
-            axes = [_np.arange(a, b_hi + 1, dtype=_np.int64)] + rest
-            grids = _np.meshgrid(*axes, indexing="ij")
-            Y = _np.stack([g.reshape(-1) for g in grids], axis=1)
-            mask = _np.ones(Y.shape[0], dtype=bool)
-            for u, c in facets:
-                vals = Y @ _np.asarray(u, dtype=_np.int64) + k * c
-                mask &= vals >= lo_off
-            if mask.any():
-                pieces.append(Y[mask])
-            a = b_hi + 1
+        for lead in _box_rows(lead_box, 1 << 18):
+            S = lead @ lead_u + s0
+            lo = (-(S[:, up] // c[up])).max(axis=1, initial=last_lo)
+            hi = (S[:, down] // -c[down]).min(axis=1, initial=last_hi)
+            n = _np.maximum(hi - lo + 1, 0)
+            if flat.any():
+                n[(S[:, flat] < 0).any(axis=1)] = 0
+            total = int(n.sum())
+            if not total:
+                continue
+            Y = _np.empty((total, self.dim), dtype=_np.int64)
+            Y[:, :-1] = _np.repeat(lead, n, axis=0)
+            # Row j of fibre i holds lo[i] + (j - start[i]).
+            start = _np.cumsum(n) - n
+            Y[:, -1] = _np.repeat(lo - start, n) + _np.arange(total, dtype=_np.int64)
+            pieces.append(Y)
+        if len(pieces) == 1:
+            return pieces[0]
         if not pieces:
             return _np.empty((0, self.dim), dtype=_np.int64)
         return _np.concatenate(pieces, axis=0)
@@ -369,6 +393,25 @@ class Polytope:
             if cnt != d - 1:
                 return "neither"
         return "pseudo_prime"
+
+
+def _box_rows(box, max_rows: int):
+    """The lattice points of box as int64 arrays of rows, in lexicographic
+    order, in slabs of the first axis holding about max_rows rows each.
+    An empty box (no axes) has the single point ()."""
+    if not box:
+        yield _np.zeros((1, 0), dtype=_np.int64)
+        return
+    rest = [_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in box[1:]]
+    step = max(1, max_rows // max(1, int(_np.prod([r.size for r in rest]))))
+    first_lo, first_hi = box[0]
+    a = first_lo
+    while a <= first_hi:
+        b = min(a + step - 1, first_hi)
+        axes = [_np.arange(a, b + 1, dtype=_np.int64)] + rest
+        grids = _np.meshgrid(*axes, indexing="ij")
+        yield _np.stack([g.reshape(-1) for g in grids], axis=1)
+        a = b + 1
 
 
 _POLYTOPES: dict[tuple, Polytope] = {}

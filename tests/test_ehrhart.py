@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from _battery import random_supports
+
+from newton_monodromy import ehrhart, oracles
 from newton_monodromy.ehrhart import (
     Character,
+    clear_ehrhart_cache,
     conj,
     normalized_volume,
     p_alpha,
@@ -14,7 +18,8 @@ from newton_monodromy.ehrhart import (
     skeleton_counts,
 )
 from newton_monodromy.errors import InternalConsistencyError
-from newton_monodromy.polytope import make_polytope
+from newton_monodromy.newton import newton_polyhedron
+from newton_monodromy.polytope import Polytope, make_polytope
 
 F = Fraction
 
@@ -117,6 +122,78 @@ def test_normalized_volume():
     assert normalized_volume(make_polytope([(0, 0), (2, 0), (0, 2), (2, 2)])) == 8
     assert normalized_volume(make_polytope([(0, 0), (3, 0)])) == 3
     assert normalized_volume(make_polytope([(5, 7)])) == 1
+    assert normalized_volume(make_polytope([(0, 0), (2, 2)])) == 2
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert normalized_volume(make_polytope(cube)) == 6
+
+
+def test_normalized_volume_matches_pyramid_oracle():
+    """On every facet of the battery's Newton polyhedra, the pyramid
+    recursion over the face lattice agrees with the oracle's finite
+    differences of lattice counts, which share no code with it."""
+    checked = 0
+    for support in random_supports(60):
+        n = len(support.variables)
+        for face in newton_polyhedron(support).faces:
+            if face.dim == n - 1:
+                want = oracles._pyramid_normalized_volume(face.points, n)
+                assert normalized_volume(face.delta) == want, face.points
+                checked += 1
+    assert checked >= 60
+
+
+@pytest.mark.parametrize(
+    "points,char",
+    [
+        ([(0, 0), (2, 0), (0, 3)], Character(6, (3, 2))),
+        ([(0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5)], Character.trivial(3)),
+    ],
+)
+def test_p_alpha_catches_a_dropped_point_at_every_dilate(monkeypatch, points, char):
+    """Losing one interior point at any scanned dilate k = 1..dim+2
+    breaks the degree check or the volume check."""
+    poly = make_polytope(points)
+    scan = Polytope.lattice_scan
+    for bad in range(1, poly.dim + 3):
+
+        def lossy(self, k, relint, bad=bad):
+            kind, data = scan(self, k, relint)
+            if self is poly and k == bad and relint:
+                assert len(data) > 0
+                data = data[:-1]
+            return kind, data
+
+        clear_ehrhart_cache()
+        with monkeypatch.context() as mp:
+            mp.setattr(Polytope, "lattice_scan", lossy)
+            with pytest.raises(InternalConsistencyError):
+                p_alpha(poly, char)
+        clear_ehrhart_cache()
+    assert sum(sum(t) for t in p_alpha(poly, char).values()) == normalized_volume(poly)
+
+
+def test_p_alpha_checks_the_total_against_the_volume(monkeypatch):
+    """A numerator total that the degree check accepts still has to match
+    the volume, which comes from the facets and not from the scan."""
+    cusp = make_polytope([(0, 0), (2, 0), (0, 3)])
+    clear_ehrhart_cache()
+    with monkeypatch.context() as mp:
+        mp.setattr(ehrhart, "normalized_volume", lambda poly: 7)
+        with pytest.raises(InternalConsistencyError):
+            p_alpha(cusp, Character(6, (3, 2)))
+    clear_ehrhart_cache()
+
+
+def test_ehrhart_memos_are_read_only():
+    cusp = make_polytope([(0, 0), (2, 0), (0, 3)])
+    c = Character(6, (3, 2))
+    with pytest.raises(TypeError):
+        relint_counts(cusp, c, 2)[F(0)] = 5
+    with pytest.raises(TypeError):
+        relint_counts(cusp, c, 0)[F(0)] = 5
+    with pytest.raises(TypeError):
+        p_alpha(cusp, c)[F(0)] = (0, 0, 0, 0)
+    assert relint_counts(cusp, c, 1) == {F(5, 6): 1}
 
 
 def test_ehrhart_shift_identity_on_cusp_edge():

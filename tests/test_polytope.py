@@ -1,5 +1,8 @@
 """Exact polytope geometry: hulls, face lattices, charts, primeness."""
 
+import itertools
+from random import Random
+
 import pytest
 
 from newton_monodromy.polytope import (
@@ -87,14 +90,73 @@ def test_edge_steps_lattice_lengths():
         assert all(x % 1 == 0 for x in step)
 
 
+def _box_filter(p, k, relint):
+    """Reference scan: every point of the bounding box that satisfies
+    every facet inequality, in itertools.product order."""
+    lo_off = 1 if relint else 0
+    ranges = [range(lo, hi + 1) for lo, hi in p.bounding_box(k)]
+    return [
+        y
+        for y in itertools.product(*ranges)
+        if all(
+            sum(a * x for a, x in zip(u, y)) + k * b >= lo_off
+            for u, b in p.cfacets
+        )
+    ]
+
+
+def _random_polytopes(seed=7):
+    """Five random lattice polytopes of each dimension 1..4, some of
+    them embedded in one ambient dimension more."""
+    rng = Random(seed)
+    width = {1: 300, 2: 15, 3: 6, 4: 3}
+    for d in (1, 2, 3, 4):
+        made = 0
+        while made < 5:
+            n = d + rng.randint(0, 1)
+            pts = [
+                tuple(rng.randint(0, width[d]) for _ in range(n))
+                for _ in range(d + 1 + rng.randint(0, 2))
+            ]
+            p = make_polytope(pts)
+            if p.dim == d:
+                made += 1
+                yield p
+
+
 def test_lattice_scan_paths_agree():
-    """The numpy bulk scan and the python fallback count the same sets."""
-    p = make_polytope([(0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5)])
-    kind, data = p.lattice_scan(2, relint=False)
-    pts = [tuple(int(x) for x in row) for row in data] if kind == "np" else data
-    assert len(pts) == len(p.chart_lattice_points(2, relint=False))
-    inner = p.chart_lattice_points(1, relint=True)
-    assert set(inner) == {(1, 1, 1), (1, 1, 2)}
+    """Both fibre scans return exactly the rows of a plain box filter,
+    in the same order."""
+    kinds = set()
+    for p in _random_polytopes():
+        for k in (1, 2, 3):
+            for relint in (False, True):
+                kind, data = p.lattice_scan(k, relint)
+                kinds.add(kind)
+                rows = [tuple(int(x) for x in row) for row in data]
+                assert rows == _box_filter(p, k, relint), (p, k, relint)
+    assert kinds == {"np", "py"}
+    tet = make_polytope([(0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5)])
+    assert tet.chart_lattice_points(1, relint=True) == [(1, 1, 1), (1, 1, 2)]
+
+
+def test_lattice_scan_huge_coordinates_fall_back_to_python():
+    """A sliver with a facet normal of size 2^45 overflows the int64
+    guard; the exact python scan still lists its few points."""
+    n = 2 ** 45
+    p = make_polytope([(0, 0), (0, 1), (1, n)])
+    for k in (1, 2, 3):
+        # the fibre x = j of k*P runs from y = n*j to y = k + (n-1)*j
+        kind, pts = p.lattice_scan(k, relint=False)
+        assert kind == "py"
+        assert pts == [
+            (j, y) for j in range(k + 1) for y in range(n * j, k + (n - 1) * j + 1)
+        ]
+        kind, pts = p.lattice_scan(k, relint=True)
+        assert kind == "py"
+        assert pts == [
+            (j, y) for j in range(1, k) for y in range(n * j + 1, k + (n - 1) * j)
+        ]
 
 
 @pytest.mark.parametrize(
