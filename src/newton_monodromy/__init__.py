@@ -20,7 +20,7 @@ from .errors import (
     SupportSchemaError,
 )
 from .frontend import load_support, parse_polynomial
-from .hodge import clear_hodge_cache, hodge_table, lefschetz_twist, torus_factor
+from .hodge import clear_hodge_cache, hodge_table, lefschetz_twist
 from .monodromy import (
     JordanSpectrum,
     MotivicTable,
@@ -70,7 +70,6 @@ __all__ = [
     "newton_polyhedron",
     "parse_polynomial",
     "prime_face_blocks",
-    "torus_factor",
     "validate",
     "__version__",
 ]

@@ -4,7 +4,7 @@ hodge_table(poly, char) returns the table e^{p,q}_alpha of the
 hypersurface cut out, inside the torus of poly's intrinsic lattice, by
 a generic Laurent polynomial with Newton polytope poly, graded by the
 finite mu_d-action that char encodes.  Entries live at 0 <= p, q <= dim-1
-and character buckets alpha in [0,1); tables are plain dicts
+and character buckets alpha in [0,1); tables are mappings
 {(p, q, alpha): int} with zero entries dropped.
 
 The computation is the classical one: closed formulas for both extreme
@@ -19,8 +19,10 @@ the signed normalized volume.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from . import ehrhart, fan as fans
 from .ehrhart import Character, conj
@@ -45,17 +47,6 @@ def lefschetz_twist(table: dict, k: int) -> dict:
     out: dict = {}
     for i in range(k + 1):
         c = (-1) ** i * comb(k, i)
-        for (p, q, a), v in table.items():
-            kk = (p + i, q + i, a)
-            out[kk] = out.get(kk, 0) + c * v
-    return _clean(out)
-
-
-def torus_factor(table: dict, j: int) -> dict:
-    """Multiply a table by (L - 1)^j, the table of a j-dimensional torus."""
-    out: dict = {}
-    for i in range(j + 1):
-        c = (-1) ** (j - i) * comb(j, i)
         for (p, q, a), v in table.items():
             kk = (p + i, q + i, a)
             out[kk] = out.get(kk, 0) + c * v
@@ -121,9 +112,8 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
 
     The orbit of a refined normal cone sigma meets the closure in the
     hypersurface of the face where sum(rays of sigma) is minimized,
-    times a torus factor soaking up the dimension defect.  Faces that
-    are single vertices contribute nothing (their hypersurface is
-    empty).
+    times a torus soaking up the dimension defect.  Faces that are
+    single vertices contribute nothing (their hypersurface is empty).
     """
     cones = fans.simplicial_refinement(fans.normal_fan(poly))
     S: dict = {}
@@ -139,14 +129,15 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
             raise InternalConsistencyError(
                 "stratum dimension defect is negative"
             )
-        _merge(S, torus_factor(hodge_table(sub, char), j))
+        # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
+        _merge(S, lefschetz_twist(hodge_table(sub, char), j), (-1) ** j)
     return _clean(S)
 
 
-def hodge_table(poly, char: Character) -> dict:
+def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     """e^{p,q}_alpha of the nondegenerate hypersurface with this Newton
-    polytope, graded by char.  Memoized; the returned dict must not be
-    mutated."""
+    polytope, graded by char.  Memoized; the memo is returned as a
+    read-only mapping."""
     key = (poly.key, char)
     hit = _TABLES.get(key)
     if hit is not None:
@@ -189,8 +180,7 @@ def hodge_table(poly, char: Character) -> dict:
                 )
                 table[(p, q, a)] = targets.get((p, a), 0) - rest
     _post_checks(poly, char, table, bv, m)
-    out = _clean(table)
-    _TABLES[key] = out
+    out = _TABLES[key] = MappingProxyType(_clean(table))
     return out
 
 

@@ -1,8 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
 All matrices here are tiny (dimension at most eight or so), dense, and
-exact: entries are Python ints or Fractions, never floats.  The cubic
-textbook algorithms are the right tool at this scale.
+exact: entries are Python ints or Fractions, never floats.  Rank,
+independent rows, rational solves, determinants and scaled inverses all
+come from one fraction-free Gauss-Jordan elimination (Bareiss), which
+keeps every entry an integer minor of the input; unimodular work over Z
+(Hermite forms, integer kernels and solves) uses column reduction by
+extended gcds.
 
 Conventions: a "matrix" is a sequence of equal-length rows.  Functions
 return tuples so results are hashable and safely shareable.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -60,44 +65,52 @@ def vec_scale(c, v) -> tuple[int, ...]:
     return tuple(c * x for x in v)
 
 
-def frac_rank(rows) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss).
+
+    Returns (a, pivots, d, sign): a is the reduced matrix, pivots the
+    pivot columns in order, d the last pivot (1 if there is none) and
+    sign the parity of the row swaps.  Columns without a pivot are
+    skipped.  Row i < len(pivots) has the entry d in column pivots[i],
+    every other entry of a pivot column is 0, and the remaining rows are
+    zero.  Every entry is an integer minor of the input (Sylvester's
+    identity), so each division below is exact; for a nonsingular
+    square matrix, det = sign * d.  Entries must be integers: a
+    Fraction raises TypeError rather than being truncated.
+    """
+    a = [list(map(index, r)) for r in rows]
+    m = len(a)
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        for i in range(rank + 1, len(a)):
-            if a[i][c]:
-                f = a[i][c] / pr[c]
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pr = a[r]
+        p = pr[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pr)]
+        pivots.append(c)
+        prev = p
+    return a, pivots, prev, sign
+
+
+def frac_rank(rows) -> int:
+    """Rank over the rationals."""
+    return len(_gauss_jordan(rows)[1])
 
 
 def independent_rows(rows) -> list[int]:
     """Indices of a maximal linearly independent subset, greedily in order."""
-    basis: list[list[Fraction]] = []
-    out: list[int] = []
-    for idx, r in enumerate(rows):
-        v = [Fraction(x) for x in r]
-        for b in basis:
-            c = next((j for j, x in enumerate(b) if x), None)
-            if c is not None and v[c]:
-                f = v[c] / b[c]
-                v = [x - f * y for x, y in zip(v, b)]
-        if any(v):
-            basis.append(v)
-            out.append(idx)
-    return out
+    return _gauss_jordan(list(zip(*rows)))[1]
 
 
 def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
@@ -205,32 +218,15 @@ def solve_rational(rows, rhs):
     A is given by rows (m x k) and must have full column rank k.
     Returns a tuple of Fractions, or None if the system is inconsistent.
     """
-    m = len(rows)
-    k = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    row = 0
-    piv_cols = []
-    for c in range(k):
-        piv = next((i for i in range(row, m) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pr = aug[row]
-        inv = 1 / pr[c]
-        aug[row] = [x * inv for x in pr]
-        for i in range(m):
-            if i != row and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        piv_cols.append(c)
-        row += 1
-    for i in range(row, m):
-        if aug[i][k]:
-            return None
-    x = [Fraction(0)] * k
-    for r, c in enumerate(piv_cols):
-        x[c] = aug[r][k]
-    return tuple(x)
+    k = len(rows[0]) if rows else 0
+    a, pivots, d, _ = _gauss_jordan(
+        [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
+    )
+    if pivots[:k] != list(range(k)):
+        raise ValueError("matrix does not have full column rank")
+    if len(pivots) > k:
+        return None
+    return tuple(Fraction(a[i][k], d) for i in range(k))
 
 
 def solve_integer(rows, rhs):
@@ -270,25 +266,9 @@ def solve_integer(rows, rhs):
 
 
 def det(rows) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Integer determinant of a square integer matrix."""
+    _, pivots, d, sign = _gauss_jordan(rows)
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def scaled_inverse_columns(rows):
@@ -296,30 +276,13 @@ def scaled_inverse_columns(rows):
 
     The scaled inverse columns are integer vectors: column j satisfies
     A . c_j = det * e_j.  Raises ValueError on a singular matrix.
+    Reducing [A | I] gives [d I | d A^{-1}] with det = sign * d.
     """
     n = len(rows)
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    assert d.denominator == 1
-    det_val = d.numerator
-    cols = []
-    for j in range(n):
-        col = [a[i][n + j] * det_val for i in range(n)]
-        assert all(x.denominator == 1 for x in col)
-        cols.append(tuple(int(x) for x in col))
-    return det_val, cols
+    a, pivots, d, sign = _gauss_jordan(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    cols = [tuple(sign * a[i][n + j] for i in range(n)) for j in range(n)]
+    return sign * d, cols

@@ -20,7 +20,13 @@ from math import comb
 
 from .ehrhart import Character, conj, relint_counts
 from .errors import InputError, InternalConsistencyError
-from .hodge import hodge_table, lefschetz_twist, pseudo_prime_row_sums
+from .hodge import (
+    _clean,
+    _merge,
+    hodge_table,
+    lefschetz_twist,
+    pseudo_prime_row_sums,
+)
 from .newton import NewtonPolyhedron
 
 _ZERO = Fraction(0)
@@ -67,11 +73,6 @@ class JordanSpectrum:
         }
 
 
-def _merge(acc: dict, table: dict) -> None:
-    for k, v in table.items():
-        acc[k] = acc.get(k, 0) + v
-
-
 def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     first: dict = {}
     second: dict = {}
@@ -87,9 +88,9 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     _merge(total, second)
     return MotivicTable(
         n=np_.n,
-        first={k: v for k, v in first.items() if v},
-        second={k: v for k, v in second.items() if v},
-        total={k: v for k, v in total.items() if v},
+        first=_clean(first),
+        second=_clean(second),
+        total=_clean(total),
     )
 
 

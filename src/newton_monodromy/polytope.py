@@ -280,13 +280,6 @@ class Polytope:
                 return "np", pts
         return "py", self._python_scan(k, box, facets, relint)
 
-    def chart_lattice_points(self, k: int, relint: bool):
-        """Like lattice_scan, but always a list of int tuples."""
-        kind, data = self.lattice_scan(k, relint)
-        if kind == "np":
-            return [tuple(int(x) for x in row) for row in data]
-        return data
-
     # Both scans walk the fibres of the last chart coordinate: for each
     # point of the box of the leading coordinates, every facet
     # u.y + k*b >= lo_off bounds the last coordinate y' through

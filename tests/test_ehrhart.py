@@ -18,6 +18,7 @@ from newton_monodromy.ehrhart import (
     skeleton_counts,
 )
 from newton_monodromy.errors import InternalConsistencyError
+from newton_monodromy.hodge import hodge_table
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import Polytope, make_polytope
 
@@ -194,6 +195,14 @@ def test_ehrhart_memos_are_read_only():
     with pytest.raises(TypeError):
         p_alpha(cusp, c)[F(0)] = (0, 0, 0, 0)
     assert relint_counts(cusp, c, 1) == {F(5, 6): 1}
+
+
+def test_hodge_memo_is_read_only():
+    cusp = make_polytope([(0, 0), (2, 0), (0, 3)])
+    table = hodge_table(cusp, Character(6, (3, 2)))
+    with pytest.raises(TypeError):
+        table[(0, 0, F(0))] = 5
+    assert hodge_table(cusp, Character(6, (3, 2))) is table
 
 
 def test_ehrhart_shift_identity_on_cusp_edge():

@@ -1,0 +1,59 @@
+"""Golden `--json` corpus: the CLI payload must not change byte for byte.
+
+Each case runs `cli.main` with `--json --emit-hodge-tables --validate`
+and compares the printed payload, with `timing_ms` removed, against
+`tests/golden/<name>.json`.  A refactor that claims the same results
+must leave these files alone.  To write them afresh after an intended
+change of output, run `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from newton_monodromy import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "cusp": ["x^2 + y^3"],
+    "node": ["x^2 + y^2"],
+    "fermat_cubic": ["x^3 + y^3"],
+    "mixed_quintic_half": ["x^5 + x^2*y^2 + y^5", "--eigenvalue", "1/2"],
+    "quartic_surface": ["x^4 + y^4 + z^4 + x^2*y^2*z^2"],
+    "septic_surface": ["x^7 + y^7 + z^7 + x^2*y^2*z^2"],
+    "four_variables": ["x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4"],
+    # run from inside GOLDEN, so the payload's "source" is this file name
+    "support_file": ["--support", "support_input.json"],
+}
+
+
+def _payload_text(capsys, argv) -> str:
+    code = cli.main(argv + ["--json", "--emit-hodge-tables", "--validate"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert isinstance(payload.pop("timing_ms"), int)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert _payload_text(capsys, CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+
+    os.chdir(GOLDEN)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv + ["--json", "--emit-hodge-tables", "--validate"]) == 0
+        payload = json.loads(buf.getvalue())
+        del payload["timing_ms"]
+        (GOLDEN / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,6 +1,7 @@
 """Exact integer linear algebra used by the geometry layer."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -132,3 +133,82 @@ def test_scaled_inverse_columns():
         assert got == want
     with pytest.raises(ValueError):
         scaled_inverse_columns([(1, 2), (2, 4)])
+
+
+def _rref(rows):
+    """Reference: reduced row echelon form over Q by plain Fraction
+    Gauss-Jordan.  Returns (rows, pivot columns, determinant factor);
+    the factor is the signed product of the pivots, which equals the
+    determinant of a square input of full rank."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots, factor = [], Fraction(1)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            factor = -factor
+        factor *= a[r][c]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, factor
+
+
+def _random_matrix(rng, m, k, bound):
+    """An m x k integer matrix; about half of them are made rank
+    deficient by overwriting a row with a combination of two others."""
+    a = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.5:
+        i, j, t = (rng.randrange(m) for _ in range(3))
+        s, u = rng.randint(-3, 3), rng.randint(-3, 3)
+        a[t] = [s * x + u * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@pytest.mark.parametrize("bound", [20, 2**40])
+def test_elimination_matches_fraction_reference(bound):
+    rng = Random(bound)
+    for _ in range(300):
+        m, k = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_matrix(rng, m, k, bound)
+        _, pivots, _ = _rref(a)
+        assert frac_rank(a) == len(pivots)
+
+        greedy = []
+        for i in range(m):
+            if len(_rref([a[j] for j in greedy + [i]])[1]) > len(greedy):
+                greedy.append(i)
+        assert independent_rows(a) == greedy
+
+        rhs = [rng.randint(-bound, bound) for _ in range(m)]
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-5, 5) for _ in range(k)]
+            rhs = [dot(r, x0) for r in a]
+        red, aug_pivots, _ = _rref([r + [b] for r, b in zip(a, rhs)])
+        if len(pivots) < k:
+            with pytest.raises(ValueError):
+                solve_rational(a, rhs)
+        elif k in aug_pivots:
+            assert solve_rational(a, rhs) is None
+        else:
+            assert solve_rational(a, rhs) == tuple(red[i][k] for i in range(k))
+
+        sq = _random_matrix(rng, m, m, bound)
+        eye = [[int(i == j) for j in range(m)] for i in range(m)]
+        red, pivots, factor = _rref([r + e for r, e in zip(sq, eye)])
+        full = pivots[-1] < m
+        assert det(sq) == (factor if full else 0)
+        if not full:
+            with pytest.raises(ValueError):
+                scaled_inverse_columns(sq)
+            continue
+        d, cols = scaled_inverse_columns(sq)
+        assert d == factor
+        assert cols == [
+            tuple(d * red[i][m + j] for i in range(m)) for j in range(m)
+        ]

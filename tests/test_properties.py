@@ -2,13 +2,15 @@
 hypothesis properties of the primitive layers."""
 
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_monodromy.ehrhart import Character, conj
 from newton_monodromy.frontend import parse_polynomial
-from newton_monodromy.newton import newton_polyhedron
+from newton_monodromy.monodromy import jordan_blocks
+from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.oracles import validate
 
 from _battery import random_supports
@@ -21,6 +23,26 @@ def test_validation_battery_small():
         if not report.ok:
             failures.append((support.points, report.summary()))
     assert not failures, failures
+
+
+def test_variable_permutation_leaves_jordan_form_unchanged():
+    """The monodromy does not see the names of the coordinates."""
+    rng = Random(4)
+    for support in random_supports(40):
+        perm = list(range(support.n))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        swapped = SupportSet(
+            support.variables,
+            tuple(sorted(tuple(p[i] for i in perm) for p in support.points)),
+        )
+        want = jordan_blocks(newton_polyhedron(support))
+        got = jordan_blocks(newton_polyhedron(swapped))
+        assert (got.mu, got.blocks, got.multiplicities) == (
+            want.mu,
+            want.blocks,
+            want.multiplicities,
+        ), (support.points, perm)
 
 
 @given(
