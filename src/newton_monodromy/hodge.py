@@ -31,6 +31,7 @@ from .errors import InputError, InternalConsistencyError
 _ZERO = Fraction(0)
 
 _TABLES: dict = {}
+_ROW_SUMS: dict = {}
 
 
 def _merge(acc: dict, table: dict, scale: int = 1) -> None:
@@ -205,34 +206,58 @@ def _post_checks(poly, char, table, bv, m):
         )
 
 
+def _row_sums(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
+    """Per nontrivial bucket alpha that phi_tilde carries on some face,
+    the anti-diagonal sums (s_0, ..., s_{dim-1}), s_r = sum_{p+q=r}
+    e^{p,q}_alpha, by inclusion-exclusion over the face lattice: s_r is
+    (-1)^(dim+r) times the sum over (r+1)-faces F and faces G of F of
+    (-1)^dim(G) phi_tilde(G)_alpha.  One pass over the face pairs serves
+    every bucket.  Memoized per (polytope, character) as a read-only
+    mapping of tuples."""
+    key = (poly.key, char)
+    hit = _ROW_SUMS.get(key)
+    if hit is not None:
+        return hit
+    m = poly.dim
+    lat = poly.face_lattice
+    phis = {
+        face: {
+            a: (-1) ** lat[face] * v
+            for a, v in ehrhart.phi_tilde(poly.face_polytope(face), char).items()
+            if a != _ZERO
+        }
+        for face in lat
+    }
+    acc: dict = {a: [0] * m for part in phis.values() for a in part}
+    for face, fdim in lat.items():
+        if fdim < 1:
+            continue
+        for sub in lat:
+            if sub <= face:
+                for a, v in phis[sub].items():
+                    acc[a][fdim - 1] += v
+    out = {
+        a: tuple((-1) ** (m + r) * rows[r] for r in range(m))
+        for a, rows in sorted(acc.items())
+    }
+    out = _ROW_SUMS[key] = MappingProxyType(out)
+    return out
+
+
 def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, int]:
     """Anti-diagonal sums sum_{p+q=r} e^{p,q}_alpha of the hypersurface
     table, obtained by inclusion-exclusion over the face lattice without
     building the table itself.  Valid for every nontrivial bucket alpha
     when the polytope is pseudo-prime (in particular when it is prime);
-    both conditions are enforced."""
+    both conditions are enforced.  A bucket no face carries has all sums
+    zero."""
     if poly.primeness == "neither":
         raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
     if alpha == _ZERO:
         raise InputError("anti-diagonal formula is for nontrivial buckets only")
-    m = poly.dim
-    lat = poly.face_lattice
-    phis = {
-        face: ehrhart.phi_tilde(poly.face_polytope(face), char).get(alpha, 0)
-        for face in lat
-    }
-    out = {}
-    for r in range(m):
-        acc = 0
-        for face, fdim in lat.items():
-            if fdim != r + 1:
-                continue
-            for sub, sdim in lat.items():
-                if sub <= face:
-                    acc += (-1) ** sdim * phis[sub]
-        out[r] = (-1) ** (m + r) * acc
-    return out
+    return dict(enumerate(_row_sums(poly, char).get(alpha, (0,) * poly.dim)))
 
 
 def clear_hodge_cache():
     _TABLES.clear()
+    _ROW_SUMS.clear()

@@ -4,9 +4,9 @@ kouchnirenko_mu computes the Milnor number of a convenient
 nondegenerate singularity straight from the classical alternating sum
 of normalized under-volumes.  It deliberately shares no geometry code
 with the engine: facet search is brute force over point subsets,
-volumes come from integer finite differences of box-scanned lattice
-counts, so agreement with the engine is meaningful evidence rather
-than the same bug twice.
+volumes come from integer finite differences of lattice counts,
+fibre-counted along the last coordinate, so agreement with the engine
+is meaningful evidence rather than the same bug twice.
 
 brieskorn_pham_spectrum enumerates the classical eigenvalue multiset of
 x1^a1 + ... + xn^an directly from the exponents.
@@ -24,9 +24,10 @@ from itertools import combinations, product
 from math import comb, gcd
 
 from . import fan as fans
-from .ehrhart import Character, conj, p_alpha, phi_tilde, relint_counts
+from .ehrhart import Character, conj, p_alpha, relint_counts
 from .errors import InputError, InternalConsistencyError
 from .hodge import (
+    _row_sums,
     boundary_values,
     hodge_table,
     lefschetz_twist,
@@ -127,17 +128,45 @@ def _pyramid_normalized_volume(tight, k):
     maxc = [max(v[j] for v in verts) for j in range(k)]
     counts = [1]
     for t in range(1, k + 1):
-        cnt = 0
-        for x in product(*(range(0, t * m + 1) for m in maxc)):
-            if all(_dot(u, x) >= t * b for u, b in ineq_list):
-                cnt += 1
-        counts.append(cnt)
+        counts.append(_fibre_count(ineq_list, [t * m for m in maxc], t))
     return sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
+
+
+def _fibre_count(ineqs, top, t):
+    """Lattice points x of the box 0 <= x <= top with u.x >= t*b for every
+    (u, b) in ineqs.  The leading coordinates walk their box; the last
+    one runs over an interval cut by floor/ceil division, once per
+    inequality, whose length is added in one step."""
+    cuts = [(u[:-1], u[-1], t * b) for u, b in ineqs]
+    count = 0
+    for lead in product(*(range(m + 1) for m in top[:-1])):
+        lo, hi = 0, top[-1]
+        for head, c, tb in cuts:
+            rest = tb - _dot(head, lead)  # need c * x_last >= rest
+            if c > 0:
+                lo = max(lo, -(-rest // c))
+            elif c < 0:
+                hi = min(hi, rest // c)
+            elif rest > 0:
+                hi = -1
+            if lo > hi:
+                break
+        else:
+            count += hi - lo + 1
+    return count
+
+
+def _integer_point(p):
+    """The point as a tuple of ints; a non-integral coordinate raises
+    instead of being truncated."""
+    if any(x != int(x) for x in p):
+        raise ValueError(f"bad support point {tuple(p)}")
+    return tuple(int(x) for x in p)
 
 
 def _check_oracle_support(pts, n):
     for p in pts:
-        if len(p) != n or any(x < 0 or x != int(x) for x in p):
+        if len(p) != n or any(x < 0 for x in p):
             raise ValueError(f"bad support point {p}")
     if (0,) * n in pts:
         raise ValueError("origin in support")
@@ -152,7 +181,7 @@ def _check_oracle_support(pts, n):
 def kouchnirenko_mu(points, n=None) -> int:
     """Milnor number of a convenient nondegenerate singularity, by the
     alternating sum over coordinate subsets of normalized under-volumes."""
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted({_integer_point(p) for p in points})
     if not pts:
         raise ValueError("empty support")
     if n is None:
@@ -178,7 +207,9 @@ def kouchnirenko_mu(points, n=None) -> int:
 
 def kouchnirenko_cost(points, n) -> int:
     """Rough operation count of kouchnirenko_mu, used to decide whether
-    the oracle is affordable inside validate."""
+    the oracle is affordable inside validate: per coordinate subset, the
+    fibres the lattice counts walk over all dilates, times a bound on
+    the number of inequalities each fibre is cut by."""
     pts = sorted({tuple(p) for p in points})
     total = 0
     for size in range(1, n + 1):
@@ -192,13 +223,13 @@ def kouchnirenko_cost(points, n) -> int:
             if not sub:
                 continue
             maxc = [max(p[j] for p in sub) for j in range(size)]
-            box = 0
+            fibres = 0
             for t in range(1, size + 1):
                 piece = 1
-                for m in maxc:
+                for m in maxc[:-1]:
                     piece *= t * m + 1
-                box += piece
-            total += box * max(1, comb(len(sub) + 1, size))
+                fibres += piece
+            total += fibres * max(1, comb(len(sub) + 1, size))
     return total
 
 
@@ -560,20 +591,15 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
             if f.delta.primeness == "neither":
                 continue
             table = hodge_table(f.delta, f.char)
-            m = f.delta.dim
-            buckets = {a for (_, _, a) in table if a != _ZERO}
-            for face in f.delta.face_lattice:
-                sub = f.delta.face_polytope(face)
-                buckets.update(a for a in phi_tilde(sub, f.char) if a != _ZERO)
+            diag: dict = {}
+            for (p, q, a), v in table.items():
+                if a != _ZERO:
+                    diag[(a, p + q)] = diag.get((a, p + q), 0) + v
+            buckets = {a for a, _ in diag} | set(_row_sums(f.delta, f.char))
             for a in sorted(buckets):
                 pred = pseudo_prime_row_sums(f.delta, f.char, a)
-                for r in range(m):
-                    got = sum(
-                        v
-                        for (p, q, b), v in table.items()
-                        if b == a and p + q == r
-                    )
-                    if got != pred[r]:
+                for r in range(f.delta.dim):
+                    if diag.get((a, r), 0) != pred[r]:
                         raise InternalConsistencyError(
                             f"anti-diagonal formula fails on {f.points}, "
                             f"bucket {a}, p+q={r}"

@@ -1,18 +1,25 @@
 """Hodge-Deligne tables of nondegenerate torus hypersurfaces."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from newton_monodromy.ehrhart import Character
+from newton_monodromy import clear_caches, hodge, monodromy
+from newton_monodromy.ehrhart import Character, phi_tilde
 from newton_monodromy.errors import InputError
 from newton_monodromy.hodge import (
+    _row_sums,
     clear_hodge_cache,
     hodge_table,
     lefschetz_twist,
     pseudo_prime_row_sums,
 )
+from newton_monodromy.monodromy import jordan_blocks, prime_face_blocks
+from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import make_polytope
+
+from _battery import random_supports
 
 F = Fraction
 
@@ -138,3 +145,95 @@ def test_tables_are_memoized():
     clear_hodge_cache()
     assert hodge_table(tri, char) is not a
     assert hodge_table(tri, char) == a
+
+
+def _double_loop_row_sums(poly, char, alpha):
+    """Reference: the inclusion-exclusion for one bucket, with phi_tilde
+    of every face looked up again for that bucket."""
+    m = poly.dim
+    lat = poly.face_lattice
+    phis = {
+        face: phi_tilde(poly.face_polytope(face), char).get(alpha, 0)
+        for face in lat
+    }
+    out = {}
+    for r in range(m):
+        acc = 0
+        for face, fdim in lat.items():
+            if fdim != r + 1:
+                continue
+            for sub, sdim in lat.items():
+                if sub <= face:
+                    acc += (-1) ** sdim * phis[sub]
+        out[r] = (-1) ** (m + r) * acc
+    return out
+
+
+def test_row_sum_memo_is_read_only_and_cleared():
+    clear_caches()
+    delta = make_polytope([(0, 0), (2, 0), (0, 3)])
+    char = Character(6, (3, 2))
+    rows = _row_sums(delta, char)
+    assert isinstance(rows, MappingProxyType)
+    assert _row_sums(delta, char) is rows
+    assert rows[F(1, 6)] == (0, -1)
+    with pytest.raises(TypeError):
+        rows[F(1, 7)] = (0, 0)
+    with pytest.raises(TypeError):
+        rows[F(1, 6)][0] = 5
+    got = pseudo_prime_row_sums(delta, char, F(1, 6))
+    got[0] = 5
+    assert pseudo_prime_row_sums(delta, char, F(1, 6)) == {0: 0, 1: -1}
+    clear_caches()
+    assert not hodge._ROW_SUMS
+    again = _row_sums(delta, char)
+    assert again is not rows
+    assert again == rows
+
+
+def test_row_sums_match_per_bucket_double_loop():
+    """One pass over the face pairs gives, for every cone of 40 battery
+    supports, the buckets phi_tilde carries on some face and, in each of
+    them and in a bucket no face carries, the per-bucket double loop's
+    sums."""
+    pairs = 0
+    for support in random_supports(40):
+        for f in newton_polyhedron(support).faces:
+            if f.delta.primeness == "neither":
+                continue
+            buckets = set()
+            for face in f.delta.face_lattice:
+                sub = f.delta.face_polytope(face)
+                buckets.update(a for a in phi_tilde(sub, f.char) if a != 0)
+            assert set(_row_sums(f.delta, f.char)) == buckets
+            for a in sorted(buckets) + [F(1, 997)]:
+                got = pseudo_prime_row_sums(f.delta, f.char, a)
+                assert got == _double_loop_row_sums(f.delta, f.char, a), (
+                    f.points,
+                    a,
+                )
+                pairs += 1
+    assert pairs >= 1000
+
+
+def test_prime_face_blocks_unchanged_by_row_sum_memo(monkeypatch):
+    """The closed formula reads the same counts through the memo as
+    through the per-bucket double loop."""
+    checked = 0
+    for support in random_supports(40):
+        np_ = newton_polyhedron(support)
+        if any(f.poly.primeness != "prime" for f in np_.faces):
+            continue
+        keys = [
+            (ev, k)
+            for ev in jordan_blocks(np_).multiplicities
+            if ev != 0
+            for k in range(1, np_.n + 2)
+        ]
+        got = {key: prime_face_blocks(np_, *key) for key in keys}
+        with monkeypatch.context() as mp:
+            mp.setattr(monodromy, "pseudo_prime_row_sums", _double_loop_row_sums)
+            want = {key: prime_face_blocks(np_, *key) for key in keys}
+        assert got == want, support.points
+        checked += len(keys)
+    assert checked >= 400

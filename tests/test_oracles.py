@@ -1,6 +1,10 @@
 """Independent oracles and the validation battery."""
 
+import inspect
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
+from random import Random
 
 import pytest
 
@@ -63,6 +67,107 @@ def test_kouchnirenko_rejects_bad_support():
         kouchnirenko_mu([(0, 0), (2, 0), (0, 3)])
     with pytest.raises(ValueError, match="convenient"):
         kouchnirenko_mu([(2, 0), (1, 1)])
+
+
+def test_kouchnirenko_rejects_non_integer_exponents():
+    """A fractional exponent is refused, not truncated to x^2 + y^3."""
+    for half in (2.5, F(5, 2)):
+        with pytest.raises(ValueError, match="bad support point"):
+            kouchnirenko_mu([(half, 0), (0, 3)])
+
+
+def _fermat(n, e):
+    return [tuple(e if i == j else 0 for j in range(n)) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "points,mu",
+    [(_fermat(3, e), (e - 1) ** 3) for e in (8, 12, 16, 20)]
+    + [
+        ([(7, 0, 0), (0, 7, 0), (0, 0, 7), (2, 2, 2)], 167),
+        (_fermat(4, 4), 81),
+        (_fermat(4, 5) + [(1, 1, 1, 1)], 131),
+        (_fermat(4, 6) + [(2, 2, 1, 1)], 625),
+    ],
+)
+def test_kouchnirenko_mu_on_exponent_ladder(points, mu):
+    assert kouchnirenko_mu(points) == mu
+
+
+def test_kouchnirenko_runs_within_default_limit_on_large_exponents():
+    """The cost counts fibres, so x^80 + y^80 + z^80 is no longer
+    skipped by validate's default limit."""
+    points = _fermat(3, 80)
+    limit = inspect.signature(validate).parameters["heavy_limit"].default
+    assert limit == 50_000_000
+    assert kouchnirenko_cost(points, 3) <= limit
+    assert kouchnirenko_mu(points) == 79**3 == 493039
+
+
+def _pyramid_inequalities(tight, k):
+    """The facet inequalities u.x >= b of conv({0} union tight), by brute
+    force over vertex subsets, and the pyramid's largest coordinates."""
+    verts = [(0,) * k] + [tuple(p) for p in tight]
+    ineqs = {}
+    for subset in combinations(verts, k):
+        base = subset[0]
+        diffs = [tuple(x - y for x, y in zip(p, base)) for p in subset[1:]]
+        nrm = oracles._nullspace_generator(diffs, k)
+        if nrm is None:
+            continue
+        for u in (nrm, tuple(-x for x in nrm)):
+            b = sum(a * x for a, x in zip(u, base))
+            if all(sum(a * x for a, x in zip(u, v)) >= b for v in verts):
+                ineqs[u] = min(b, ineqs.get(u, b))
+    return sorted(ineqs.items()), [max(v[j] for v in verts) for j in range(k)]
+
+
+def _box_filter_count(ineqs, top, t):
+    """Reference: every point of the box 0 <= x <= top tested against
+    every inequality u.x >= t*b."""
+    return sum(
+        all(sum(a * y for a, y in zip(u, x)) >= t * b for u, b in ineqs)
+        for x in product(*(range(m + 1) for m in top))
+    )
+
+
+def _random_tight_sets(seed=11):
+    """Per k = 1..4: point sets on one hyperplane with a positive normal
+    (as the oracle's facets are, often with more than k points), and
+    unconstrained clouds, whose pyramids have facets through the origin
+    with zero or negative last normal coordinates."""
+    rng = Random(seed)
+    width = {1: 9, 2: 6, 3: 4, 4: 2}
+    for k in (1, 2, 3, 4):
+        w = width[k]
+        box = list(product(range(w + 1), repeat=k))
+        for _ in range(4 if k < 4 else 2):
+            u = [rng.randint(1, 3) for _ in range(k)]
+            level = sum(a * x for a, x in zip(u, rng.choice(box[1:])))
+            plane = [p for p in box if sum(a * x for a, x in zip(u, p)) == level]
+            yield k, rng.sample(plane, rng.randint(min(k, len(plane)), len(plane)))
+        for _ in range(4 if k < 4 else 2):
+            yield k, rng.sample(box[1:], k + rng.randint(0, 3))
+    yield 3, [(1, 2, 0), (1, 2, 3), (3, 1, 1), (0, 0, 2)]
+
+
+def test_fibre_counts_match_box_filter():
+    """The fibre counter gives the box filter's count on every dilate,
+    and so the same volumes.  The counts are compared one by one: an
+    error that shifts a facet changes counts but can leave the k-th
+    finite difference, the volume, as it was."""
+    seen = set()
+    for k, tight in _random_tight_sets():
+        ineqs, maxc = _pyramid_inequalities(tight, k)
+        counts = [1]
+        for t in range(1, k + 1):
+            top = [t * m for m in maxc]
+            counts.append(_box_filter_count(ineqs, top, t))
+            assert oracles._fibre_count(ineqs, top, t) == counts[t], (k, tight, t)
+        want = sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
+        assert oracles._pyramid_normalized_volume(tight, k) == want, (k, tight)
+        seen.add(k)
+    assert seen == {1, 2, 3, 4}
 
 
 def test_kouchnirenko_cost_scales_with_input():
