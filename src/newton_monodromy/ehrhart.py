@@ -10,6 +10,12 @@ the whole Hodge recursion downstream.  They are read off the dilates
 1..dim+2, checked by the vanishing of phi_{dim+2} in every bucket and
 by the total against the normalized volume, which scans no points.
 
+relint_counts is the engine's one lattice-point counter: the Ehrhart
+numerators, the boundary rows of the Hodge tables (faces of every
+dimension, vertices included) and the largest-block shortcuts all count
+relative-interior points through it, and it reads them off
+Polytope.lattice_scan in the polytope's own chart.
+
 The memos hand out read-only mappings, so a caller cannot corrupt them.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
@@ -25,13 +31,10 @@ from functools import reduce
 from math import comb, gcd
 from types import MappingProxyType
 
+import numpy as _np
+
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
 
 _ZERO = Fraction(0)
 
@@ -89,7 +92,8 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
 
     Keys are character values (Fractions in [0,1)), values are positive
     counts.  k = 0 returns an empty mapping.  The relative interior of a
-    point is the point itself.  Memoized; the mapping is read-only.
+    point is the point itself: its chart is Z^0, and lattice_scan returns
+    the one chart point ().  Memoized; the mapping is read-only.
     """
     if k == 0:
         return _EMPTY
@@ -98,30 +102,26 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
     if hit is not None:
         return hit
     d = char.modulus
-    if poly.dim == 0:
-        r = (k * ila.dot(char.coeffs, poly.points[0])) % d
-        out = {Fraction(r, d): 1}
+    w = [ila.dot(char.coeffs, b) for b in poly.chart.basis]
+    off = k * ila.dot(char.coeffs, poly.chart.origin)
+    kind, data = poly.lattice_scan(k, relint=True)
+    if kind == "np":
+        box = poly.bounding_box(k)
+        maxabs = max(max(abs(lo), abs(hi)) for lo, hi in box)
+        worst = sum(abs(x) for x in w) * maxabs + abs(off)
+        if worst >= 2 ** 62:
+            kind = "py"
+            data = [tuple(int(x) for x in row) for row in data]
+    if kind == "np":
+        vals = (data @ _np.asarray(w, dtype=_np.int64) + off) % d
+        binc = _np.bincount(vals, minlength=d)
+        out = {Fraction(r, d): int(c) for r, c in enumerate(binc) if c}
     else:
-        w = [ila.dot(char.coeffs, b) for b in poly.chart.basis]
-        off = k * ila.dot(char.coeffs, poly.chart.origin)
-        kind, data = poly.lattice_scan(k, relint=True)
-        if kind == "np":
-            box = poly.bounding_box(k)
-            maxabs = max(max(abs(lo), abs(hi)) for lo, hi in box)
-            worst = sum(abs(x) for x in w) * maxabs + abs(off)
-            if worst >= 2 ** 62:
-                kind = "py"
-                data = [tuple(int(x) for x in row) for row in data]
-        if kind == "np":
-            vals = (data @ _np.asarray(w, dtype=_np.int64) + off) % d
-            binc = _np.bincount(vals, minlength=d)
-            out = {Fraction(r, d): int(c) for r, c in enumerate(binc) if c}
-        else:
-            raw: dict[int, int] = {}
-            for y in data:
-                r = (off + ila.dot(w, y)) % d
-                raw[r] = raw.get(r, 0) + 1
-            out = {Fraction(r, d): c for r, c in sorted(raw.items())}
+        raw: dict[int, int] = {}
+        for y in data:
+            r = (off + ila.dot(w, y)) % d
+            raw[r] = raw.get(r, 0) + 1
+        out = {Fraction(r, d): c for r, c in sorted(raw.items())}
     out = _COUNTS[key] = MappingProxyType(out)
     return out
 
@@ -185,26 +185,6 @@ def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
         if s:
             out[a] = s
     return out
-
-
-def skeleton_counts(poly, char: Character) -> dict[Fraction, int]:
-    """Bucketed count of lattice points on the 0- and 1-faces.
-
-    Vertices plus the interior lattice points of every edge; each point
-    is counted once.
-    """
-    d = char.modulus
-    raw: dict[int, int] = {}
-    for i in poly.vertex_ids:
-        r = ila.dot(char.coeffs, poly.points[i]) % d
-        raw[r] = raw.get(r, 0) + 1
-    for a, step, g in poly.edge_steps:
-        base = ila.dot(char.coeffs, a)
-        s = ila.dot(char.coeffs, step)
-        for j in range(1, g):
-            r = (base + j * s) % d
-            raw[r] = raw.get(r, 0) + 1
-    return {Fraction(r, d): c for r, c in sorted(raw.items())}
 
 
 def normalized_volume(poly) -> int:

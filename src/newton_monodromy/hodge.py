@@ -62,20 +62,22 @@ def boundary_values(poly, char: Character):
                            of the whole high range p + q > dim - 1;
       targets[(p, alpha)]  the value of sum_q e^{p,q}_alpha;
       alphas               every bucket seen, closed under conjugation.
+
+    The extreme rows count lattice points by character bucket with
+    ehrhart.relint_counts, summed over the faces of each dimension: row
+    p >= 1 reads the relative-interior points of the (p+1)-faces, and
+    row 0 the points of the 1-skeleton, i.e. the vertices (dimension 0)
+    plus the edge interiors (dimension 1).
     """
     m = poly.dim
     sign = (-1) ** (m - 1)
-    lat = poly.face_lattice
-    lsum: dict[int, dict] = {d: {} for d in range(2, m + 1)}
-    for face, fdim in lat.items():
-        if 2 <= fdim <= m:
-            cnt = ehrhart.relint_counts(poly.face_polytope(face), char, 1)
-            tgt = lsum[fdim]
-            for a, c in cnt.items():
-                tgt[a] = tgt.get(a, 0) + c
+    lsum: dict[int, dict] = {d: {} for d in range(m + 1)}
+    for face, fdim in poly.face_lattice.items():
+        _merge(lsum[fdim], ehrhart.relint_counts(poly.face_polytope(face), char, 1))
+    skel = dict(lsum[0])
+    _merge(skel, lsum[1])
     pa = ehrhart.p_alpha(poly, char)
-    skel = ehrhart.skeleton_counts(poly, char)
-    alphas = {_ZERO} | set(skel) | set(pa)
+    alphas = {_ZERO} | set(pa)
     for d in lsum:
         alphas |= set(lsum[d])
     alphas |= {conj(a) for a in alphas}

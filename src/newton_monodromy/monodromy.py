@@ -192,30 +192,22 @@ def fastpath_top(np_: NewtonPolyhedron, ev: Fraction) -> tuple[int, int]:
 def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
     """Counts of the largest unipotent Jordan blocks (eigenvalue 1).
 
-    Returns (number of size-(n-1) blocks, number of size-(n-2) blocks),
-    from strictly positive lattice points on faces of dimension <= 1
-    and interior points of interior-touching 2-faces.
+    Returns (number of size-(n-1) blocks, number of size-(n-2) blocks).
+    The first is the number of lattice points of the 1-skeleton of the
+    Newton boundary in the open orthant, the second twice the number of
+    relative-interior lattice points of the interior-touching 2-faces.
+    Both are sums of relint_counts(face.poly, trivial, 1) over
+    interior-touching compact faces: every lattice point of the
+    1-skeleton is in the relative interior of exactly one face of
+    dimension <= 1, and such a point is strictly positive exactly when
+    that face touches the interior of the orthant.
     """
-    n = np_.n
-    strictly_positive = set()
+    trivial = Character.trivial(np_.n)
+    points = [0, 0, 0]
     for face in np_.faces:
-        if face.dim == 0:
-            (pt,) = face.points
-            if all(x > 0 for x in pt):
-                strictly_positive.add(pt)
-        elif face.dim == 1:
-            for start, step, length in face.poly.edge_steps:
-                for j in range(length + 1):
-                    pt = tuple(s + j * t for s, t in zip(start, step))
-                    if all(x > 0 for x in pt):
-                        strictly_positive.add(pt)
-    count_top = len(strictly_positive)
-    count_next = 0
-    trivial = Character.trivial(n)
-    for face in np_.faces_of_dim(2):
-        if face.interior_touching:
-            count_next += 2 * sum(relint_counts(face.poly, trivial, 1).values())
-    return count_top, count_next
+        if face.dim <= 2 and face.interior_touching:
+            points[face.dim] += sum(relint_counts(face.poly, trivial, 1).values())
+    return points[0] + points[1], 2 * points[2]
 
 
 def prime_face_blocks(np_: NewtonPolyhedron, ev: Fraction, k: int) -> int:

@@ -8,8 +8,9 @@ volumes come from integer finite differences of lattice counts,
 fibre-counted along the last coordinate, so agreement with the engine
 is meaningful evidence rather than the same bug twice.
 
-brieskorn_pham_spectrum enumerates the classical eigenvalue multiset of
-x1^a1 + ... + xn^an directly from the exponents.
+brieskorn_pham_spectrum computes the classical eigenvalue multiset of
+x1^a1 + ... + xn^an directly from the exponents, as residues mod the
+lcm of the exponents.
 
 validate runs the full battery of internal identities, symmetries, and
 oracle comparisons on one Newton polyhedron and reports per-check
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import fan as fans
 from .ehrhart import Character, conj, p_alpha, relint_counts
@@ -239,15 +240,27 @@ def kouchnirenko_cost(points, n) -> int:
 
 def brieskorn_pham_spectrum(exponents) -> dict[Fraction, int]:
     """Eigenvalue-bucket multiset of x1^a1 + ... + xn^an: the classical
-    product of cyclic spectra.  All Jordan blocks have size 1."""
+    product of cyclic spectra, the multiset of k1/a1 + ... + kn/an mod 1
+    over 1 <= ki < ai.  All Jordan blocks have size 1.
+
+    The sums are kept as integer residues mod L = lcm(a_i) and the
+    variables are folded in one at a time, so no exponent tuple is
+    walked: each fold touches every residue reached so far a_i - 1
+    times."""
     exps = [int(a) for a in exponents]
     if any(a < 2 for a in exps):
         raise ValueError("exponents must be >= 2")
-    counts: dict[Fraction, int] = {}
-    for ks in product(*(range(1, a) for a in exps)):
-        val = sum(Fraction(k, a) for k, a in zip(ks, exps)) % 1
-        counts[val] = counts.get(val, 0) + 1
-    return counts
+    L = lcm(*exps)
+    counts = {0: 1}
+    for a in exps:
+        step = L // a
+        nxt: dict[int, int] = {}
+        for r, c in counts.items():
+            for k in range(1, a):
+                s = (r + k * step) % L
+                nxt[s] = nxt.get(s, 0) + c
+        counts = nxt
+    return {Fraction(r, L): c for r, c in sorted(counts.items())}
 
 
 def brieskorn_pham_exponents(np_: NewtonPolyhedron):

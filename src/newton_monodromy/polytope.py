@@ -13,13 +13,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as _np
+
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
 
 
 def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
@@ -90,20 +87,13 @@ def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
 class Chart:
     """Affine chart identifying a saturated affine sublattice of Z^n with Z^r.
 
-    from_chart(y) = origin + sum_j y[j] * basis[j]; to_chart inverts it
-    and insists the preimage is an actual lattice point of the sublattice.
+    The chart point y stands for origin + sum_j y[j] * basis[j]; to_chart
+    inverts this and insists the preimage is an actual lattice point of
+    the sublattice.
     """
 
     origin: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
-
-    def from_chart(self, y) -> tuple[int, ...]:
-        v = list(self.origin)
-        for c, b in zip(y, self.basis, strict=True):
-            if c:
-                for i, x in enumerate(b):
-                    v[i] += c * x
-        return tuple(v)
 
     def to_chart(self, v) -> tuple[int, ...]:
         if not self.basis:
@@ -236,20 +226,6 @@ class Polytope:
     def face_polytope(self, face: frozenset[int]) -> "Polytope":
         return make_polytope(self.face_points(face))
 
-    @cached_property
-    def edge_steps(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-        """For each 1-face: (ambient endpoint, primitive ambient step, length).
-
-        The edge's lattice points are endpoint + j*step for j = 0..length.
-        """
-        out = []
-        for f in self.faces_of_dim(1):
-            a, b = sorted(self.points[i] for i in f)
-            diff = ila.vec_sub(b, a)
-            g = ila.vec_gcd(diff)
-            out.append((a, ila.primitive(diff), g))
-        return tuple(out)
-
     def bounding_box(self, k: int) -> tuple[tuple[int, int], ...]:
         """Per-coordinate (lo, hi) of the k-th chart dilate."""
         box = []
@@ -274,7 +250,7 @@ class Polytope:
         total = 1
         for lo, hi in box:
             total *= hi - lo + 1
-        if _np is not None and total > 512:
+        if total > 512:
             pts = self._numpy_scan(k, box, facets, relint)
             if pts is not None:
                 return "np", pts

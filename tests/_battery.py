@@ -1,7 +1,11 @@
-"""Seeded random convenient supports shared by the property tests."""
+"""Seeded random convenient supports shared by the property tests, the
+supports of the golden `--json` corpus, and a reference edge walk."""
 
+from math import gcd
+from pathlib import Path
 from random import Random
 
+from newton_monodromy.frontend import load_support, parse_polynomial
 from newton_monodromy.newton import SupportSet
 
 SEED = 20260816
@@ -28,3 +32,21 @@ def random_supports(count: int, seed: int = SEED, dims=(2, 3)):
             if sum(p) >= 2:
                 pts.add(p)
         yield SupportSet(tuple("xyzw"[:n]), tuple(sorted(pts)))
+
+
+def golden_supports():
+    """The supports of the inputs of `tests/test_golden.py`."""
+    from test_golden import CASES, GOLDEN
+
+    for argv in CASES.values():
+        if argv[0] == "--support":
+            yield load_support(str(GOLDEN / argv[1]))
+        else:
+            yield parse_polynomial(argv[0])
+
+
+def edge_points(a, b):
+    """The lattice points of the segment [a, b], walked by primitive step."""
+    diff = [y - x for x, y in zip(a, b)]
+    g = gcd(*diff)
+    return [tuple(x + j * (t // g) for x, t in zip(a, diff)) for j in range(g + 1)]

@@ -6,10 +6,11 @@ from types import MappingProxyType
 import pytest
 
 from newton_monodromy import clear_caches, hodge, monodromy
-from newton_monodromy.ehrhart import Character, phi_tilde
+from newton_monodromy.ehrhart import Character, conj, phi_tilde
 from newton_monodromy.errors import InputError
 from newton_monodromy.hodge import (
     _row_sums,
+    boundary_values,
     clear_hodge_cache,
     hodge_table,
     lefschetz_twist,
@@ -19,7 +20,7 @@ from newton_monodromy.monodromy import jordan_blocks, prime_face_blocks
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import make_polytope
 
-from _battery import random_supports
+from _battery import edge_points, golden_supports, random_supports
 
 F = Fraction
 
@@ -237,3 +238,46 @@ def test_prime_face_blocks_unchanged_by_row_sum_memo(monkeypatch):
         assert got == want, support.points
         checked += len(keys)
     assert checked >= 400
+
+
+def _skeleton_counts(poly, char):
+    """Reference: lattice points of the 1-skeleton by bucket, as ambient
+    dot products over the vertices and the edge interiors."""
+    d = char.modulus
+    raw = {}
+    pts = list(poly.vertices)
+    for e in poly.faces_of_dim(1):
+        a, b = sorted(poly.points[i] for i in e)
+        pts += edge_points(a, b)[1:-1]
+    for v in pts:
+        r = sum(c * x for c, x in zip(char.coeffs, v)) % d
+        raw[r] = raw.get(r, 0) + 1
+    return {F(r, d): c for r, c in raw.items()}
+
+
+def test_boundary_row_zero_matches_skeleton_walk():
+    """Row 0 of the boundary values, read from relint_counts over the
+    faces of dimension 0 and 1, matches the 1-skeleton walked point by
+    point: every cone with its own character and every compact face of
+    positive dimension with the trivial character, for 40 battery
+    supports and the golden inputs."""
+    supports = list(random_supports(40)) + list(golden_supports())
+    checked = 0
+    for support in supports:
+        np_ = newton_polyhedron(support)
+        trivial = Character.trivial(np_.n)
+        cases = [(f.delta, f.char) for f in np_.faces]
+        cases += [(f.poly, trivial) for f in np_.faces if f.dim >= 1]
+        for poly, char in cases:
+            bv, _, alphas = boundary_values(poly, char)
+            skel = _skeleton_counts(poly, char)
+            assert set(skel) | {conj(a) for a in skel} <= alphas
+            sign = (-1) ** (poly.dim - 1)
+            for a in alphas:
+                if a == 0:
+                    want = sign * (skel.get(a, 0) - 1)
+                else:
+                    want = sign * skel.get(conj(a), 0)
+                assert bv[(0, 0, a)] == want, (support.points, poly, char, a)
+            checked += 1
+    assert checked > 400

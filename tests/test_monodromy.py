@@ -14,6 +14,8 @@ from newton_monodromy.monodromy import (
 )
 from newton_monodromy.newton import SupportSet, newton_polyhedron
 
+from _battery import edge_points, golden_supports, random_supports
+
 F = Fraction
 
 CUSP = ((0, 3), (2, 0))
@@ -155,6 +157,34 @@ def test_fastpath_unipotent_values():
     assert fastpath_unipotent(_np(TWO_EDGE)) == (1, 0)
     assert fastpath_unipotent(_np(QUARTIC_SURFACE)) == (0, 6)
     assert fastpath_unipotent(_np(QUADRIC4)) == (0, 0)
+
+
+def _positive_skeleton_walk(np_):
+    """Reference: the set of strictly positive lattice points on the
+    compact faces of dimension <= 1, walked point by point."""
+    pts = set()
+    for face in np_.faces:
+        if face.dim == 0:
+            pts.add(face.points[0])
+        elif face.dim == 1:
+            a, b = face.points[0], face.points[-1]
+            pts.update(edge_points(a, b))
+    return {p for p in pts if all(x > 0 for x in p)}
+
+
+def test_fastpath_unipotent_matches_positive_point_walk():
+    """The size-(n-1) count, summed from relint_counts, equals the number
+    of strictly positive points of the 1-skeleton walked point by point,
+    on 40 battery supports and the golden inputs."""
+    supports = list(random_supports(40)) + list(golden_supports())
+    seen = 0
+    for support in supports:
+        np_ = newton_polyhedron(support)
+        top, _ = fastpath_unipotent(np_)
+        want = len(_positive_skeleton_walk(np_))
+        assert top == want, support.points
+        seen += want
+    assert seen > 0
 
 
 def test_prime_face_blocks_cusp():

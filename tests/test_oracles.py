@@ -191,6 +191,22 @@ def test_brieskorn_pham_spectrum_total_is_product():
             assert sum(brieskorn_pham_spectrum((a, b)).values()) == (a - 1) * (b - 1)
 
 
+def _brieskorn_pham_walk(exps):
+    """Reference: one Fraction sum per exponent tuple (k1, ..., kn)."""
+    counts = {}
+    for ks in product(*(range(1, a) for a in exps)):
+        val = sum(F(k, a) for k, a in zip(ks, exps)) % 1
+        counts[val] = counts.get(val, 0) + 1
+    return counts
+
+
+def test_brieskorn_pham_spectrum_matches_tuple_walk():
+    cases = [e for n in (1, 2, 3) for e in product(range(2, 8), repeat=n)]
+    cases += [(2, 3, 5, 7), (20, 20, 20)]
+    for exps in cases:
+        assert brieskorn_pham_spectrum(exps) == _brieskorn_pham_walk(exps), exps
+
+
 def test_brieskorn_pham_spectrum_matches_engine():
     assert brieskorn_pham_spectrum((2, 3)) == jordan_blocks(_np([(2, 0), (0, 3)])).multiplicities
     assert brieskorn_pham_spectrum((3, 3)) == jordan_blocks(_np([(3, 0), (0, 3)])).multiplicities
