@@ -16,7 +16,14 @@ dimension, vertices included) and the largest-block shortcuts all count
 relative-interior points through it, and it reads them off
 Polytope.lattice_scan in the polytope's own chart.
 
-The memos hand out read-only mappings, so a caller cannot corrupt them.
+Every value these counts read is the character's value at a lattice
+point of the polytope's affine hull, so it depends only on the
+character's restriction to that lattice (restricted); the memos are
+keyed by the polytope and that restriction, not by the ambient
+character.  A face G of a cone conv(0 u gamma) is reached under the
+height character of every compact face above it, and those all restrict
+to the same triple on G, so each of its counts is built once.  The
+memos hand out read-only mappings, so a caller cannot corrupt them.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
 point polytope.
@@ -81,10 +88,36 @@ def conj(alpha: Fraction) -> Fraction:
     return _ZERO if alpha == 0 else 1 - alpha
 
 
+_RESTRICTED: dict = {}
 _COUNTS: dict = {}
 _PALPHA: dict = {}
 _VOLUMES: dict = {}
 _EMPTY = MappingProxyType({})
+
+
+def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
+    """The character's restriction to the polytope's affine lattice.
+
+    The chart point y of the k-th dilate stands for the ambient point
+    k*origin + sum_j y_j basis_j, of value (k*o + w.y)/d mod 1, where
+    d = char.modulus, w_j = char.coeffs . basis_j and
+    o = char.coeffs . origin.  Returns the triple (d', w', o') in lowest
+    terms: w and o reduced mod d, and g = gcd(d, w_1, ..., o) divided
+    out of all three.  Two characters with the same triple take the same
+    value at every lattice point of the polytope and of its faces.
+    Memoized per (polytope instance, character); interned polytopes hash
+    by identity, so a lookup does not hash the point set.
+    """
+    key = (poly, char)
+    hit = _RESTRICTED.get(key)
+    if hit is not None:
+        return hit
+    d = char.modulus
+    w = [ila.dot(char.coeffs, b) % d for b in poly.chart.basis]
+    o = ila.dot(char.coeffs, poly.chart.origin) % d
+    g = reduce(gcd, w, gcd(d, o))
+    out = _RESTRICTED[key] = (d // g, tuple(x // g for x in w), o // g)
+    return out
 
 
 def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
@@ -93,17 +126,18 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
     Keys are character values (Fractions in [0,1)), values are positive
     counts.  k = 0 returns an empty mapping.  The relative interior of a
     point is the point itself: its chart is Z^0, and lattice_scan returns
-    the one chart point ().  Memoized; the mapping is read-only.
+    the one chart point ().  Memoized per (polytope, restricted
+    character, k); the mapping is read-only.
     """
     if k == 0:
         return _EMPTY
-    key = (poly.key, char, k)
+    res = restricted(poly, char)
+    key = (poly.key, res, k)
     hit = _COUNTS.get(key)
     if hit is not None:
         return hit
-    d = char.modulus
-    w = [ila.dot(char.coeffs, b) for b in poly.chart.basis]
-    off = k * ila.dot(char.coeffs, poly.chart.origin)
+    d, w, o = res
+    off = k * o
     kind, data = poly.lattice_scan(k, relint=True)
     if kind == "np":
         box = poly.bounding_box(k)
@@ -137,9 +171,11 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     and phi_{dim+2}, in which every scanned count has a nonzero
     coefficient, must vanish in every bucket.  The phi of all buckets
     must also add up to normalized_volume(poly), which scans nothing.
-    Memoized; the mapping is read-only.
+    Memoized per (polytope, restricted character); the vertex check
+    runs on the first computation of each key, and its outcome depends
+    only on the restriction.  The mapping is read-only.
     """
-    key = (poly.key, char)
+    key = (poly.key, restricted(poly, char))
     hit = _PALPHA.get(key)
     if hit is not None:
         return hit
@@ -214,6 +250,7 @@ def normalized_volume(poly) -> int:
 
 
 def clear_ehrhart_cache():
+    _RESTRICTED.clear()
     _COUNTS.clear()
     _PALPHA.clear()
     _VOLUMES.clear()

@@ -15,6 +15,12 @@ middle anti-diagonal.  Every table is cross-checked before it is cached:
 the boundary formulas must be reproduced, conjugation symmetry
 e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
+
+A table reads its character only at lattice points of the polytope and
+of its faces, so the memos are keyed by the polytope and the
+character's restriction to its lattice (ehrhart.restricted): the cone
+over a face is built once, whichever compact face's height character
+reaches it.
 """
 
 from __future__ import annotations
@@ -139,9 +145,9 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
 
 def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     """e^{p,q}_alpha of the nondegenerate hypersurface with this Newton
-    polytope, graded by char.  Memoized; the memo is returned as a
-    read-only mapping."""
-    key = (poly.key, char)
+    polytope, graded by char.  Memoized per (polytope, restricted
+    character); the memo is returned as a read-only mapping."""
+    key = (poly.key, ehrhart.restricted(poly, char))
     hit = _TABLES.get(key)
     if hit is not None:
         return hit
@@ -214,9 +220,9 @@ def _row_sums(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     e^{p,q}_alpha, by inclusion-exclusion over the face lattice: s_r is
     (-1)^(dim+r) times the sum over (r+1)-faces F and faces G of F of
     (-1)^dim(G) phi_tilde(G)_alpha.  One pass over the face pairs serves
-    every bucket.  Memoized per (polytope, character) as a read-only
-    mapping of tuples."""
-    key = (poly.key, char)
+    every bucket.  Memoized per (polytope, restricted character) as a
+    read-only mapping of tuples."""
+    key = (poly.key, ehrhart.restricted(poly, char))
     hit = _ROW_SUMS.get(key)
     if hit is not None:
         return hit

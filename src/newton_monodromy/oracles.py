@@ -8,6 +8,10 @@ volumes come from integer finite differences of lattice counts,
 fibre-counted along the last coordinate, so agreement with the engine
 is meaningful evidence rather than the same bug twice.
 
+varchenko_multiplicities computes the eigenvalue multiplicities from
+Varchenko's zeta function of the monodromy, with the same facet search
+and pyramid volumes, so it too shares no geometry with the engine.
+
 brieskorn_pham_spectrum computes the classical eigenvalue multiset of
 x1^a1 + ... + xn^an directly from the exponents, as residues mod the
 lcm of the exponents.
@@ -179,30 +183,40 @@ def _check_oracle_support(pts, n):
             raise ValueError(f"support not convenient on axis {i}")
 
 
-def kouchnirenko_mu(points, n=None) -> int:
-    """Milnor number of a convenient nondegenerate singularity, by the
-    alternating sum over coordinate subsets of normalized under-volumes."""
+def _oracle_support(points, n):
+    """The support as sorted distinct integer points, and n, checked."""
     pts = sorted({_integer_point(p) for p in points})
     if not pts:
         raise ValueError("empty support")
     if n is None:
         n = len(pts[0])
     _check_oracle_support(pts, n)
-    total = (-1) ** n
+    return pts, n
+
+
+def _coordinate_sections(pts, n):
+    """Per nonempty coordinate subset I, the pair (|I|, the points of pts
+    in R^I written in the coordinates of I)."""
     for size in range(1, n + 1):
         for axes in combinations(range(n), size):
-            axes_set = set(axes)
-            sub = sorted(
-                {
-                    tuple(p[j] for j in axes)
-                    for p in pts
-                    if all(p[j] == 0 for j in range(n) if j not in axes_set)
-                }
-            )
-            vol = 0
-            for _u, _b, tight in _lower_facets(sub, size):
-                vol += _pyramid_normalized_volume(tight, size)
-            total += (-1) ** (n - size) * vol
+            rest = [j for j in range(n) if j not in axes]
+            yield size, [
+                tuple(p[j] for j in axes)
+                for p in pts
+                if all(p[j] == 0 for j in rest)
+            ]
+
+
+def kouchnirenko_mu(points, n=None) -> int:
+    """Milnor number of a convenient nondegenerate singularity, by the
+    alternating sum over coordinate subsets of normalized under-volumes."""
+    pts, n = _oracle_support(points, n)
+    total = (-1) ** n
+    for size, sub in _coordinate_sections(pts, n):
+        vol = 0
+        for _u, _b, tight in _lower_facets(sub, size):
+            vol += _pyramid_normalized_volume(tight, size)
+        total += (-1) ** (n - size) * vol
     return total
 
 
@@ -213,25 +227,46 @@ def kouchnirenko_cost(points, n) -> int:
     the number of inequalities each fibre is cut by."""
     pts = sorted({tuple(p) for p in points})
     total = 0
-    for size in range(1, n + 1):
-        for axes in combinations(range(n), size):
-            axes_set = set(axes)
-            sub = [
-                tuple(p[j] for j in axes)
-                for p in pts
-                if all(p[j] == 0 for j in range(n) if j not in axes_set)
-            ]
-            if not sub:
-                continue
-            maxc = [max(p[j] for p in sub) for j in range(size)]
-            fibres = 0
-            for t in range(1, size + 1):
-                piece = 1
-                for m in maxc[:-1]:
-                    piece *= t * m + 1
-                fibres += piece
-            total += fibres * max(1, comb(len(sub) + 1, size))
+    for size, sub in _coordinate_sections(pts, n):
+        if not sub:
+            continue
+        maxc = [max(p[j] for p in sub) for j in range(size)]
+        fibres = 0
+        for t in range(1, size + 1):
+            piece = 1
+            for m in maxc[:-1]:
+                piece *= t * m + 1
+            fibres += piece
+        total += fibres * max(1, comb(len(sub) + 1, size))
     return total
+
+
+def varchenko_multiplicities(points, n=None) -> dict[Fraction, int]:
+    """Eigenvalue multiplicities of the monodromy on reduced H^{n-1}, from
+    Varchenko's zeta function (Invent. Math. 1976).
+
+    Per coordinate subset I and lower facet gamma of the support's
+    restriction to R^I, the zeta function has a factor (1 - t^m)^e, with
+    m the lattice distance of gamma from 0 (the facet normal is
+    primitive) and e = (-1)^(|I|-1) NVol(conv(0 u gamma)) / m.  The
+    multiplicity of the eigenvalue exp(2*pi*i*a/b) is (-1)^(n-1) times
+    the sum of e over the factors with b | m, minus 1 for a/b = 0.
+    Keys are eigenvalue buckets in [0, 1), zero multiplicities dropped.
+    """
+    pts, n = _oracle_support(points, n)
+    ex: dict[Fraction, int] = {_ZERO: -1}
+    for size, sub in _coordinate_sections(pts, n):
+        for _u, m, tight in _lower_facets(sub, size):
+            e, rest = divmod(_pyramid_normalized_volume(tight, size), m)
+            if rest:
+                raise InternalConsistencyError(
+                    f"pyramid volume over {tight} is not a multiple of {m}"
+                )
+            for j in range(m):
+                a = Fraction(j, m)
+                ex[a] = ex.get(a, 0) + (-1) ** (size - 1) * e
+    sgn = (-1) ** (n - 1)
+    return {a: sgn * v for a, v in sorted(ex.items()) if v}
 
 
 # ---------------------------------------------------------------------------

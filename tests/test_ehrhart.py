@@ -6,7 +6,7 @@ import pytest
 
 from _battery import random_supports
 
-from newton_monodromy import ehrhart, oracles
+from newton_monodromy import clear_caches, ehrhart, hodge, oracles
 from newton_monodromy.ehrhart import (
     Character,
     clear_ehrhart_cache,
@@ -220,3 +220,98 @@ def test_ehrhart_shift_identity_on_cusp_edge():
     cone = p_alpha(delta, Character(6, (3, 2)))[F(0)]
     assert cone[1:] == top[: len(cone) - 1]
     assert cone[0] == 0
+
+
+def _direct_counts(poly, char, k):
+    """Reference: bucket each scanned chart point by the ambient
+    character's value at k*origin + sum_j y_j basis_j."""
+    origin, basis = poly.chart.origin, poly.chart.basis
+    out = {}
+    for y in poly.lattice_scan(k, relint=True)[1]:
+        v = [
+            k * o + sum(int(t) * b[i] for t, b in zip(y, basis))
+            for i, o in enumerate(origin)
+        ]
+        a = char.value(v)
+        out[a] = out.get(a, 0) + 1
+    return out
+
+
+def test_restriction_is_in_lowest_terms():
+    seg = make_polytope([(1, 0), (3, 0)])  # origin (1, 0), basis ((1, 0),)
+    assert ehrhart.restricted(seg, Character(4, (2, 1))) == (2, (1,), 1)
+    assert ehrhart.restricted(seg, Character(2, (1, 0))) == (2, (1,), 1)
+    assert ehrhart.restricted(seg, Character(4, (0, 1))) == (1, (0,), 0)
+    point = make_polytope([(2, 3)])
+    assert ehrhart.restricted(point, Character(6, (3, 2))) == (1, (), 0)
+
+
+def test_characters_with_one_restriction_share_memo_entries():
+    """Two characters that agree on the polytope's lattice but not on the
+    ambient lattice read the same objects: the first makes one entry per
+    key, and the second adds none."""
+    clear_ehrhart_cache()
+    seg = make_polytope([(1, 0), (3, 0)])
+    a, b = Character(4, (2, 1)), Character(2, (1, 0))
+    assert a != b
+    for k in (1, 2, 3):
+        got = relint_counts(seg, a, k)
+        assert relint_counts(seg, b, k) is got
+        assert got == _direct_counts(seg, a, k) == _direct_counts(seg, b, k)
+    assert relint_counts(seg, a, 2) == {F(0): 1, F(1, 2): 2}
+    assert len(ehrhart._COUNTS) == 3
+
+    tri = make_polytope([(0, 0, 0), (2, 0, 0), (0, 3, 0)])
+    c = Character(6, (3, 2, 0))
+    wide = Character(6, (3, 2, 1))  # differs from c at (0, 0, 1), off tri's lattice
+    assert wide != c and ehrhart.restricted(tri, wide) == ehrhart.restricted(tri, c)
+    memos = (ehrhart._COUNTS, ehrhart._PALPHA, hodge._TABLES, hodge._ROW_SUMS)
+    for read in (p_alpha, hodge_table, hodge._row_sums):
+        got = read(tri, c)
+        sizes = [len(m) for m in memos]
+        assert read(tri, wide) is got
+        assert [len(m) for m in memos] == sizes
+
+
+def test_restrictions_that_differ_get_their_own_entries():
+    """Characters that differ only in the origin term o, or only in one
+    w_j, do not share an entry, and each count matches the ambient
+    character's values point by point."""
+    clear_ehrhart_cache()
+    seg = make_polytope([(1, 1), (3, 1)])  # origin (1, 1), basis ((1, 0),)
+    by_origin = [Character(4, (1, 0)), Character(4, (1, 2))]
+    assert [ehrhart.restricted(seg, c) for c in by_origin] == [
+        (4, (1,), 1),
+        (4, (1,), 3),
+    ]
+    sq = make_polytope([(1, 0), (3, 0), (1, 2), (3, 2)])  # origin (1, 0), basis e1, e2
+    by_weight = [Character(4, (1, 3)), Character(4, (1, 1))]
+    assert [ehrhart.restricted(sq, c) for c in by_weight] == [
+        (4, (1, 3), 1),
+        (4, (1, 1), 1),
+    ]
+    for poly, pair in ((seg, by_origin), (sq, by_weight)):
+        for k in (1, 2, 3):
+            got = [relint_counts(poly, c, k) for c in pair]
+            assert got[0] is not got[1]
+            for c, counts in zip(pair, got):
+                assert counts == _direct_counts(poly, c, k), (poly, c, k)
+            assert k > 1 or got[0] != got[1]
+    assert len(ehrhart._COUNTS) == 12
+
+    # vertex-trivial characters of a segment of length 2: w = 0 against w = 1
+    seg2 = make_polytope([(0, 0), (2, 0)])
+    flat, graded = Character(2, (0, 1)), Character(2, (1, 0))
+    assert p_alpha(seg2, flat) == {F(0): (0, 1, 1)}
+    assert p_alpha(seg2, graded) == {F(0): (0, 0, 1), F(1, 2): (0, 1, 0)}
+    assert hodge_table(seg2, flat) == {(0, 0, F(0)): 2}
+    assert hodge_table(seg2, graded) == {(0, 0, F(0)): 1, (0, 0, F(1, 2)): 1}
+
+
+def test_clear_caches_empties_the_restriction_memo():
+    cusp = make_polytope([(0, 0), (2, 0), (0, 3)])
+    hodge_table(cusp, Character(6, (3, 2)))
+    assert ehrhart._RESTRICTED
+    clear_caches()
+    assert not ehrhart._RESTRICTED
+    assert not ehrhart._COUNTS and not ehrhart._PALPHA

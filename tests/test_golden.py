@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from newton_monodromy import cli
+from newton_monodromy import cli, clear_caches
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,6 +42,18 @@ def test_json_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = (GOLDEN / f"{name}.json").read_text()
     assert _payload_text(capsys, CASES[name]) == expected
+
+
+def test_json_does_not_depend_on_memo_state(capsys, monkeypatch):
+    """The whole corpus twice in one process: first after clear_caches(),
+    then on the memos the first pass filled, which entries shared across
+    characters now serve.  Both passes match the golden files."""
+    monkeypatch.chdir(GOLDEN)
+    clear_caches()
+    for label in ("cold", "warm"):
+        for name in sorted(CASES):
+            expected = (GOLDEN / f"{name}.json").read_text()
+            assert _payload_text(capsys, CASES[name]) == expected, (label, name)
 
 
 if __name__ == "__main__":

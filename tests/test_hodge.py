@@ -6,7 +6,14 @@ from types import MappingProxyType
 import pytest
 
 from newton_monodromy import clear_caches, hodge, monodromy
-from newton_monodromy.ehrhart import Character, conj, phi_tilde
+from newton_monodromy.ehrhart import (
+    Character,
+    conj,
+    p_alpha,
+    phi_tilde,
+    relint_counts,
+    restricted,
+)
 from newton_monodromy.errors import InputError
 from newton_monodromy.hodge import (
     _row_sums,
@@ -281,3 +288,48 @@ def test_boundary_row_zero_matches_skeleton_walk():
                 assert bv[(0, 0, a)] == want, (support.points, poly, char, a)
             checked += 1
     assert checked > 400
+
+
+def _memo_reads(points, char):
+    """Everything the four per-character memos hold for one polytope and
+    character, as plain dicts."""
+    poly = make_polytope(points)
+    out = {
+        "relint_counts": [
+            dict(relint_counts(poly, char, k)) for k in range(1, poly.dim + 3)
+        ],
+        "p_alpha": dict(p_alpha(poly, char)),
+    }
+    if poly.dim >= 1:
+        out["hodge_table"] = dict(hodge_table(poly, char))
+        out["row_sums"] = dict(_row_sums(poly, char))
+    return out
+
+
+def test_shared_memo_entries_match_cold_computations():
+    """The memos are keyed by the character's restriction to the
+    polytope's lattice, so one entry serves every character that agrees
+    there.  For 40 battery supports and the golden inputs, every cone
+    under its character, every compact face under the trivial character
+    and every face of every cone under the cone's character reads, through
+    the memos the whole corpus has filled, what it reads when computed
+    alone after clear_caches()."""
+    supports = list(random_supports(40)) + list(golden_supports())
+    clear_caches()
+    items = {}
+    for support in supports:
+        np_ = newton_polyhedron(support)
+        jordan_blocks(np_)
+        trivial = Character.trivial(np_.n)
+        for f in np_.faces:
+            items[(f.delta.points, f.char)] = None
+            items[(f.poly.points, trivial)] = None
+            for face in f.delta.face_lattice:
+                items[(f.delta.face_points(face), f.char)] = None
+    warm = {item: _memo_reads(*item) for item in items}
+    # Not vacuous: many items reach an entry made under another character.
+    keys = {(pts, restricted(make_polytope(pts), char)) for pts, char in items}
+    assert len(items) - len(keys) > 500
+    for item, want in warm.items():
+        clear_caches()
+        assert _memo_reads(*item) == want, item

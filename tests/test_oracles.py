@@ -17,6 +17,7 @@ from newton_monodromy.oracles import (
     kouchnirenko_cost,
     kouchnirenko_mu,
     validate,
+    varchenko_multiplicities,
 )
 
 F = Fraction
@@ -175,6 +176,19 @@ def test_kouchnirenko_cost_scales_with_input():
     big = kouchnirenko_cost([(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)], 3)
     assert isinstance(small, int) and small > 0
     assert big > small
+
+
+def test_varchenko_multiplicities_values():
+    assert varchenko_multiplicities([(2, 0), (0, 3)]) == {F(1, 6): 1, F(5, 6): 1}
+    assert varchenko_multiplicities([(2, 0), (0, 2)]) == {F(0): 1}
+    assert varchenko_multiplicities([(5, 0), (2, 2), (0, 5)]) == {
+        F(0): 1, F(1, 10): 2, F(3, 10): 2, F(1, 2): 2, F(7, 10): 2, F(9, 10): 2
+    }
+    assert varchenko_multiplicities([(3, 0, 0), (0, 4, 0), (0, 0, 5)]) == (
+        brieskorn_pham_spectrum((3, 4, 5))
+    )
+    with pytest.raises(ValueError, match="convenient"):
+        varchenko_multiplicities([(2, 0), (1, 1)])
 
 
 def test_brieskorn_pham_spectrum_small_cases():

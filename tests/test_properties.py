@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from newton_monodromy.ehrhart import Character, conj
 from newton_monodromy.frontend import parse_polynomial
-from newton_monodromy.monodromy import jordan_blocks
+from newton_monodromy.monodromy import fastpath_unipotent, jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
-from newton_monodromy.oracles import validate
+from newton_monodromy.oracles import validate, varchenko_multiplicities
 
-from _battery import random_supports
+from _battery import golden_supports, random_supports
 
 
 def test_validation_battery_small():
@@ -43,6 +43,40 @@ def test_variable_permutation_leaves_jordan_form_unchanged():
             want.blocks,
             want.multiplicities,
         ), (support.points, perm)
+
+
+def test_varchenko_zeta_function_gives_the_engine_multiplicities():
+    """Varchenko's zeta function, from the oracle's own facet search and
+    pyramid volumes, gives every eigenvalue's multiplicity."""
+    for support in list(random_supports(200)) + list(golden_supports()):
+        want = jordan_blocks(newton_polyhedron(support)).multiplicities
+        assert varchenko_multiplicities(support.points, support.n) == want, (
+            support.points
+        )
+
+
+def _answer(support):
+    np_ = newton_polyhedron(support)
+    spec = jordan_blocks(np_)
+    faces = sorted((f.points, f.twist, f.distance) for f in np_.faces)
+    return faces, spec.mu, spec.blocks, spec.multiplicities, fastpath_unipotent(np_)
+
+
+def test_points_above_the_newton_boundary_change_nothing():
+    """q + (1, ..., 1) lies strictly above every compact face through a
+    support point q (compact faces have positive normals), so adding it
+    leaves the compact faces, the Jordan form and the unipotent shortcut
+    as they were."""
+    rng = Random(7)
+    for support in random_supports(40):
+        raised = [
+            tuple(x + 1 for x in q)
+            for q in support.points
+            if tuple(x + 1 for x in q) not in support.points
+        ]
+        extra = rng.choice(raised)
+        bigger = SupportSet(support.variables, tuple(sorted(support.points + (extra,))))
+        assert _answer(bigger) == _answer(support), (support.points, extra)
 
 
 @given(
