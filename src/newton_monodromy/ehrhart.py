@@ -6,13 +6,16 @@ a polytope are bucketed by character value; once the character kills
 every vertex, the generating series of each bucket is a polynomial of
 degree at most dim+1 over (1-t)^(dim+1) (equivariant Ehrhart theory,
 Stapledon 2011), and those coefficient vectors (called phi here) drive
-the whole Hodge recursion downstream.  They are read off the dilates
-1..dim+2, checked by the vanishing of phi_{dim+2} in every bucket and
-by the total against the normalized volume, which scans no points.
+the whole Hodge recursion downstream.  They are read off the open
+faces of a pulling triangulation: relint(kP) is the disjoint union of
+relint(k tau) over the simplices tau that lie in no facet of P, and
+each tau contributes the lattice points of its open fundamental
+parallelepiped, NVol(tau) of them (Beck-Robins, ch. 3).  No dilate is
+scanned.
 
-relint_counts is the engine's one lattice-point counter: the Ehrhart
-numerators, the boundary rows of the Hodge tables (faces of every
-dimension, vertices included) and the largest-block shortcuts all count
+relint_counts is the engine's one lattice-point counter: the boundary
+rows of the Hodge tables (faces of every dimension, vertices included),
+the largest-block shortcuts and the check of phi_1 all count
 relative-interior points through it, and it reads them off
 Polytope.lattice_scan in the polytope's own chart.
 
@@ -31,14 +34,15 @@ point polytope.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
+from itertools import combinations, product
 from math import comb, gcd
+from operator import add
 from types import MappingProxyType
-
-import numpy as _np
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
@@ -138,24 +142,11 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
         return hit
     d, w, o = res
     off = k * o
-    kind, data = poly.lattice_scan(k, relint=True)
-    if kind == "np":
-        box = poly.bounding_box(k)
-        maxabs = max(max(abs(lo), abs(hi)) for lo, hi in box)
-        worst = sum(abs(x) for x in w) * maxabs + abs(off)
-        if worst >= 2 ** 62:
-            kind = "py"
-            data = [tuple(int(x) for x in row) for row in data]
-    if kind == "np":
-        vals = (data @ _np.asarray(w, dtype=_np.int64) + off) % d
-        binc = _np.bincount(vals, minlength=d)
-        out = {Fraction(r, d): int(c) for r, c in enumerate(binc) if c}
-    else:
-        raw: dict[int, int] = {}
-        for y in data:
-            r = (off + ila.dot(w, y)) % d
-            raw[r] = raw.get(r, 0) + 1
-        out = {Fraction(r, d): c for r, c in sorted(raw.items())}
+    raw: dict[int, int] = {}
+    for y in poly.lattice_scan(k, relint=True)[1]:
+        r = (off + ila.dot(w, y)) % d
+        raw[r] = raw.get(r, 0) + 1
+    out = {Fraction(r, d): c for r, c in sorted(raw.items())}
     out = _COUNTS[key] = MappingProxyType(out)
     return out
 
@@ -166,16 +157,19 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     Returns {alpha: (phi_0, ..., phi_{dim+1})} where
     sum_k |relint(k*poly)|_alpha t^k = (phi_0 + ... + phi_{dim+1} t^{dim+1})
     / (1-t)^{dim+1}.  Requires the character to vanish on every vertex,
-    which bounds the numerator's degree by dim+1.  The dilates 1..dim+2
-    are scanned: phi_1..phi_{dim+1} come from the first dim+1 of them,
-    and phi_{dim+2}, in which every scanned count has a nonzero
-    coefficient, must vanish in every bucket.  The phi of all buckets
-    must also add up to normalized_volume(poly), which scans nothing.
+    hence on each generator (v, 1) of a simplex's cone, so an interior
+    simplex of dimension j adds (1-t)^(dim-j) t^height(b) to the bucket
+    of each point b of its open parallelepiped (_open_box).  Checks:
+    phi_1 equals the k = 1 walk of relint_counts in every bucket; the
+    total equals normalized_volume(poly), whose pyramids use another
+    apex; phi_{dim+1} is 1 in bucket 0 and 0 elsewhere (the Euler
+    characteristic of the interior, one point per interior simplex).
     Memoized per (polytope, restricted character); the vertex check
     runs on the first computation of each key, and its outcome depends
     only on the restriction.  The mapping is read-only.
     """
-    key = (poly.key, restricted(poly, char))
+    res = restricted(poly, char)
+    key = (poly.key, res)
     hit = _PALPHA.get(key)
     if hit is not None:
         return hit
@@ -185,32 +179,108 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
                 f"character {char.coeffs}/{char.modulus} is not trivial on vertex {v}"
             )
     m = poly.dim
-    kmax = m + 2
-    counts = [relint_counts(poly, char, k) for k in range(kmax + 1)]
-    alphas = set()
-    for c in counts:
-        alphas |= set(c)
-    out = {}
-    for a in sorted(alphas):
-        ell = [c.get(a, 0) for c in counts]
-        phi = [
-            sum((-1) ** (j - k) * comb(m + 1, j - k) * ell[k] for k in range(1, j + 1))
-            for j in range(kmax + 1)
-        ]
-        if phi[kmax]:
-            raise InternalConsistencyError(
-                "interior Ehrhart series has unexpected degree "
-                f"(bucket {a}, coefficient {kmax} is {phi[kmax]})"
-            )
-        out[a] = tuple(phi[:kmax])
+    d, w, _ = res  # o = 0: the chart origin is a vertex, where char vanishes
+    phi: dict[int, list[int]] = {}
+    for simplex in _interior_simplices(poly):
+        ys = [poly.cpoints[i] for i in simplex]
+        codim = m + 1 - len(ys)
+        box = _open_box([y + (1,) for y in ys], [ila.dot(w, y) for y in ys])
+        for (height, value), n in Counter(box).items():
+            row = phi.setdefault(value % d, [0] * (m + 2))
+            for i in range(codim + 1):
+                row[height + i] += (-1) ** i * comb(codim, i) * n
+    out = {Fraction(r, d): tuple(row) for r, row in sorted(phi.items())}
+
+    first = {a: tup[1] for a, tup in out.items() if tup[1]}
+    walk = dict(relint_counts(poly, char, 1))
+    if first != walk:
+        raise InternalConsistencyError(
+            f"phi_1 {first} differs from the interior points {walk}"
+        )
     total = sum(sum(tup) for tup in out.values())
     vol = normalized_volume(poly)
     if total != vol:
         raise InternalConsistencyError(
             f"Ehrhart numerators add up to {total}, not the normalized volume {vol}"
         )
+    top = {a: tup[m + 1] for a, tup in out.items() if tup[m + 1]}
+    if top != {_ZERO: 1}:
+        raise InternalConsistencyError(
+            f"phi_{m + 1} is {top}, not 1 in bucket 0 and 0 elsewhere"
+        )
     out = _PALPHA[key] = MappingProxyType(out)
     return out
+
+
+def _interior_simplices(poly) -> list[tuple[int, ...]]:
+    """The simplices of the pulling triangulation that lie in no facet.
+
+    Each face is coned from its lowest vertex id over the triangulations
+    of its facets that miss that vertex.  The order is global, so the
+    simplices in a face of the polytope triangulate that face, and the
+    relative interiors of all simplices partition the polytope.  A
+    simplex lies in a facet exactly when its vertices do.  Simplices are
+    ascending tuples of vertex ids.
+    """
+    lattice = poly.face_lattice
+
+    @cache
+    def pulling(face):
+        fdim = lattice[face]
+        if fdim == 0:
+            return [tuple(face)]
+        apex = min(face)
+        return [
+            (apex,) + s
+            for g, gdim in lattice.items()
+            if gdim == fdim - 1 and g < face and apex not in g
+            for s in pulling(g)
+        ]
+
+    simplices = {
+        s
+        for top in pulling(frozenset(poly.vertex_ids))
+        for size in range(1, len(top) + 1)
+        for s in combinations(top, size)
+    }
+    facets = poly.facet_vertex_sets
+    return sorted(s for s in simplices if not any(f.issuperset(s) for f in facets))
+
+
+def _open_box(gens, weights):
+    """(height, phi) at each lattice point b of the open parallelepiped
+    {sum lam_i gens_i : 0 < lam_i <= 1}, where phi is the linear form with
+    phi(gens_i) = weights_i and the height is the last coordinate.
+
+    The points lie in the saturated lattice L of span(gens).  With M the
+    gens in a basis of L, the rows of row_hnf(M) are triangular, so the
+    vectors 0 <= x_i < diagonal_i (in that basis) meet every coset of
+    L / Z gens once, |det M| = NVol of the simplex of them in all.  The
+    coset of x has lam = x M^{-1}, brought into (0, 1] coordinatewise.
+    Every gens_i must have last coordinate 1.
+    """
+    mat = gens
+    if len(gens) < len(gens[0]):
+        cols = list(zip(*ila.saturation_basis(gens, len(gens[0]))))
+        mat = [ila.solve_integer(cols, g) for g in gens]
+    det, inv = ila.scaled_inverse_columns(mat)
+    diag = [h[i] for i, h in enumerate(ila.row_hnf(mat))]
+    # lam * det = x . (row k of inv); % takes the sign of det, so each
+    # (a % det or det) / det lies in (0, 1].  The longest axis of x runs
+    # innermost, as one list per generator.
+    inner = diag.index(max(diag))
+    outer = [k for k in range(len(diag)) if k != inner]
+    span = range(diag[inner])
+    for x in product(*(range(diag[k]) for k in outer)):
+        heights = [0] * len(span)
+        values = [0] * len(span)
+        for col, wt in zip(inv, weights):
+            a = sum(xk * col[k] for xk, k in zip(x, outer))
+            s = col[inner]
+            lam = [(a + t * s) % det or det for t in span]
+            heights = list(map(add, heights, lam))
+            values = list(map(add, values, [wt * v for v in lam]))
+        yield from zip([h // det for h in heights], [v // det for v in values])
 
 
 def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
@@ -226,12 +296,13 @@ def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
 def normalized_volume(poly) -> int:
     """dim! times the intrinsic-lattice volume, by pyramids over facets.
 
-    Cutting the polytope into pyramids over its facets, with apex the
-    chart origin v (a point of the polytope), gives
-    NVol(P) = sum over facets u.y + b >= 0 of (u.v + b) * NVol(facet),
-    where u.v + b = b is the lattice distance of v from the facet, zero
-    on the facets through v.  No lattice point is scanned.  Memoized per
-    polytope.
+    Cutting the polytope into pyramids over its facets, with apex its
+    highest vertex a (the last vertex id), gives
+    NVol(P) = sum over facets u.y + b >= 0 of (u.a + b) * NVol(facet),
+    where u.a + b is the lattice distance of a from the facet, zero on
+    the facets through a.  p_alpha's triangulation cones from the lowest
+    vertex id, so its check against this total is not circular.  No
+    lattice point is scanned.  Memoized per polytope.
     """
     hit = _VOLUMES.get(poly.key)
     if hit is not None:
@@ -239,10 +310,12 @@ def normalized_volume(poly) -> int:
     if poly.dim == 0:
         total = 1
     else:
+        apex = poly.cpoints[poly.vertex_ids[-1]]
         total = 0
-        for (_, b), face in zip(poly.cfacets, poly.facet_vertex_sets):
-            if b:
-                total += b * normalized_volume(poly.face_polytope(face))
+        for (u, b), face in zip(poly.cfacets, poly.facet_vertex_sets):
+            height = ila.dot(u, apex) + b
+            if height:
+                total += height * normalized_volume(poly.face_polytope(face))
     if total <= 0:
         raise InternalConsistencyError("normalized volume must be positive")
     _VOLUMES[poly.key] = total

@@ -4,7 +4,8 @@ Everything is exact.  A polytope is given by integer points in some
 ambient Z^n; it carries a chart onto Z^r (r = its intrinsic dimension)
 through which all lattice-point work happens, so lower-dimensional
 faces are first-class objects and counts are always taken in the
-correct lattice.
+correct lattice.  Lattice points of a dilate are listed by one exact
+pure-Python walk of the fibres of the last chart coordinate.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as _np
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
@@ -237,35 +236,19 @@ class Polytope:
     def lattice_scan(self, k: int, relint: bool):
         """Chart lattice points of the k-th dilate (interior only if relint).
 
-        Returns ("np", int64 array of shape (N, dim)) when the chunked
-        numpy fibre scan applies, else ("py", list of int tuples); either
-        way the points come in lexicographic order.  Boxes of at most 512
-        points, and dilates where a dot product could overflow int64, go
-        through the exact pure-Python fibre scan.
+        Returns ("py", list of int tuples) with the points in
+        lexicographic order; the tag names the walk.  The walk follows
+        the fibres of the last chart coordinate: for each point of the
+        box of the leading coordinates, every facet u.y + k*b >= lo_off
+        bounds the last coordinate y' through c*y' >= -s, with c = u[-1]
+        and s = u[:-1].y + k*b - lo_off, so the fibre is one integer
+        interval and only its points are produced.
         """
         if self.dim == 0:
             return "py", [()]
-        box = self.bounding_box(k)
-        facets = self.cfacets
-        total = 1
-        for lo, hi in box:
-            total *= hi - lo + 1
-        if total > 512:
-            pts = self._numpy_scan(k, box, facets, relint)
-            if pts is not None:
-                return "np", pts
-        return "py", self._python_scan(k, box, facets, relint)
-
-    # Both scans walk the fibres of the last chart coordinate: for each
-    # point of the box of the leading coordinates, every facet
-    # u.y + k*b >= lo_off bounds the last coordinate y' through
-    # c*y' >= -s, with c = u[-1] and s = u[:-1].y + k*b - lo_off, so the
-    # fibre is one integer interval and only its points are produced.
-
-    def _python_scan(self, k, box, facets, relint):
         lo_off = 1 if relint else 0
-        *lead_box, (last_lo, last_hi) = box
-        rows = [(u[:-1], u[-1], k * b - lo_off) for u, b in facets]
+        *lead_box, (last_lo, last_hi) = self.bounding_box(k)
+        rows = [(u[:-1], u[-1], k * b - lo_off) for u, b in self.cfacets]
         out = []
         for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in lead_box)):
             lo, hi = last_lo, last_hi
@@ -280,44 +263,7 @@ class Polytope:
                 if lo > hi:
                     break
             out.extend(lead + (y,) for y in range(lo, hi + 1))
-        return out
-
-    def _numpy_scan(self, k, box, facets, relint):
-        # Guard: every dot product must stay far below 2^63.
-        maxabs = max(max(abs(lo), abs(hi)) for lo, hi in box)
-        worst = max(
-            sum(abs(x) for x in u) * maxabs + abs(k * b) for u, b in facets
-        )
-        if worst >= 2 ** 62:
-            return None
-        lo_off = 1 if relint else 0
-        U = _np.asarray([u for u, _ in facets], dtype=_np.int64)
-        lead_u, c = U[:, :-1].T, U[:, -1]
-        s0 = _np.asarray([k * b - lo_off for _, b in facets], dtype=_np.int64)
-        up, down, flat = c > 0, c < 0, c == 0
-        *lead_box, (last_lo, last_hi) = box
-        pieces = []
-        for lead in _box_rows(lead_box, 1 << 18):
-            S = lead @ lead_u + s0
-            lo = (-(S[:, up] // c[up])).max(axis=1, initial=last_lo)
-            hi = (S[:, down] // -c[down]).min(axis=1, initial=last_hi)
-            n = _np.maximum(hi - lo + 1, 0)
-            if flat.any():
-                n[(S[:, flat] < 0).any(axis=1)] = 0
-            total = int(n.sum())
-            if not total:
-                continue
-            Y = _np.empty((total, self.dim), dtype=_np.int64)
-            Y[:, :-1] = _np.repeat(lead, n, axis=0)
-            # Row j of fibre i holds lo[i] + (j - start[i]).
-            start = _np.cumsum(n) - n
-            Y[:, -1] = _np.repeat(lo - start, n) + _np.arange(total, dtype=_np.int64)
-            pieces.append(Y)
-        if len(pieces) == 1:
-            return pieces[0]
-        if not pieces:
-            return _np.empty((0, self.dim), dtype=_np.int64)
-        return _np.concatenate(pieces, axis=0)
+        return "py", out
 
     @cached_property
     def vertex_cone_unimodular(self) -> bool:
@@ -362,25 +308,6 @@ class Polytope:
             if cnt != d - 1:
                 return "neither"
         return "pseudo_prime"
-
-
-def _box_rows(box, max_rows: int):
-    """The lattice points of box as int64 arrays of rows, in lexicographic
-    order, in slabs of the first axis holding about max_rows rows each.
-    An empty box (no axes) has the single point ()."""
-    if not box:
-        yield _np.zeros((1, 0), dtype=_np.int64)
-        return
-    rest = [_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in box[1:]]
-    step = max(1, max_rows // max(1, int(_np.prod([r.size for r in rest]))))
-    first_lo, first_hi = box[0]
-    a = first_lo
-    while a <= first_hi:
-        b = min(a + step - 1, first_hi)
-        axes = [_np.arange(a, b + 1, dtype=_np.int64)] + rest
-        grids = _np.meshgrid(*axes, indexing="ij")
-        yield _np.stack([g.reshape(-1) for g in grids], axis=1)
-        a = b + 1
 
 
 _POLYTOPES: dict[tuple, Polytope] = {}

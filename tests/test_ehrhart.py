@@ -1,10 +1,12 @@
 """Equivariant Ehrhart data: characters, interior counts, numerators."""
 
 from fractions import Fraction
+from math import comb
+from random import Random
 
 import pytest
 
-from _battery import random_supports
+from _battery import golden_supports, random_supports
 
 from newton_monodromy import clear_caches, ehrhart, hodge, oracles
 from newton_monodromy.ehrhart import (
@@ -17,7 +19,9 @@ from newton_monodromy.ehrhart import (
     relint_counts,
 )
 from newton_monodromy.errors import InternalConsistencyError
+from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.hodge import hodge_table
+from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import Polytope, make_polytope
 
@@ -149,34 +153,168 @@ def test_normalized_volume_matches_pyramid_oracle():
     assert checked >= 60
 
 
-@pytest.mark.parametrize(
-    "points,char",
-    [
-        ([(0, 0), (2, 0), (0, 3)], Character(6, (3, 2))),
-        ([(0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5)], Character.trivial(3)),
-    ],
-)
-def test_p_alpha_catches_a_dropped_point_at_every_dilate(monkeypatch, points, char):
-    """Losing one interior point at any scanned dilate k = 1..dim+2
-    breaks the degree check or the volume check."""
+def _dilate_scan_p_alpha(poly, char):
+    """Reference: the numerators read off the walks of the dilates
+    1..dim+2, with phi_{dim+2} = 0 in every bucket as the check (the
+    engine's method before the triangulation)."""
+    m = poly.dim
+    kmax = m + 2
+    counts = [relint_counts(poly, char, k) for k in range(kmax + 1)]
+    out = {}
+    for a in sorted(set().union(*counts)):
+        ell = [c.get(a, 0) for c in counts]
+        phi = [
+            sum((-1) ** (j - k) * comb(m + 1, j - k) * ell[k] for k in range(1, j + 1))
+            for j in range(kmax + 1)
+        ]
+        assert phi[kmax] == 0, (poly, char, a)
+        out[a] = tuple(phi[:kmax])
+    return out
+
+
+def _reached_pairs(supports):
+    """Every (polytope, character) pair whose numerators jordan_blocks
+    reads on the supports, one per restricted character."""
+    seen = {}
+    real = ehrhart.p_alpha
+
+    def record(poly, char):
+        seen.setdefault((poly.key, ehrhart.restricted(poly, char)), (poly, char))
+        return real(poly, char)
+
+    clear_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ehrhart, "p_alpha", record)
+        for support in supports:
+            jordan_blocks(newton_polyhedron(support))
+    return list(seen.values())
+
+
+def test_p_alpha_matches_the_dilate_scan():
+    """The open-face sums equal the numerators of the dilate scan on every
+    pair that jordan_blocks reaches on 40 battery supports, the golden
+    inputs, two Fermat surfaces, a Fermat quartic threefold and a support
+    with a non-simplicial compact face."""
+    supports = (
+        list(random_supports(40))
+        + list(golden_supports())
+        + [parse_polynomial(f"x^{e} + y^{e} + z^{e}") for e in (8, 12)]
+        + [parse_polynomial("x^4 + y^4 + z^4 + w^4")]
+        + [parse_polynomial("x^5 + y^4 + z^5 + y*z^2 + x*y*z + x^4*y*z^4")]
+    )
+    pairs = _reached_pairs(supports)
+    assert len(pairs) > 250
+    assert {poly.dim for poly, _ in pairs} == {1, 2, 3, 4}
+    assert any(len(poly.vertex_ids) > poly.dim + 1 for poly, _ in pairs)
+    for poly, char in pairs:
+        assert p_alpha(poly, char) == _dilate_scan_p_alpha(poly, char), (poly, char)
+
+
+def _non_simplices(seed=3):
+    """Lattice polytopes of dimension 2..4 with more vertices than a
+    simplex (the Newton polyhedra above reach few of them), dilated by
+    c = 1, 2, 3 under a character of modulus c, which kills every vertex."""
+    rng = Random(seed)
+    for dim, width, count in ((2, 5, 12), (3, 3, 12), (4, 1, 6)):
+        made = 0
+        while made < count:
+            pts = [
+                tuple(rng.randint(0, width) for _ in range(dim))
+                for _ in range(dim + 2 + rng.randint(0, 3))
+            ]
+            q = make_polytope(pts)
+            if q.dim < dim or len(q.vertex_ids) == dim + 1:
+                continue
+            c = 1 + made % 3
+            made += 1
+            yield (
+                make_polytope([tuple(c * x for x in v) for v in q.vertices]),
+                Character(c, tuple(range(1, dim + 1))),
+            )
+
+
+def test_p_alpha_matches_the_dilate_scan_on_non_simplices():
+    """Where the pulling triangulation has several maximal simplices and
+    interior simplices of every dimension, the open-face sums still equal
+    the numerators of the dilate scan."""
+    clear_ehrhart_cache()
+    codims = set()
+    for poly, char in _non_simplices():
+        codims |= {poly.dim + 1 - len(s) for s in ehrhart._interior_simplices(poly)}
+        assert p_alpha(poly, char) == _dilate_scan_p_alpha(poly, char), (poly, char)
+    assert codims == {0, 1, 2, 3}
+
+
+_CUSP = ([(0, 0), (2, 0), (0, 3)], Character(6, (3, 2)))
+_TETRA = ([(0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5)], Character.trivial(3))
+_SQUARE = ([(0, 0), (2, 0), (0, 2), (2, 2)], Character(2, (1, 0)))
+
+
+def _fresh_p_alpha_raises(points, char, check):
+    """p_alpha, computed afresh, raises from the named check."""
+    clear_ehrhart_cache()
+    try:
+        with pytest.raises(InternalConsistencyError, match=check):
+            p_alpha(make_polytope(points), char)
+    finally:
+        clear_ehrhart_cache()
+
+
+@pytest.mark.parametrize("points,char", [_CUSP, _TETRA])
+def test_p_alpha_catches_a_point_dropped_from_the_walk(monkeypatch, points, char):
+    """Losing one interior point of the k = 1 walk breaks the phi_1 check."""
     poly = make_polytope(points)
     scan = Polytope.lattice_scan
-    for bad in range(1, poly.dim + 3):
 
-        def lossy(self, k, relint, bad=bad):
-            kind, data = scan(self, k, relint)
-            if self is poly and k == bad and relint:
-                assert len(data) > 0
-                data = data[:-1]
-            return kind, data
+    def lossy(self, k, relint):
+        kind, data = scan(self, k, relint)
+        if self is poly and k == 1 and relint:
+            assert len(data) > 0
+            data = data[:-1]
+        return kind, data
 
-        clear_ehrhart_cache()
-        with monkeypatch.context() as mp:
-            mp.setattr(Polytope, "lattice_scan", lossy)
-            with pytest.raises(InternalConsistencyError):
-                p_alpha(poly, char)
-        clear_ehrhart_cache()
+    monkeypatch.setattr(Polytope, "lattice_scan", lossy)
+    _fresh_p_alpha_raises(points, char, "phi_1")
+    monkeypatch.undo()
     assert sum(sum(t) for t in p_alpha(poly, char).values()) == normalized_volume(poly)
+
+
+def test_p_alpha_catches_a_dropped_maximal_simplex(monkeypatch):
+    """The square [0, 2]^2 is cut into two triangles with no interior
+    points of their own; losing one keeps phi_1 and breaks the total."""
+    real = ehrhart._interior_simplices
+    # vertex ids 0..3 are (0, 0), (0, 2), (2, 0), (2, 2); (0, 3) is the diagonal
+    assert real(make_polytope(_SQUARE[0])) == [(0, 1, 3), (0, 2, 3), (0, 3)]
+    monkeypatch.setattr(
+        ehrhart,
+        "_interior_simplices",
+        lambda poly: [s for s in real(poly) if s != (0, 2, 3)],
+    )
+    _fresh_p_alpha_raises(*_SQUARE, "normalized volume")
+
+
+def test_p_alpha_catches_a_facet_simplex_counted_as_interior(monkeypatch):
+    """The cusp edge from (0, 3) to (2, 0) is primitive: its one box point
+    has height 2, so counting it keeps phi_1 and the total and moves the
+    top coefficient."""
+    real = ehrhart._interior_simplices
+    monkeypatch.setattr(
+        ehrhart, "_interior_simplices", lambda poly: sorted(real(poly) + [(1, 2)])
+    )
+    _fresh_p_alpha_raises(*_CUSP, "phi_3 is")
+
+
+def test_p_alpha_catches_a_dropped_height_one_box_point(monkeypatch):
+    """The cusp's one interior point (1, 1) is a box point of height 1."""
+    real = ehrhart._open_box
+
+    def lossy(gens, weights):
+        points = list(real(gens, weights))
+        points.remove(next(p for p in points if p[0] == 1))
+        return points
+
+    monkeypatch.setattr(ehrhart, "_open_box", lossy)
+    _fresh_p_alpha_raises(*_CUSP, "phi_1")
 
 
 def test_p_alpha_checks_the_total_against_the_volume(monkeypatch):

@@ -8,6 +8,9 @@ change of output, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,12 +32,19 @@ CASES = {
 }
 
 
-def _payload_text(capsys, argv) -> str:
-    code = cli.main(argv + ["--json", "--emit-hodge-tables", "--validate"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
+FLAGS = ["--json", "--emit-hodge-tables", "--validate"]
+
+
+def _without_timing(out: str) -> str:
+    payload = json.loads(out)
     assert isinstance(payload.pop("timing_ms"), int)
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _payload_text(capsys, argv) -> str:
+    code = cli.main(argv + FLAGS)
+    assert code == 0
+    return _without_timing(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -56,6 +66,27 @@ def test_json_does_not_depend_on_memo_state(capsys, monkeypatch):
             assert _payload_text(capsys, CASES[name]) == expected, (label, name)
 
 
+def test_json_matches_golden_without_numpy():
+    """The engine imports no numpy: with the import blocked in a fresh
+    interpreter, the CLI still prints the golden payload."""
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from newton_monodromy import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *CASES["septic_surface"], *FLAGS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    expected = (GOLDEN / "septic_surface.json").read_text()
+    assert _without_timing(run.stdout) == expected
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -65,7 +96,5 @@ if __name__ == "__main__":
     for name, argv in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert cli.main(argv + ["--json", "--emit-hodge-tables", "--validate"]) == 0
-        payload = json.loads(buf.getvalue())
-        del payload["timing_ms"]
-        (GOLDEN / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+            assert cli.main(argv + FLAGS) == 0
+        (GOLDEN / f"{name}.json").write_text(_without_timing(buf.getvalue()))

@@ -1,6 +1,7 @@
 """Randomized invariants: a seeded validation battery plus small
 hypothesis properties of the primitive layers."""
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -77,6 +78,30 @@ def test_points_above_the_newton_boundary_change_nothing():
         extra = rng.choice(raised)
         bigger = SupportSet(support.variables, tuple(sorted(support.points + (extra,))))
         assert _answer(bigger) == _answer(support), (support.points, extra)
+
+
+def test_suspension_by_a_new_variable_shifts_every_block():
+    """Thom-Sebastiani: the monodromy of f + z^c is that of f tensored
+    with the c-th roots of unity other than 1, all of block size 1, so
+    each block of f at eigenvalue a reappears at a + k/c mod 1 for
+    k = 1..c-1 with its size unchanged.  The identity reads only the two
+    answers, not the engine's faces."""
+    suspensions = 0
+    for support in random_supports(40, dims=(2,)):
+        blocks = jordan_blocks(newton_polyhedron(support)).blocks
+        for c in (2, 3):
+            suspended = SupportSet(
+                support.variables + ("z",),
+                tuple(sorted([p + (0,) for p in support.points] + [(0, 0, c)])),
+            )
+            want = Counter()
+            for (a, size), count in blocks.items():
+                for k in range(1, c):
+                    want[((a + Fraction(k, c)) % 1, size)] += count
+            got = jordan_blocks(newton_polyhedron(suspended)).blocks
+            assert got == dict(want), (support.points, c)
+            suspensions += 1
+    assert suspensions == 80
 
 
 @given(
