@@ -10,7 +10,8 @@ whose output is assembled into the motivic table of the Milnor fiber
 and read off degree by degree.
 """
 
-from .ehrhart import Character, clear_ehrhart_cache, conj
+from . import ehrhart, polytope
+from .ehrhart import Character, conj
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -20,7 +21,7 @@ from .errors import (
     SupportSchemaError,
 )
 from .frontend import load_support, parse_polynomial
-from .hodge import clear_hodge_cache, hodge_table, lefschetz_twist
+from .hodge import hodge_table, lefschetz_twist
 from .monodromy import (
     JordanSpectrum,
     MotivicTable,
@@ -37,7 +38,7 @@ from .oracles import (
     kouchnirenko_mu,
     validate,
 )
-from .polytope import clear_polytope_cache, make_polytope
+from .polytope import make_polytope
 
 __version__ = "0.1.0"
 
@@ -76,7 +77,7 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Drop every module-level memo (polytopes, counts, Hodge tables)."""
-    clear_hodge_cache()
-    clear_ehrhart_cache()
-    clear_polytope_cache()
+    """Drop every memo: the interned polytopes and everything computed
+    from them (restrictions, volumes, counts, numerators, Hodge tables)."""
+    ehrhart._MEMO.clear()
+    polytope._POLYTOPES.clear()

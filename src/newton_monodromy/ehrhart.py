@@ -21,12 +21,15 @@ Polytope.lattice_scan in the polytope's own chart.
 
 Every value these counts read is the character's value at a lattice
 point of the polytope's affine hull, so it depends only on the
-character's restriction to that lattice (restricted); the memos are
-keyed by the polytope and that restriction, not by the ambient
-character.  A face G of a cone conv(0 u gamma) is reached under the
-height character of every compact face above it, and those all restrict
-to the same triple on G, so each of its counts is built once.  The
-memos hand out read-only mappings, so a caller cannot corrupt them.
+character's restriction to that lattice (restricted).  One memo,
+_MEMO, holds everything computed from an interned polytope: the
+restrictions, the volumes, and the results of every function decorated
+with memoized (here relint_counts and p_alpha, in hodge the tables and
+row sums), keyed by the polytope and that restriction, not by the
+ambient character.  A face G of a cone conv(0 u gamma) is reached under
+the height character of every compact face above it, and those all
+restrict to the same triple on G, so each of its counts is built once.
+The memo hands out read-only mappings, so a caller cannot corrupt it.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
 point polytope.
@@ -38,7 +41,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, reduce, wraps
 from itertools import combinations, product
 from math import comb, gcd
 from operator import add
@@ -92,11 +95,7 @@ def conj(alpha: Fraction) -> Fraction:
     return _ZERO if alpha == 0 else 1 - alpha
 
 
-_RESTRICTED: dict = {}
-_COUNTS: dict = {}
-_PALPHA: dict = {}
-_VOLUMES: dict = {}
-_EMPTY = MappingProxyType({})
+_MEMO: dict = {}
 
 
 def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
@@ -109,48 +108,58 @@ def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
     terms: w and o reduced mod d, and g = gcd(d, w_1, ..., o) divided
     out of all three.  Two characters with the same triple take the same
     value at every lattice point of the polytope and of its faces.
-    Memoized per (polytope instance, character); interned polytopes hash
-    by identity, so a lookup does not hash the point set.
+    Memoized per (polytope instance, character).
     """
-    key = (poly, char)
-    hit = _RESTRICTED.get(key)
-    if hit is not None:
+    key = (restricted, poly, char)
+    hit = _MEMO.get(key)
+    if hit is None:
+        d = char.modulus
+        w = [ila.dot(char.coeffs, b) % d for b in poly.chart.basis]
+        o = ila.dot(char.coeffs, poly.chart.origin) % d
+        g = reduce(gcd, w, gcd(d, o))
+        hit = _MEMO[key] = (d // g, tuple(x // g for x in w), o // g)
+    return hit
+
+
+def memoized(fn):
+    """Memoize fn(poly, char, *args) per (fn, polytope, restricted
+    character, *args) in _MEMO, and hand out the result as a read-only
+    mapping.  Interned polytopes hash by identity, so a lookup does not
+    hash the point set; only a function whose values depend on char
+    through restricted(poly, char) alone may be decorated."""
+
+    @wraps(fn)
+    def lookup(poly, char, *args):
+        key = (fn, poly, restricted(poly, char), *args)
+        hit = _MEMO.get(key)
+        if hit is None:
+            hit = _MEMO[key] = MappingProxyType(fn(poly, char, *args))
         return hit
-    d = char.modulus
-    w = [ila.dot(char.coeffs, b) % d for b in poly.chart.basis]
-    o = ila.dot(char.coeffs, poly.chart.origin) % d
-    g = reduce(gcd, w, gcd(d, o))
-    out = _RESTRICTED[key] = (d // g, tuple(x // g for x in w), o // g)
-    return out
+
+    return lookup
 
 
+@memoized
 def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
     """Bucketed count of interior lattice points of the k-th dilate.
 
     Keys are character values (Fractions in [0,1)), values are positive
     counts.  k = 0 returns an empty mapping.  The relative interior of a
     point is the point itself: its chart is Z^0, and lattice_scan returns
-    the one chart point ().  Memoized per (polytope, restricted
-    character, k); the mapping is read-only.
+    the one chart point ().
     """
     if k == 0:
-        return _EMPTY
-    res = restricted(poly, char)
-    key = (poly.key, res, k)
-    hit = _COUNTS.get(key)
-    if hit is not None:
-        return hit
-    d, w, o = res
+        return {}
+    d, w, o = restricted(poly, char)
     off = k * o
     raw: dict[int, int] = {}
     for y in poly.lattice_scan(k, relint=True)[1]:
         r = (off + ila.dot(w, y)) % d
         raw[r] = raw.get(r, 0) + 1
-    out = {Fraction(r, d): c for r, c in sorted(raw.items())}
-    out = _COUNTS[key] = MappingProxyType(out)
-    return out
+    return {Fraction(r, d): c for r, c in sorted(raw.items())}
 
 
+@memoized
 def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     """Numerator coefficients of each bucket's interior Ehrhart series.
 
@@ -164,22 +173,17 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     total equals normalized_volume(poly), whose pyramids use another
     apex; phi_{dim+1} is 1 in bucket 0 and 0 elsewhere (the Euler
     characteristic of the interior, one point per interior simplex).
-    Memoized per (polytope, restricted character); the vertex check
-    runs on the first computation of each key, and its outcome depends
-    only on the restriction.  The mapping is read-only.
+    The vertex check runs on the first computation of each memo key, and
+    its outcome depends only on the restriction.
     """
-    res = restricted(poly, char)
-    key = (poly.key, res)
-    hit = _PALPHA.get(key)
-    if hit is not None:
-        return hit
     for v in poly.vertices:
         if char.value(v) != 0:
             raise InternalConsistencyError(
                 f"character {char.coeffs}/{char.modulus} is not trivial on vertex {v}"
             )
     m = poly.dim
-    d, w, _ = res  # o = 0: the chart origin is a vertex, where char vanishes
+    # o = 0: the chart origin is a vertex, where char vanishes
+    d, w, _ = restricted(poly, char)
     phi: dict[int, list[int]] = {}
     for simplex in _interior_simplices(poly):
         ys = [poly.cpoints[i] for i in simplex]
@@ -208,7 +212,6 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
         raise InternalConsistencyError(
             f"phi_{m + 1} is {top}, not 1 in bucket 0 and 0 elsewhere"
         )
-    out = _PALPHA[key] = MappingProxyType(out)
     return out
 
 
@@ -304,7 +307,8 @@ def normalized_volume(poly) -> int:
     vertex id, so its check against this total is not circular.  No
     lattice point is scanned.  Memoized per polytope.
     """
-    hit = _VOLUMES.get(poly.key)
+    key = (normalized_volume, poly)
+    hit = _MEMO.get(key)
     if hit is not None:
         return hit
     if poly.dim == 0:
@@ -318,12 +322,5 @@ def normalized_volume(poly) -> int:
                 total += height * normalized_volume(poly.face_polytope(face))
     if total <= 0:
         raise InternalConsistencyError("normalized volume must be positive")
-    _VOLUMES[poly.key] = total
+    _MEMO[key] = total
     return total
-
-
-def clear_ehrhart_cache():
-    _RESTRICTED.clear()
-    _COUNTS.clear()
-    _PALPHA.clear()
-    _VOLUMES.clear()

@@ -17,10 +17,10 @@ e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
 
 A table reads its character only at lattice points of the polytope and
-of its faces, so the memos are keyed by the polytope and the
-character's restriction to its lattice (ehrhart.restricted): the cone
-over a face is built once, whichever compact face's height character
-reaches it.
+of its faces, so hodge_table and _row_sums are decorated with
+ehrhart.memoized, which keys them by the polytope and the character's
+restriction to its lattice: the cone over a face is built once,
+whichever compact face's height character reaches it.
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
-from types import MappingProxyType
 
 from . import ehrhart, fan as fans
-from .ehrhart import Character, conj
+from .ehrhart import Character, conj, memoized
 from .errors import InputError, InternalConsistencyError
 
 _ZERO = Fraction(0)
-
-_TABLES: dict = {}
-_ROW_SUMS: dict = {}
 
 
 def _merge(acc: dict, table: dict, scale: int = 1) -> None:
@@ -143,14 +139,10 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
     return _clean(S)
 
 
+@memoized
 def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     """e^{p,q}_alpha of the nondegenerate hypersurface with this Newton
-    polytope, graded by char.  Memoized per (polytope, restricted
-    character); the memo is returned as a read-only mapping."""
-    key = (poly.key, ehrhart.restricted(poly, char))
-    hit = _TABLES.get(key)
-    if hit is not None:
-        return hit
+    polytope, graded by char, as a read-only mapping."""
     m = poly.dim
     if m < 1:
         raise InternalConsistencyError("hypersurface table needs dim >= 1")
@@ -189,8 +181,7 @@ def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
                 )
                 table[(p, q, a)] = targets.get((p, a), 0) - rest
     _post_checks(poly, char, table, bv, m)
-    out = _TABLES[key] = MappingProxyType(_clean(table))
-    return out
+    return _clean(table)
 
 
 def _post_checks(poly, char, table, bv, m):
@@ -214,18 +205,14 @@ def _post_checks(poly, char, table, bv, m):
         )
 
 
+@memoized
 def _row_sums(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     """Per nontrivial bucket alpha that phi_tilde carries on some face,
     the anti-diagonal sums (s_0, ..., s_{dim-1}), s_r = sum_{p+q=r}
     e^{p,q}_alpha, by inclusion-exclusion over the face lattice: s_r is
     (-1)^(dim+r) times the sum over (r+1)-faces F and faces G of F of
     (-1)^dim(G) phi_tilde(G)_alpha.  One pass over the face pairs serves
-    every bucket.  Memoized per (polytope, restricted character) as a
-    read-only mapping of tuples."""
-    key = (poly.key, ehrhart.restricted(poly, char))
-    hit = _ROW_SUMS.get(key)
-    if hit is not None:
-        return hit
+    every bucket.  A read-only mapping of tuples."""
     m = poly.dim
     lat = poly.face_lattice
     phis = {
@@ -244,12 +231,10 @@ def _row_sums(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
             if sub <= face:
                 for a, v in phis[sub].items():
                     acc[a][fdim - 1] += v
-    out = {
+    return {
         a: tuple((-1) ** (m + r) * rows[r] for r in range(m))
         for a, rows in sorted(acc.items())
     }
-    out = _ROW_SUMS[key] = MappingProxyType(out)
-    return out
 
 
 def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, int]:
@@ -264,8 +249,3 @@ def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, i
     if alpha == _ZERO:
         raise InputError("anti-diagonal formula is for nontrivial buckets only")
     return dict(enumerate(_row_sums(poly, char).get(alpha, (0,) * poly.dim)))
-
-
-def clear_hodge_cache():
-    _TABLES.clear()
-    _ROW_SUMS.clear()

@@ -53,16 +53,8 @@ def dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v, strict=True))
 
 
-def vec_add(u, v) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(u, v, strict=True))
-
-
 def vec_sub(u, v) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(u, v, strict=True))
-
-
-def vec_scale(c, v) -> tuple[int, ...]:
-    return tuple(c * x for x in v)
 
 
 def _gauss_jordan(rows):

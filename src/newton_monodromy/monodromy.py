@@ -94,14 +94,12 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     )
 
 
-def _degree_sum(table: dict, ev: Fraction, degrees) -> int:
-    return sum(
-        v for (p, q, a), v in table.items() if a == ev and p + q in degrees
-    )
-
-
-def _eigen_sum(table: dict, ev: Fraction) -> int:
-    return sum(v for (p, q, a), v in table.items() if a == ev)
+def _degree_sums(table: dict) -> dict[tuple[Fraction, int], int]:
+    """{(eigenvalue bucket, p + q): sum of the entries} in one pass."""
+    out: dict = {}
+    for (p, q, a), v in table.items():
+        out[a, p + q] = out.get((a, p + q), 0) + v
+    return out
 
 
 def jordan_blocks(np_: NewtonPolyhedron) -> JordanSpectrum:
@@ -115,8 +113,16 @@ def jordan_blocks(np_: NewtonPolyhedron) -> JordanSpectrum:
     mt = motivic_milnor_table(np_)
     n = np_.n
     sgn = (-1) ** (n - 1)
-    evs = {a for (_, _, a) in mt.first} | {a for (_, _, a) in mt.total}
-    evs.add(_ZERO)
+    first, total = _degree_sums(mt.first), _degree_sums(mt.total)
+    eigen_total: dict = {}
+    for (a, _), v in total.items():
+        eigen_total[a] = eigen_total.get(a, 0) + v
+    evs = {a for a, _ in first} | set(eigen_total) | {_ZERO}
+
+    def pair(sums, ev, r):
+        """The signed sum of the entries of ev in degrees r and r + 1."""
+        return sgn * (sums.get((ev, r), 0) + sums.get((ev, r + 1), 0))
+
     blocks: dict = {}
     mults: dict = {}
     for ev in sorted(evs, key=lambda a: (a.denominator, a.numerator)):
@@ -124,20 +130,20 @@ def jordan_blocks(np_: NewtonPolyhedron) -> JordanSpectrum:
         if ev == _ZERO:
             top = n - 1
             for k in range(1, top + 2):
-                via_total = sgn * _degree_sum(mt.total, ev, {n - 1 + k, n + k})
-                via_first = sgn * _degree_sum(mt.first, ev, {n - 2 - k, n - 1 - k})
+                via_total = pair(total, ev, n - 1 + k)
+                via_first = pair(first, ev, n - 2 - k)
                 if via_total != via_first:
                     raise InternalConsistencyError(
                         f"eigenvalue-1 block count disagrees at size >= {k}: "
                         f"{via_total} vs {via_first}"
                     )
                 at_least[k] = via_total
-            mult = sgn * (_eigen_sum(mt.total, ev) - 1)
+            mult = sgn * (eigen_total.get(ev, 0) - 1)
         else:
             top = n
             for k in range(1, top + 2):
-                at_least[k] = sgn * _degree_sum(mt.first, ev, {n - 2 + k, n - 1 + k})
-            mult = sgn * _eigen_sum(mt.total, ev)
+                at_least[k] = pair(first, ev, n - 2 + k)
+            mult = sgn * eigen_total.get(ev, 0)
         if at_least[top + 1] != 0:
             raise InternalConsistencyError(
                 f"block of impossible size {top + 1} for eigenvalue {ev}"

@@ -11,8 +11,10 @@ pure-Python walk of the fibres of the last chart coordinate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
@@ -185,15 +187,15 @@ class Polytope:
         )
 
     @cached_property
-    def face_lattice(self) -> dict[frozenset[int], int]:
-        """All nonempty faces, as {vertex-id set: dimension}.
+    def face_lattice(self) -> Mapping[frozenset[int], int]:
+        """All nonempty faces, as a read-only {vertex-id set: dimension}.
 
         Includes the polytope itself (top face) and every vertex.  Faces
         are intersections of facet vertex sets; two distinct faces have
         distinct vertex sets, so the representation is faithful.
         """
         if self.dim == 0:
-            return {frozenset({0}): 0}
+            return MappingProxyType({frozenset({0}): 0})
         vids = self.vertex_ids
         facet_sets = list(self.facet_vertex_sets)
         faces = {frozenset(vids)}
@@ -212,7 +214,7 @@ class Polytope:
             pts = [self.cpoints[i] for i in sorted(f)]
             diffs = [ila.vec_sub(p, pts[0]) for p in pts[1:]]
             out[f] = ila.frac_rank(diffs) if diffs else 0
-        return out
+        return MappingProxyType(out)
 
     def faces_of_dim(self, d: int) -> list[frozenset[int]]:
         out = [f for f, fd in self.face_lattice.items() if fd == d]
@@ -321,7 +323,3 @@ def make_polytope(points) -> Polytope:
         poly = Polytope(key)
         _POLYTOPES[key] = poly
     return poly
-
-
-def clear_polytope_cache():
-    _POLYTOPES.clear()

@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
-from newton_monodromy import clear_caches, hodge, monodromy
+from newton_monodromy import clear_caches, ehrhart, monodromy
 from newton_monodromy.ehrhart import (
     Character,
     conj,
@@ -18,7 +18,6 @@ from newton_monodromy.errors import InputError
 from newton_monodromy.hodge import (
     _row_sums,
     boundary_values,
-    clear_hodge_cache,
     hodge_table,
     lefschetz_twist,
     pseudo_prime_row_sums,
@@ -144,13 +143,13 @@ def test_anti_diagonal_gates():
 
 
 def test_tables_are_memoized():
-    clear_hodge_cache()
+    clear_caches()
     tri = make_polytope([(0, 0), (2, 0), (0, 3)])
     char = Character(6, (3, 2))
     a = hodge_table(tri, char)
     b = hodge_table(tri, char)
     assert a is b
-    clear_hodge_cache()
+    clear_caches()
     assert hodge_table(tri, char) is not a
     assert hodge_table(tri, char) == a
 
@@ -193,7 +192,7 @@ def test_row_sum_memo_is_read_only_and_cleared():
     got[0] = 5
     assert pseudo_prime_row_sums(delta, char, F(1, 6)) == {0: 0, 1: -1}
     clear_caches()
-    assert not hodge._ROW_SUMS
+    assert not ehrhart._MEMO
     again = _row_sums(delta, char)
     assert again is not rows
     assert again == rows

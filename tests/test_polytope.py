@@ -5,13 +5,9 @@ from random import Random
 
 import pytest
 
+from newton_monodromy import clear_caches
 from newton_monodromy.ehrhart import Character, relint_counts
-from newton_monodromy.polytope import (
-    Polytope,
-    clear_polytope_cache,
-    cone_rays,
-    make_polytope,
-)
+from newton_monodromy.polytope import Polytope, cone_rays, make_polytope
 
 
 def test_cone_rays_quadrant():
@@ -76,6 +72,19 @@ def test_cube_face_lattice_counts():
     for _, d in lat.items():
         by_dim[d] = by_dim.get(d, 0) + 1
     assert by_dim == {0: 8, 1: 12, 2: 6, 3: 1}
+
+
+def test_face_lattice_is_read_only():
+    """The face lattice is cached on the interned instance, so a caller
+    that could edit it would corrupt every later table of the polytope."""
+    for pts in ([(3, 5)], [(0, 0), (2, 0), (0, 3)]):
+        lat = make_polytope(pts).face_lattice
+        top = max(lat, key=len)
+        with pytest.raises(TypeError):
+            lat[top] = 0
+        with pytest.raises(AttributeError):
+            lat.pop(top)
+        assert make_polytope(pts).face_lattice[top] == len(pts) - 1
 
 
 def test_face_polytope_inherits_ambient_points():
@@ -199,7 +208,7 @@ def test_interning_and_cache_clear():
     a = make_polytope([(0, 0), (1, 0), (0, 1)])
     b = make_polytope([(0, 1), (1, 0), (0, 0)])
     assert a is b
-    clear_polytope_cache()
+    clear_caches()
     c = make_polytope([(0, 0), (1, 0), (0, 1)])
     assert c is not a
     assert isinstance(c, Polytope)

@@ -104,6 +104,34 @@ def test_suspension_by_a_new_variable_shifts_every_block():
     assert suspensions == 80
 
 
+def _join(f, g):
+    """f(x, y) + g(z, w): the two supports in disjoint variables."""
+    points = [p + (0,) * g.n for p in f.points] + [(0,) * f.n + q for q in g.points]
+    return SupportSet(("x", "y", "z", "w"), tuple(sorted(points)))
+
+
+def test_thom_sebastiani_join_tensors_the_blocks():
+    """Thom-Sebastiani: the monodromy of f(x, y) + g(z, w) is the tensor
+    product of those of f and g, and J_a(l) (x) J_b(v) is the sum of
+    J_{a+b+1-2k}(l v) over k = 1..min(a, b).  In x^5 + x^2*y^2 + y^5
+    joined with itself, J_2(1/2) (x) J_2(1/2) gives J_3(1) + J_1(1), so
+    block sizes change; the random pairs are joined the same way."""
+    quintic = parse_polynomial("x^5 + x^2*y^2 + y^5")
+    supports = list(random_supports(40, dims=(2,)))
+    pairs = [(quintic, quintic)] + list(zip(supports[::2], supports[1::2]))
+    sizes = set()
+    for f, g in pairs:
+        want = Counter()
+        for (a, i), m in jordan_blocks(newton_polyhedron(f)).blocks.items():
+            for (b, j), n in jordan_blocks(newton_polyhedron(g)).blocks.items():
+                for k in range(1, min(i, j) + 1):
+                    want[((a + b) % 1, i + j + 1 - 2 * k)] += m * n
+        got = jordan_blocks(newton_polyhedron(_join(f, g))).blocks
+        assert got == dict(want), (f.points, g.points)
+        sizes |= {size for _, size in got}
+    assert sizes == {1, 2, 3}
+
+
 @given(
     st.integers(min_value=1, max_value=48),
     st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=4),
