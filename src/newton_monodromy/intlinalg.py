@@ -4,9 +4,10 @@ All matrices here are tiny (dimension at most eight or so), dense, and
 exact: entries are Python ints or Fractions, never floats.  Rank,
 independent rows, rational solves, determinants and scaled inverses all
 come from one fraction-free Gauss-Jordan elimination (Bareiss), which
-keeps every entry an integer minor of the input; unimodular work over Z
-(Hermite forms, integer kernels and solves) uses column reduction by
-extended gcds.
+keeps every entry an integer minor of the input.  Over Z there is one
+Hermite reduction by extended gcds: it gives Hermite normal forms, and
+on [A^T | I] it gives integer kernels (the transforms of the zero rows)
+and integer solves (forward substitution through the pivot rows).
 
 Conventions: a "matrix" is a sequence of equal-length rows.  Functions
 return tuples so results are hashable and safely shareable.
@@ -105,6 +106,51 @@ def independent_rows(rows) -> list[int]:
     return _gauss_jordan(list(zip(*rows)))[1]
 
 
+def _hermite(a, n: int):
+    """Hermite reduction of the integer rows a, in place, pivoting on
+    their first n columns only.
+
+    Each pivot comes from extended-gcd steps of the first remaining row
+    nonzero in the pivot column against every later such row; it is made
+    positive and moved up past the earlier pivots (the other rows keep
+    their order), and the entries above it are reduced into [0, pivot).
+    Returns (a, rank); rows past the rank are zero in the first n
+    columns, and columns past n carry the transform of an appended I.
+    """
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        pr = a[p]
+        for i in range(p + 1, len(a)):
+            row = a[i]
+            if row[c]:
+                g, s, t = xgcd(pr[c], row[c])
+                x, y = pr[c] // g, row[c] // g
+                pr, a[i] = (
+                    [s * u + t * v for u, v in zip(pr, row)],
+                    [x * v - y * u for u, v in zip(pr, row)],
+                )
+        if pr[c] < 0:
+            pr = [-u for u in pr]
+        a.pop(p)
+        a.insert(r, pr)
+        for i in range(r):
+            q = a[i][c] // pr[c]
+            if q:
+                a[i] = [u - q * v for u, v in zip(a[i], pr)]
+        r += 1
+    return a, r
+
+
+def _hermite_transposed(rows, n: int):
+    """_hermite of [A^T | I] on its first m columns, for the m x n
+    matrix A given by rows: row j is column j of A, then e_j."""
+    a = [[index(r[j]) for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return _hermite(a, len(rows))
+
+
 def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
     """Hermite normal form of the lattice spanned by the rows.
 
@@ -112,84 +158,20 @@ def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
     [0, pivot), zero rows dropped.  The result is the canonical basis of
     the row lattice, which makes it usable as a dictionary key.
     """
-    a = [list(map(int, r)) for r in rows if any(r)]
-    if not a:
-        return ()
-    ncols = len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, len(a)):
-            # Euclidean loop on the pivot column; magnitudes strictly shrink.
-            while a[i][c]:
-                q = a[r][c] // a[i][c]
-                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-                a[r], a[i] = a[i], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == len(a):
-            break
-    return tuple(tuple(row) for row in a[:r] if any(row))
-
-
-def _column_reduce(rows, n: int):
-    """Unimodular column reduction of an m x n integer matrix.
-
-    Returns (pivots, cols, U):
-      pivots: list of (row_index, column_index) in elimination order;
-      cols:   transformed columns, cols[j][i] = entry at row i, col j;
-      U:      U[j] is transformed column j expressed in original
-              coordinates, so  original_matrix . U[j] = cols[j].
-
-    The transform is a product of elementary unimodular column
-    operations; columns never touched by a pivot keep zeros in every
-    processed row.
-    """
-    m = len(rows)
-    cols = [[int(rows[i][j]) for i in range(m)] for j in range(n)]
-    U = [[int(i == j) for i in range(n)] for j in range(n)]
-    free = list(range(n))
-    pivots: list[tuple[int, int]] = []
-    for i in range(m):
-        nz = [j for j in free if cols[j][i]]
-        if not nz:
-            continue
-        j0 = nz[0]
-        for j in nz[1:]:
-            a, b = cols[j0][i], cols[j][i]
-            g, s, t = xgcd(a, b)
-            aa, bb = a // g, b // g
-            c0 = [s * x + t * y for x, y in zip(cols[j0], cols[j])]
-            c1 = [-bb * x + aa * y for x, y in zip(cols[j0], cols[j])]
-            u0 = [s * x + t * y for x, y in zip(U[j0], U[j])]
-            u1 = [-bb * x + aa * y for x, y in zip(U[j0], U[j])]
-            cols[j0], cols[j] = c0, c1
-            U[j0], U[j] = u0, u1
-        free.remove(j0)
-        pivots.append((i, j0))
-    return pivots, cols, U
+    a = [list(map(index, r)) for r in rows]
+    a, rank = _hermite(a, len(a[0]) if a else 0)
+    return tuple(map(tuple, a[:rank]))
 
 
 def kernel_basis(rows, n: int) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the integer kernel {x in Z^n : A x = 0}.
 
-    The kernel of an integer matrix is a saturated sublattice, so the
-    HNF rows returned here are a genuine lattice basis of it.
+    Reducing [A^T | I] on A^T leaves rows (0 | x) past the rank whose x
+    span the kernel; the kernel of an integer matrix is a saturated
+    sublattice, so their HNF rows are a genuine lattice basis of it.
     """
-    if not rows:
-        return row_hnf([[int(i == j) for j in range(n)] for i in range(n)])
-    pivots, _cols, U = _column_reduce(rows, n)
-    pivot_cols = {j for _, j in pivots}
-    ker = [tuple(U[j]) for j in range(n) if j not in pivot_cols]
-    return row_hnf(ker)
+    a, rank = _hermite_transposed(rows, n)
+    return row_hnf([row[len(rows) :] for row in a[rank:]])
 
 
 def saturation_basis(vectors, n: int) -> tuple[tuple[int, ...], ...]:
@@ -225,36 +207,22 @@ def solve_integer(rows, rhs):
     """One integer solution x of A x = rhs, or None if none exists.
 
     A is m x n (rows), rhs has length m.  Underdetermined systems are
-    fine; any solution is returned.
+    fine; the solution returned is the one in the lattice spanned by the
+    transforms of the pivot rows of [A^T | I], found by forward
+    substitution through them.
     """
-    m = len(rows)
-    if m == 0:
-        return ()
-    n = len(rows[0])
-    pivots, cols, U = _column_reduce(rows, n)
-    z = [0] * n
-    solved_rows = set()
-    for i, j in pivots:
-        acc = rhs[i]
-        for jj in range(n):
-            if jj != j and z[jj]:
-                acc -= cols[jj][i] * z[jj]
-        if acc % cols[j][i]:
-            return None
-        z[j] = acc // cols[j][i]
-        solved_rows.add(i)
-    for i in range(m):
-        if i in solved_rows:
-            continue
-        acc = sum(cols[j][i] * z[j] for j in range(n) if z[j])
-        if acc != rhs[i]:
-            return None
+    m, n = len(rows), len(rows[0]) if rows else 0
+    a, rank = _hermite_transposed(rows, n)
+    b = list(rhs[:m])
     x = [0] * n
-    for j in range(n):
-        if z[j]:
-            for t in range(n):
-                x[t] += z[j] * U[j][t]
-    return tuple(x)
+    for row in a[:rank]:
+        c = next(i for i in range(m) if row[i])
+        q, rest = divmod(b[c], row[c])
+        if rest:
+            return None
+        b = [u - q * v for u, v in zip(b, row)]
+        x = [u + q * v for u, v in zip(x, row[m:])]
+    return None if any(b) else tuple(x)
 
 
 def det(rows) -> int:

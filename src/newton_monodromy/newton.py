@@ -211,12 +211,8 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
         items |= nxt
         frontier = nxt
 
-    compact = sorted(
-        {a for a, b in items if not b},
-        key=lambda a: tuple(sorted(pts[i] for i in a)),
-    )
-    built = []
-    for tight in compact:
+    fields = []
+    for tight in {a for a, b in items if not b}:
         fpts = tuple(sorted(pts[i] for i in tight))
         poly = make_polytope(fpts)
         delta = make_polytope(fpts + (origin,))
@@ -233,31 +229,19 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
             raise InternalConsistencyError(
                 f"face {fpts} touches fewer axes than its dimension needs"
             )
-        built.append(
-            (
-                fpts,
-                poly,
-                delta,
-                char,
-                dist,
-                axes,
-                twist,
+        fields.append(
+            dict(
+                dim=poly.dim,
+                points=fpts,
+                poly=poly,
+                delta=delta,
+                char=char,
+                distance=dist,
+                axes=axes,
+                twist=twist,
+                interior_touching=len(axes) == n,
             )
         )
-    built.sort(key=lambda t: (t[1].dim, t[0]))
-    faces = tuple(
-        CompactFace(
-            index=i,
-            dim=poly.dim,
-            points=fpts,
-            poly=poly,
-            delta=delta,
-            char=char,
-            distance=dist,
-            axes=axes,
-            twist=twist,
-            interior_touching=len(axes) == n,
-        )
-        for i, (fpts, poly, delta, char, dist, axes, twist) in enumerate(built)
-    )
+    fields.sort(key=lambda f: (f["dim"], f["points"]))
+    faces = tuple(CompactFace(index=i, **f) for i, f in enumerate(fields))
     return NewtonPolyhedron(support=support, faces=faces, facets=tuple(facets))

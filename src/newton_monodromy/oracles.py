@@ -1,16 +1,15 @@
 """Independent oracles and a cross-checking validator.
 
-kouchnirenko_mu computes the Milnor number of a convenient
-nondegenerate singularity straight from the classical alternating sum
-of normalized under-volumes.  It deliberately shares no geometry code
-with the engine: facet search is brute force over point subsets,
-volumes come from integer finite differences of lattice counts,
-fibre-counted along the last coordinate, so agreement with the engine
-is meaningful evidence rather than the same bug twice.
-
-varchenko_multiplicities computes the eigenvalue multiplicities from
-Varchenko's zeta function of the monodromy, with the same facet search
-and pyramid volumes, so it too shares no geometry with the engine.
+varchenko_multiplicities computes the eigenvalue multiplicities of the
+monodromy of a convenient nondegenerate singularity from Varchenko's
+zeta function.  It deliberately shares no geometry code with the
+engine: facet search is brute force over point subsets, volumes come
+from integer finite differences of lattice counts, fibre-counted along
+the last coordinate, so agreement with the engine is meaningful
+evidence rather than the same bug twice.  kouchnirenko_mu, the Milnor
+number, is their total: the classical alternating sum of normalized
+under-volumes.  validate's kouchnirenko-mu check compares both the
+Milnor number and every multiplicity with the engine.
 
 brieskorn_pham_spectrum computes the classical eigenvalue multiset of
 x1^a1 + ... + xn^an directly from the exponents, as residues mod the
@@ -208,16 +207,10 @@ def _coordinate_sections(pts, n):
 
 
 def kouchnirenko_mu(points, n=None) -> int:
-    """Milnor number of a convenient nondegenerate singularity, by the
-    alternating sum over coordinate subsets of normalized under-volumes."""
-    pts, n = _oracle_support(points, n)
-    total = (-1) ** n
-    for size, sub in _coordinate_sections(pts, n):
-        vol = 0
-        for _u, _b, tight in _lower_facets(sub, size):
-            vol += _pyramid_normalized_volume(tight, size)
-        total += (-1) ** (n - size) * vol
-    return total
+    """Milnor number of a convenient nondegenerate singularity: the
+    total of the Varchenko multiplicities, which is the alternating sum
+    over coordinate subsets of normalized under-volumes."""
+    return sum(varchenko_multiplicities(points, n).values())
 
 
 def kouchnirenko_cost(points, n) -> int:
@@ -254,7 +247,7 @@ def varchenko_multiplicities(points, n=None) -> dict[Fraction, int]:
     Keys are eigenvalue buckets in [0, 1), zero multiplicities dropped.
     """
     pts, n = _oracle_support(points, n)
-    ex: dict[Fraction, int] = {_ZERO: -1}
+    by_distance: dict[int, int] = {}
     for size, sub in _coordinate_sections(pts, n):
         for _u, m, tight in _lower_facets(sub, size):
             e, rest = divmod(_pyramid_normalized_volume(tight, size), m)
@@ -262,9 +255,12 @@ def varchenko_multiplicities(points, n=None) -> dict[Fraction, int]:
                 raise InternalConsistencyError(
                     f"pyramid volume over {tight} is not a multiple of {m}"
                 )
-            for j in range(m):
-                a = Fraction(j, m)
-                ex[a] = ex.get(a, 0) + (-1) ** (size - 1) * e
+            by_distance[m] = by_distance.get(m, 0) + (-1) ** (size - 1) * e
+    ex: dict[Fraction, int] = {_ZERO: -1}
+    for m, e in by_distance.items():
+        for j in range(m):
+            a = Fraction(j, m)
+            ex[a] = ex.get(a, 0) + e
     sgn = (-1) ** (n - 1)
     return {a: sgn * v for a, v in sorted(ex.items()) if v}
 
@@ -739,10 +735,16 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         cost = kouchnirenko_cost(np_.support.points, n)
         if cost > heavy_limit:
             return "skip", f"estimated cost {cost} over limit"
-        mu = kouchnirenko_mu(np_.support.points, n)
+        mults = varchenko_multiplicities(np_.support.points, n)
+        mu = sum(mults.values())
         if mu != spectrum.mu:
             raise InternalConsistencyError(
                 f"engine mu {spectrum.mu} != lattice-volume mu {mu}"
+            )
+        if spectrum.multiplicities != mults:
+            raise InternalConsistencyError(
+                f"engine multiplicities {spectrum.multiplicities} != "
+                f"Varchenko multiplicities {mults}"
             )
         return f"mu = {mu}"
 

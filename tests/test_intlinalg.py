@@ -212,3 +212,118 @@ def test_elimination_matches_fraction_reference(bound):
         assert cols == [
             tuple(d * red[i][m + j] for i in range(m)) for j in range(m)
         ]
+
+
+def _euclid_row_hnf(rows):
+    """Reference: row HNF by Euclidean quotient-and-swap steps."""
+    a = [list(map(int, r)) for r in rows if any(r)]
+    if not a:
+        return ()
+    r = 0
+    for c in range(len(a[0])):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            while a[i][c]:
+                q = a[r][c] // a[i][c]
+                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
+                a[r], a[i] = a[i], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return tuple(tuple(row) for row in a[:r] if any(row))
+
+
+def _column_reduce(rows, n):
+    """Reference: unimodular column reduction of an m x n matrix.
+
+    Returns (pivots, cols, U): the (row, column) pivots in order, the
+    reduced columns, and U with original_matrix . U[j] = cols[j]."""
+    m = len(rows)
+    cols = [[int(rows[i][j]) for i in range(m)] for j in range(n)]
+    U = [[int(i == j) for i in range(n)] for j in range(n)]
+    free = list(range(n))
+    pivots = []
+    for i in range(m):
+        nz = [j for j in free if cols[j][i]]
+        if not nz:
+            continue
+        j0 = nz[0]
+        for j in nz[1:]:
+            g, s, t = xgcd(cols[j0][i], cols[j][i])
+            aa, bb = cols[j0][i] // g, cols[j][i] // g
+            for v in (cols, U):
+                v[j0], v[j] = (
+                    [s * x + t * y for x, y in zip(v[j0], v[j])],
+                    [-bb * x + aa * y for x, y in zip(v[j0], v[j])],
+                )
+        free.remove(j0)
+        pivots.append((i, j0))
+    return pivots, cols, U
+
+
+def _column_kernel_basis(rows, n):
+    """Reference: the HNF of the transforms of the unpivoted columns."""
+    if not rows:
+        return _euclid_row_hnf([[int(i == j) for j in range(n)] for i in range(n)])
+    pivots, _cols, U = _column_reduce(rows, n)
+    pivot_cols = {j for _, j in pivots}
+    return _euclid_row_hnf([U[j] for j in range(n) if j not in pivot_cols])
+
+
+def _column_saturation_basis(vectors, n):
+    vecs = [v for v in vectors if any(v)]
+    return _column_kernel_basis(_column_kernel_basis(vecs, n), n) if vecs else ()
+
+
+def _column_solve_integer(rows, rhs):
+    """Reference: substitution through the pivots of the column
+    reduction, then a check of the unpivoted rows."""
+    m = len(rows)
+    if m == 0:
+        return ()
+    n = len(rows[0])
+    pivots, cols, U = _column_reduce(rows, n)
+    z = [0] * n
+    for i, j in pivots:
+        acc = rhs[i] - sum(cols[jj][i] * z[jj] for jj in range(n) if jj != j)
+        if acc % cols[j][i]:
+            return None
+        z[j] = acc // cols[j][i]
+    if any(sum(cols[j][i] * z[j] for j in range(n)) != rhs[i] for i in range(m)):
+        return None
+    return tuple(sum(z[j] * U[j][t] for j in range(n)) for t in range(n))
+
+
+def test_hermite_routines_match_column_reduction_reference():
+    """row_hnf, kernel_basis, saturation_basis and solve_integer agree
+    exactly with the Euclid HNF and the column reduction on random
+    systems, down to the particular solution solve_integer picks."""
+    rng = Random(2024)
+    solved = unsolvable = 0
+    for _ in range(2000):
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        a = _random_matrix(rng, m, n, 6)
+        assert row_hnf(a) == _euclid_row_hnf(a), a
+        assert kernel_basis(a, n) == _column_kernel_basis(a, n), a
+        assert saturation_basis(a, n) == _column_saturation_basis(a, n), a
+        rhs = [rng.randint(-6, 6) for _ in range(m)]
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-4, 4) for _ in range(n)]
+            rhs = [dot(r, x0) for r in a]
+        x = solve_integer(a, rhs)
+        assert x == _column_solve_integer(a, rhs), (a, rhs)
+        if x is None:
+            unsolvable += 1
+        else:
+            solved += 1
+            assert [dot(r, x) for r in a] == rhs
+    assert solved > 500 and unsolvable > 200

@@ -1,6 +1,7 @@
 """Independent oracles and the validation battery."""
 
 import inspect
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -284,6 +285,31 @@ def test_validate_catches_injected_corruption(monkeypatch):
     assert by_name["boundary-and-row-sums"].status == "pass"
     assert by_name["conjugation-symmetry"].status == "fail"
     assert "conjugation" in by_name["conjugation-symmetry"].detail
+
+
+def test_validate_catches_a_moved_multiplicity(monkeypatch):
+    """One unit of multiplicity moved, with its size-1 block, from 1/10
+    to 3/10 keeps mu and every block count sane; only the comparison
+    with Varchenko's multiplicities can notice."""
+    real = oracles.jordan_blocks
+    one, three = F(1, 10), F(3, 10)
+
+    def moved(np_):
+        spec = real(np_)
+        blocks, mults = dict(spec.blocks), dict(spec.multiplicities)
+        blocks[(one, 1)] -= 1
+        blocks[(three, 1)] += 1
+        mults[one] -= 1
+        mults[three] += 1
+        return replace(spec, blocks=blocks, multiplicities=mults)
+
+    monkeypatch.setattr(oracles, "jordan_blocks", moved)
+    report = validate(_np([(5, 0), (2, 2), (0, 5)]))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["block-counts-sane"].status == "pass"
+    assert by_name["kouchnirenko-mu"].status == "fail"
+    assert "Varchenko" in by_name["kouchnirenko-mu"].detail
+    assert not report.ok
 
 
 def test_validation_report_summary_format():
