@@ -13,23 +13,31 @@ each tau contributes the lattice points of its open fundamental
 parallelepiped, NVol(tau) of them (Beck-Robins, ch. 3).  No dilate is
 scanned.
 
-relint_counts is the engine's one lattice-point counter: the boundary
-rows of the Hodge tables (faces of every dimension, vertices included),
-the largest-block shortcuts and the check of phi_1 all count
+relint_counts_mod is the engine's one lattice-point counter: the
+boundary rows of the Hodge tables (faces of every dimension, vertices
+included), the largest-block shortcuts and the check of phi_1 all count
 relative-interior points through it, and it reads them off
 Polytope.lattice_scan in the polytope's own chart.
 
 Every value these counts read is the character's value at a lattice
 point of the polytope's affine hull, so it depends only on the
-character's restriction to that lattice (restricted).  One memo,
-_MEMO, holds everything computed from an interned polytope: the
-restrictions, the volumes, and the results of every function decorated
-with memoized (here relint_counts and p_alpha, in hodge the tables and
-row sums), keyed by the polytope and that restriction, not by the
-ambient character.  A face G of a cone conv(0 u gamma) is reached under
-the height character of every compact face above it, and those all
-restrict to the same triple on G, so each of its counts is built once.
-The memo hands out read-only mappings, so a caller cannot corrupt it.
+character's restriction to that lattice (restricted), and it lies in
+(1/d')Z for the restriction's modulus d'.  Inside the engine a bucket
+is therefore the integer residue r mod d' of the value r/d': the
+functions named *_mod here and in hodge key by residues, and a caller
+that merges the buckets of a face into those of a larger polytope
+multiplies them by residue_step.  The Fraction-keyed relint_counts,
+p_alpha and phi_tilde (and in hodge the tables and row sums) are views
+for callers outside the engine (fraction_view).
+
+One memo, _MEMO, holds everything computed from an interned polytope:
+the restrictions, the volumes, and the results of every function
+decorated with memoized, keyed by the polytope and that restriction,
+not by the ambient character.  A face G of a cone conv(0 u gamma) is
+reached under the height character of every compact face above it, and
+those all restrict to the same triple on G, so each of its counts is
+built once.  The memo hands out read-only mappings, so a caller cannot
+corrupt it.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
 point polytope.
@@ -49,8 +57,6 @@ from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,14 @@ class Character:
         """Character value of an ambient lattice point, in [0, 1)."""
         return Fraction(ila.dot(self.coeffs, v) % self.modulus, self.modulus)
 
+    def is_trivial_at(self, v) -> bool:
+        """Whether the character value at an ambient lattice point is 0."""
+        return ila.dot(self.coeffs, v) % self.modulus == 0
+
 
 def conj(alpha: Fraction) -> Fraction:
     """The bucket of the inverse character value: 1 - alpha mod 1."""
-    return _ZERO if alpha == 0 else 1 - alpha
+    return -alpha % 1
 
 
 _MEMO: dict = {}
@@ -139,14 +149,59 @@ def memoized(fn):
     return lookup
 
 
+def residue_step(d: int, sub, char: Character) -> int:
+    """The factor d / d_sub that takes a bucket residue of the polytope
+    sub (d_sub = restricted(sub, char)[0]) to a residue mod d.  A face's
+    lattice lies in its polytope's, so its modulus divides the polytope's,
+    as it divides a common multiple; one that does not divide d is an
+    engine error, not a bucket to round."""
+    step, rest = divmod(d, restricted(sub, char)[0])
+    if rest:
+        raise InternalConsistencyError(
+            f"bucket modulus of {sub.points} does not divide {d}"
+        )
+    return step
+
+
+def residue(alpha, d: int) -> int | None:
+    """The integer r with alpha = r/d, or None when d * alpha is not one."""
+    r = Fraction(alpha) * d
+    return r.numerator if r.denominator == 1 else None
+
+
+def fraction_keys(mapping: Mapping, d: int) -> dict:
+    """The mapping with each bucket residue r mod d, a key or the last
+    entry of a tuple key, replaced by the character value r/d."""
+    return {
+        k[:-1] + (Fraction(k[-1], d),) if isinstance(k, tuple) else Fraction(k, d): v
+        for k, v in mapping.items()
+    }
+
+
+def fraction_view(residues):
+    """The public face of a memoized residue-keyed function: its result
+    under fraction_keys, memoized on its own as a read-only mapping.  The
+    engine reads the residues, so a view is built only for a caller
+    outside it.  __wrapped__ is the computation whose result it copies."""
+
+    def view(poly, char, *args):
+        return fraction_keys(residues(poly, char, *args), restricted(poly, char)[0])
+
+    view.__name__ = view.__qualname__ = residues.__name__.removesuffix("_mod")
+    view.__doc__ = f"{view.__name__}_mod with every bucket as a Fraction in [0, 1)."
+    public = memoized(view)
+    public.__wrapped__ = residues.__wrapped__
+    return public
+
+
 @memoized
-def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
+def relint_counts_mod(poly, char: Character, k: int) -> Mapping[int, int]:
     """Bucketed count of interior lattice points of the k-th dilate.
 
-    Keys are character values (Fractions in [0,1)), values are positive
-    counts.  k = 0 returns an empty mapping.  The relative interior of a
-    point is the point itself: its chart is Z^0, and lattice_scan returns
-    the one chart point ().
+    Keys are bucket residues r mod d' = restricted(poly, char)[0], in
+    ascending order; values are positive counts.  k = 0 returns an empty
+    mapping.  The relative interior of a point is the point itself: its
+    chart is Z^0, and lattice_scan returns the one chart point ().
     """
     if k == 0:
         return {}
@@ -156,20 +211,21 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[Fraction, int]:
     for y in poly.lattice_scan(k, relint=True)[1]:
         r = (off + ila.dot(w, y)) % d
         raw[r] = raw.get(r, 0) + 1
-    return {Fraction(r, d): c for r, c in sorted(raw.items())}
+    return dict(sorted(raw.items()))
 
 
 @memoized
-def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
+def p_alpha_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     """Numerator coefficients of each bucket's interior Ehrhart series.
 
-    Returns {alpha: (phi_0, ..., phi_{dim+1})} where
-    sum_k |relint(k*poly)|_alpha t^k = (phi_0 + ... + phi_{dim+1} t^{dim+1})
+    Returns {r: (phi_0, ..., phi_{dim+1})}, r a bucket residue as in
+    relint_counts_mod, where
+    sum_k |relint(k*poly)|_r t^k = (phi_0 + ... + phi_{dim+1} t^{dim+1})
     / (1-t)^{dim+1}.  Requires the character to vanish on every vertex,
     hence on each generator (v, 1) of a simplex's cone, so an interior
     simplex of dimension j adds (1-t)^(dim-j) t^height(b) to the bucket
     of each point b of its open parallelepiped (_open_box).  Checks:
-    phi_1 equals the k = 1 walk of relint_counts in every bucket; the
+    phi_1 equals the k = 1 walk of relint_counts_mod in every bucket; the
     total equals normalized_volume(poly), whose pyramids use another
     apex; phi_{dim+1} is 1 in bucket 0 and 0 elsewhere (the Euler
     characteristic of the interior, one point per interior simplex).
@@ -177,7 +233,7 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     its outcome depends only on the restriction.
     """
     for v in poly.vertices:
-        if char.value(v) != 0:
+        if not char.is_trivial_at(v):
             raise InternalConsistencyError(
                 f"character {char.coeffs}/{char.modulus} is not trivial on vertex {v}"
             )
@@ -193,10 +249,10 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
             row = phi.setdefault(value % d, [0] * (m + 2))
             for i in range(codim + 1):
                 row[height + i] += (-1) ** i * comb(codim, i) * n
-    out = {Fraction(r, d): tuple(row) for r, row in sorted(phi.items())}
+    out = {r: tuple(row) for r, row in sorted(phi.items())}
 
-    first = {a: tup[1] for a, tup in out.items() if tup[1]}
-    walk = dict(relint_counts(poly, char, 1))
+    first = {r: tup[1] for r, tup in out.items() if tup[1]}
+    walk = dict(relint_counts_mod(poly, char, 1))
     if first != walk:
         raise InternalConsistencyError(
             f"phi_1 {first} differs from the interior points {walk}"
@@ -207,12 +263,16 @@ def p_alpha(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
         raise InternalConsistencyError(
             f"Ehrhart numerators add up to {total}, not the normalized volume {vol}"
         )
-    top = {a: tup[m + 1] for a, tup in out.items() if tup[m + 1]}
-    if top != {_ZERO: 1}:
+    top = {r: tup[m + 1] for r, tup in out.items() if tup[m + 1]}
+    if top != {0: 1}:
         raise InternalConsistencyError(
             f"phi_{m + 1} is {top}, not 1 in bucket 0 and 0 elsewhere"
         )
     return out
+
+
+relint_counts = fraction_view(relint_counts_mod)
+p_alpha = fraction_view(p_alpha_mod)
 
 
 def _interior_simplices(poly) -> list[tuple[int, ...]]:
@@ -286,14 +346,20 @@ def _open_box(gens, weights):
         yield from zip([h // det for h in heights], [v // det for v in values])
 
 
-def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
-    """Per bucket, the sum of phi_0..phi_dim (the top coefficient omitted)."""
+def phi_tilde_mod(poly, char: Character) -> dict[int, int]:
+    """Per bucket residue, the sum of phi_0..phi_dim (the top coefficient
+    omitted)."""
     out = {}
-    for a, tup in p_alpha(poly, char).items():
+    for r, tup in p_alpha_mod(poly, char).items():
         s = sum(tup[: poly.dim + 1])
         if s:
-            out[a] = s
+            out[r] = s
     return out
+
+
+def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
+    """phi_tilde_mod with every bucket as a Fraction in [0, 1)."""
+    return fraction_keys(phi_tilde_mod(poly, char), restricted(poly, char)[0])
 
 
 def normalized_volume(poly) -> int:

@@ -5,7 +5,13 @@ hypersurface cut out, inside the torus of poly's intrinsic lattice, by
 a generic Laurent polynomial with Newton polytope poly, graded by the
 finite mu_d-action that char encodes.  Entries live at 0 <= p, q <= dim-1
 and character buckets alpha in [0,1); tables are mappings
-{(p, q, alpha): int} with zero entries dropped.
+{(p, q, alpha): int} with zero entries dropped.  Every bucket of one
+table is r/d' for d' = restricted(poly, char)[0], so the engine computes
+hodge_table_mod, keyed by (p, q, r) with the residue r in range(d'):
+the conjugate bucket of r is (-r) % d', and the table of a stratum,
+whose own modulus divides d', has its residues multiplied by
+ehrhart.residue_step before they are merged.  hodge_table and _row_sums
+are the Fraction-keyed views of hodge_table_mod and _row_sums_mod.
 
 The computation is the classical one: closed formulas for both extreme
 rows and for the high range p+q > dim-1, a stratification of the
@@ -17,7 +23,7 @@ e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
 
 A table reads its character only at lattice points of the polytope and
-of its faces, so hodge_table and _row_sums are decorated with
+of its faces, so hodge_table_mod and _row_sums_mod are decorated with
 ehrhart.memoized, which keys them by the polytope and the character's
 restriction to its lattice: the cone over a face is built once,
 whichever compact face's height character reaches it.
@@ -25,20 +31,21 @@ whichever compact face's height character reaches it.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 
 from . import ehrhart, fan as fans
-from .ehrhart import Character, conj, memoized
+from .ehrhart import Character, fraction_keys, memoized, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
 
-_ZERO = Fraction(0)
 
-
-def _merge(acc: dict, table: dict, scale: int = 1) -> None:
-    for k, v in table.items():
-        acc[k] = acc.get(k, 0) + scale * v
+def _merge(acc: dict, table: dict, scale: int = 1, step: int = 1) -> None:
+    """acc += scale * table, each bucket residue r of table read as r * step."""
+    for (p, q, r), v in table.items():
+        key = (p, q, r * step)
+        acc[key] = acc.get(key, 0) + scale * v
 
 
 def _clean(table: dict) -> dict:
@@ -56,47 +63,50 @@ def lefschetz_twist(table: dict, k: int) -> dict:
     return _clean(out)
 
 
-def boundary_values(poly, char: Character):
+def boundary_values_mod(poly, char: Character):
     """Directly computable table entries and row-sum targets.
 
-    Returns (bv, targets, alphas):
-      bv[(p, q, alpha)]    entries of the extreme rows p = 0 / q = 0 and
-                           of the whole high range p + q > dim - 1;
-      targets[(p, alpha)]  the value of sum_q e^{p,q}_alpha;
-      alphas               every bucket seen, closed under conjugation.
+    Returns (bv, targets, alphas), every bucket a residue r mod d':
+      bv[(p, q, r)]    entries of the extreme rows p = 0 / q = 0 and
+                       of the whole high range p + q > dim - 1;
+      targets[(p, r)]  the value of sum_q e^{p,q}_r;
+      alphas           every bucket seen, closed under conjugation.
 
     The extreme rows count lattice points by character bucket with
-    ehrhart.relint_counts, summed over the faces of each dimension: row
-    p >= 1 reads the relative-interior points of the (p+1)-faces, and
+    ehrhart.relint_counts_mod, summed over the faces of each dimension:
+    row p >= 1 reads the relative-interior points of the (p+1)-faces, and
     row 0 the points of the 1-skeleton, i.e. the vertices (dimension 0)
     plus the edge interiors (dimension 1).
     """
     m = poly.dim
+    d = restricted(poly, char)[0]
     sign = (-1) ** (m - 1)
-    lsum: dict[int, dict] = {d: {} for d in range(m + 1)}
+    lsum = {k: Counter() for k in range(m + 1)}
     for face, fdim in poly.face_lattice.items():
-        _merge(lsum[fdim], ehrhart.relint_counts(poly.face_polytope(face), char, 1))
-    skel = dict(lsum[0])
-    _merge(skel, lsum[1])
-    pa = ehrhart.p_alpha(poly, char)
-    alphas = {_ZERO} | set(pa)
-    for d in lsum:
-        alphas |= set(lsum[d])
-    alphas |= {conj(a) for a in alphas}
+        sub = poly.face_polytope(face)
+        step = residue_step(d, sub, char)
+        for r, c in ehrhart.relint_counts_mod(sub, char, 1).items():
+            lsum[fdim][r * step] += c
+    skel = lsum[0] + lsum[1]
+    pa = ehrhart.p_alpha_mod(poly, char)
+    alphas = {0} | set(pa)
+    for part in lsum.values():
+        alphas |= set(part)
+    alphas |= {-a % d for a in alphas}
 
     bv = {}
     for a in alphas:
-        if a == _ZERO:
-            bv[(0, 0, a)] = sign * (skel.get(_ZERO, 0) - 1)
+        if a == 0:
+            bv[(0, 0, a)] = sign * (skel.get(0, 0) - 1)
         else:
-            bv[(0, 0, a)] = sign * skel.get(conj(a), 0)
+            bv[(0, 0, a)] = sign * skel.get(-a % d, 0)
         for p in range(1, m):
             bv[(p, 0, a)] = sign * lsum[p + 1].get(a, 0)
-            bv[(0, p, a)] = sign * lsum[p + 1].get(conj(a), 0)
+            bv[(0, p, a)] = sign * lsum[p + 1].get(-a % d, 0)
         for p in range(m):
             for q in range(m):
                 if p + q > m - 1:
-                    if p == q and a == _ZERO:
+                    if p == q and a == 0:
                         bv[(p, q, a)] = (-1) ** (m + p + 1) * comb(m, p + 1)
                     else:
                         bv[(p, q, a)] = 0
@@ -106,10 +116,21 @@ def boundary_values(poly, char: Character):
         tup = pa.get(a)
         for p in range(m):
             t = (-1) ** (m + 1) * (tup[m - p] if tup else 0)
-            if a == _ZERO:
+            if a == 0:
                 t += (-1) ** (p + m + 1) * comb(m, p + 1)
             targets[(p, a)] = t
     return bv, targets, alphas
+
+
+def boundary_values(poly, char: Character):
+    """boundary_values_mod with every bucket as a Fraction in [0, 1)."""
+    d = restricted(poly, char)[0]
+    bv, targets, alphas = boundary_values_mod(poly, char)
+    return (
+        fraction_keys(bv, d),
+        fraction_keys(targets, d),
+        {Fraction(a, d) for a in alphas},
+    )
 
 
 def _strata_sum(poly, char: Character, m: int) -> dict:
@@ -120,6 +141,7 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
     times a torus soaking up the dimension defect.  Faces that are
     single vertices contribute nothing (their hypersurface is empty).
     """
+    d = restricted(poly, char)[0]
     cones = fans.simplicial_refinement(fans.normal_fan(poly))
     S: dict = {}
     for sigma in sorted(cones, key=lambda c: (len(c), sorted(c))):
@@ -135,29 +157,32 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
                 "stratum dimension defect is negative"
             )
         # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
-        _merge(S, lefschetz_twist(hodge_table(sub, char), j), (-1) ** j)
+        twisted = lefschetz_twist(hodge_table_mod(sub, char), j)
+        _merge(S, twisted, (-1) ** j, residue_step(d, sub, char))
     return _clean(S)
 
 
 @memoized
-def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
-    """e^{p,q}_alpha of the nondegenerate hypersurface with this Newton
-    polytope, graded by char, as a read-only mapping."""
+def hodge_table_mod(poly, char: Character) -> Mapping[tuple, int]:
+    """e^{p,q}_r of the nondegenerate hypersurface with this Newton
+    polytope, graded by char, as a read-only mapping keyed by (p, q, r)
+    with r the bucket residue mod d' = restricted(poly, char)[0]."""
     m = poly.dim
     if m < 1:
         raise InternalConsistencyError("hypersurface table needs dim >= 1")
-    bv, targets, alphas = boundary_values(poly, char)
+    d = restricted(poly, char)[0]
+    bv, targets, alphas = boundary_values_mod(poly, char)
     if m == 1:
         table = dict(bv)
         for (p, a), t in targets.items():
             if table.get((0, 0, a), 0) != t:
                 raise InternalConsistencyError(
-                    f"row target mismatch in dimension 1 at bucket {a}"
+                    f"row target mismatch in dimension 1 at bucket {a}/{d}"
                 )
     else:
         S = _strata_sum(poly, char, m)
         alphas = set(alphas) | {a for (_, _, a) in S}
-        alphas |= {conj(a) for a in alphas}
+        alphas |= {-a % d for a in alphas}
         table = {}
         for a in alphas:
             for p in range(m):
@@ -165,13 +190,12 @@ def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
                     if p + q > m - 1:
                         table[(p, q, a)] = bv.get((p, q, a), 0)
         for a in alphas:
+            c = -a % d
             for p in range(m):
                 for q in range(m):
                     if p + q < m - 1:
                         dp, dq = m - 1 - p, m - 1 - q
-                        closure = table[(dp, dq, conj(a))] + S.get(
-                            (dp, dq, conj(a)), 0
-                        )
+                        closure = table[(dp, dq, c)] + S.get((dp, dq, c), 0)
                         table[(p, q, a)] = closure - S.get((p, q, a), 0)
         for a in alphas:
             for p in range(m):
@@ -180,22 +204,22 @@ def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
                     table.get((p, qq, a), 0) for qq in range(m) if qq != q
                 )
                 table[(p, q, a)] = targets.get((p, a), 0) - rest
-    _post_checks(poly, char, table, bv, m)
+    _post_checks(poly, d, table, bv, m)
     return _clean(table)
 
 
-def _post_checks(poly, char, table, bv, m):
+def _post_checks(poly, d, table, bv, m):
     for k, v in bv.items():
         got = table.get(k, 0)
         if got != v:
             raise InternalConsistencyError(
-                f"assembled table contradicts boundary value at {k}: "
+                f"assembled table contradicts boundary value at {k} mod {d}: "
                 f"{got} != {v}"
             )
     for (p, q, a), v in table.items():
-        if table.get((q, p, conj(a)), 0) != v:
+        if table.get((q, p, -a % d), 0) != v:
             raise InternalConsistencyError(
-                f"conjugation symmetry broken at {(p, q, a)}"
+                f"conjugation symmetry broken at {(p, q, a)} mod {d}"
             )
     total = sum(table.values())
     want = (-1) ** (m - 1) * ehrhart.normalized_volume(poly)
@@ -206,23 +230,25 @@ def _post_checks(poly, char, table, bv, m):
 
 
 @memoized
-def _row_sums(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
-    """Per nontrivial bucket alpha that phi_tilde carries on some face,
-    the anti-diagonal sums (s_0, ..., s_{dim-1}), s_r = sum_{p+q=r}
-    e^{p,q}_alpha, by inclusion-exclusion over the face lattice: s_r is
-    (-1)^(dim+r) times the sum over (r+1)-faces F and faces G of F of
-    (-1)^dim(G) phi_tilde(G)_alpha.  One pass over the face pairs serves
+def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
+    """Per nontrivial bucket residue r that phi_tilde_mod carries on some
+    face, the anti-diagonal sums (s_0, ..., s_{dim-1}), s_k = sum_{p+q=k}
+    e^{p,q}_r, by inclusion-exclusion over the face lattice: s_k is
+    (-1)^(dim+k) times the sum over (k+1)-faces F and faces G of F of
+    (-1)^dim(G) phi_tilde(G)_r.  One pass over the face pairs serves
     every bucket.  A read-only mapping of tuples."""
     m = poly.dim
+    d = restricted(poly, char)[0]
     lat = poly.face_lattice
-    phis = {
-        face: {
-            a: (-1) ** lat[face] * v
-            for a, v in ehrhart.phi_tilde(poly.face_polytope(face), char).items()
-            if a != _ZERO
+    phis = {}
+    for face, fdim in lat.items():
+        sub = poly.face_polytope(face)
+        step = residue_step(d, sub, char)
+        phis[face] = {
+            r * step: (-1) ** fdim * v
+            for r, v in ehrhart.phi_tilde_mod(sub, char).items()
+            if r
         }
-        for face in lat
-    }
     acc: dict = {a: [0] * m for part in phis.values() for a in part}
     for face, fdim in lat.items():
         if fdim < 1:
@@ -237,6 +263,10 @@ def _row_sums(poly, char: Character) -> Mapping[Fraction, tuple[int, ...]]:
     }
 
 
+hodge_table = ehrhart.fraction_view(hodge_table_mod)
+_row_sums = ehrhart.fraction_view(_row_sums_mod)
+
+
 def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, int]:
     """Anti-diagonal sums sum_{p+q=r} e^{p,q}_alpha of the hypersurface
     table, obtained by inclusion-exclusion over the face lattice without
@@ -246,6 +276,8 @@ def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, i
     zero."""
     if poly.primeness == "neither":
         raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
-    if alpha == _ZERO:
+    if alpha == 0:
         raise InputError("anti-diagonal formula is for nontrivial buckets only")
-    return dict(enumerate(_row_sums(poly, char).get(alpha, (0,) * poly.dim)))
+    r = ehrhart.residue(alpha, restricted(poly, char)[0])
+    rows = _row_sums_mod(poly, char).get(r, (0,) * poly.dim)
+    return dict(enumerate(rows))

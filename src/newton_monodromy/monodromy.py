@@ -9,21 +9,32 @@ anti-diagonal sums of the eigenvalue-1 and eigenvalue-not-1 parts into
 counts of Jordan blocks of each size.
 
 Eigenvalues are labelled by their argument: the Fraction a/b in [0, 1)
-stands for exp(2*pi*i*a/b); 0 labels eigenvalue 1.
+stands for exp(2*pi*i*a/b); 0 labels eigenvalue 1.  The hypersurface
+tables come keyed by integer residues, each face's cone table mod its
+own modulus d' (hodge.hodge_table_mod); motivic_milnor_table multiplies
+every face's residues up to the lcm of the d' and turns each residue r
+into the Fraction r/lcm once, when it hands out the MotivicTable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .ehrhart import Character, conj, relint_counts
+from .ehrhart import (
+    Character,
+    fraction_keys,
+    relint_counts_mod,
+    residue,
+    residue_step,
+    restricted,
+)
 from .errors import InputError, InternalConsistencyError
 from .hodge import (
     _clean,
     _merge,
-    hodge_table,
+    hodge_table_mod,
     lefschetz_twist,
     pseudo_prime_row_sums,
 )
@@ -77,20 +88,23 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     first: dict = {}
     second: dict = {}
     trivial = Character.trivial(np_.n)
+    modulus = lcm(*(restricted(face.delta, face.char)[0] for face in np_.faces))
     for face in np_.faces:
-        _merge(first, lefschetz_twist(hodge_table(face.delta, face.char), face.twist))
+        cone = lefschetz_twist(hodge_table_mod(face.delta, face.char), face.twist)
+        _merge(first, cone, step=residue_step(modulus, face.delta, face.char))
         if face.dim >= 1:
+            # the trivial character's one bucket is 0 under every modulus
             _merge(
                 second,
-                lefschetz_twist(hodge_table(face.poly, trivial), face.twist + 1),
+                lefschetz_twist(hodge_table_mod(face.poly, trivial), face.twist + 1),
             )
     total = dict(first)
     _merge(total, second)
     return MotivicTable(
         n=np_.n,
-        first=_clean(first),
-        second=_clean(second),
-        total=_clean(total),
+        first=fraction_keys(_clean(first), modulus),
+        second=fraction_keys(_clean(second), modulus),
+        total=fraction_keys(_clean(total), modulus),
     )
 
 
@@ -110,8 +124,12 @@ def jordan_blocks(np_: NewtonPolyhedron) -> JordanSpectrum:
     independent routes (the full table high above the middle, and the
     face-cone part low below it) are both computed and must agree.
     """
-    mt = motivic_milnor_table(np_)
-    n = np_.n
+    return _read_blocks(motivic_milnor_table(np_))
+
+
+def _read_blocks(mt: MotivicTable) -> JordanSpectrum:
+    """The Jordan data of jordan_blocks, read off an assembled table."""
+    n = mt.n
     sgn = (-1) ** (n - 1)
     first, total = _degree_sums(mt.first), _degree_sums(mt.total)
     eigen_total: dict = {}
@@ -190,8 +208,11 @@ def fastpath_top(np_: NewtonPolyhedron, ev: Fraction) -> tuple[int, int]:
     size_n1 = 0
     for face in np_.faces_of_dim(1):
         if face.interior_touching and face.distance % b == 0:
-            counts = relint_counts(face.delta, face.char, 1)
-            size_n1 += counts.get(ev, 0) + counts.get(conj(ev), 0)
+            d = restricted(face.delta, face.char)[0]
+            r = residue(ev, d)
+            if r is not None:
+                counts = relint_counts_mod(face.delta, face.char, 1)
+                size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
     return size_n, size_n1
 
 
@@ -202,7 +223,7 @@ def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
     The first is the number of lattice points of the 1-skeleton of the
     Newton boundary in the open orthant, the second twice the number of
     relative-interior lattice points of the interior-touching 2-faces.
-    Both are sums of relint_counts(face.poly, trivial, 1) over
+    Both are sums of relint_counts_mod(face.poly, trivial, 1) over
     interior-touching compact faces: every lattice point of the
     1-skeleton is in the relative interior of exactly one face of
     dimension <= 1, and such a point is strictly positive exactly when
@@ -212,7 +233,7 @@ def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
     points = [0, 0, 0]
     for face in np_.faces:
         if face.dim <= 2 and face.interior_touching:
-            points[face.dim] += sum(relint_counts(face.poly, trivial, 1).values())
+            points[face.dim] += sum(relint_counts_mod(face.poly, trivial, 1).values())
     return points[0] + points[1], 2 * points[2]
 
 

@@ -28,19 +28,19 @@ from itertools import combinations, product
 from math import comb, gcd, lcm
 
 from . import fan as fans
-from .ehrhart import Character, conj, p_alpha, relint_counts
+from .ehrhart import Character, p_alpha_mod, restricted
 from .errors import InputError, InternalConsistencyError
 from .hodge import (
-    _row_sums,
-    boundary_values,
-    hodge_table,
+    _row_sums_mod,
+    boundary_values_mod,
+    hodge_table_mod,
     lefschetz_twist,
     pseudo_prime_row_sums,
 )
 from .monodromy import (
+    _read_blocks,
     fastpath_top,
     fastpath_unipotent,
-    jordan_blocks,
     motivic_milnor_table,
     prime_face_blocks,
 )
@@ -343,7 +343,7 @@ class ValidationReport:
 def _trivial_part(table):
     out = {}
     for (p, q, a), v in table.items():
-        if a == _ZERO:
+        if a == 0:
             out[(p, q, a)] = out.get((p, q, a), 0) + v
     return out
 
@@ -384,7 +384,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
             if axes != set(f.axes) or f.interior_touching != (len(axes) == n):
                 raise InternalConsistencyError(f"axis data wrong on {f.points}")
             for p in f.points:
-                if f.char.value(p) != 0:
+                if not f.char.is_trivial_at(p):
                     raise InternalConsistencyError(
                         f"face character not trivial on {p}"
                     )
@@ -392,12 +392,13 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     run("face-data", chk_faces)
 
-    # 2. every table builds (with its own internal assertions)
+    # 2. every table builds (with its own internal assertions); the
+    # checks read the tables keyed by residues r mod d', as the engine does
     def chk_tables():
         for f in np_.faces:
-            hodge_table(f.delta, f.char)
+            hodge_table_mod(f.delta, f.char)
             if f.dim >= 1:
-                hodge_table(f.poly, trivial)
+                hodge_table_mod(f.poly, trivial)
         return ""
 
     tables_ok = run("hodge-tables-build", chk_tables)
@@ -407,8 +408,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     # 3-5. visible recheck of the per-table identities
     def chk_boundary():
         for f in np_.faces:
-            table = hodge_table(f.delta, f.char)
-            bv, targets, _ = boundary_values(f.delta, f.char)
+            table = hodge_table_mod(f.delta, f.char)
+            bv, targets, _ = boundary_values_mod(f.delta, f.char)
             for k, v in bv.items():
                 if table.get(k, 0) != v:
                     raise InternalConsistencyError(
@@ -421,7 +422,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                     got = sum(table.get((p, q, a), 0) for q in range(m))
                     if got != targets.get((p, a), 0):
                         raise InternalConsistencyError(
-                            f"row sum p={p} bucket {a} on face {f.points}"
+                            f"row sum p={p} bucket residue {a} on face {f.points}"
                         )
         return ""
 
@@ -429,12 +430,14 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     def chk_conjugation():
         for f in np_.faces:
+            d = restricted(f.delta, f.char)[0]
             for table in (
-                hodge_table(f.delta, f.char),
-                hodge_table(f.poly, trivial) if f.dim >= 1 else {},
+                hodge_table_mod(f.delta, f.char),
+                hodge_table_mod(f.poly, trivial) if f.dim >= 1 else {},
             ):
+                # the trivial character's one bucket is 0 under every modulus
                 for (p, q, a), v in table.items():
-                    if table.get((q, p, conj(a)), 0) != v:
+                    if table.get((q, p, -a % d), 0) != v:
                         raise InternalConsistencyError(
                             f"conjugation at {(p, q, a)} on face {f.points}"
                         )
@@ -446,8 +449,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for f in np_.faces:
             if f.dim < 1:
                 continue
-            big = p_alpha(f.delta, f.char).get(_ZERO, (0,) * (f.dim + 3))
-            small = p_alpha(f.poly, trivial).get(_ZERO, (0,) * (f.dim + 2))
+            big = p_alpha_mod(f.delta, f.char).get(0, (0,) * (f.dim + 3))
+            small = p_alpha_mod(f.poly, trivial).get(0, (0,) * (f.dim + 2))
             if big[0] != 0:
                 raise InternalConsistencyError("phi_0 of a cone is nonzero")
             for j in range(f.dim + 2):
@@ -462,12 +465,12 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_pyramid():
         for f in np_.faces:
             lhs: dict = {}
-            for (p, q, a), v in hodge_table(f.delta, f.char).items():
-                if a == _ZERO:
+            for (p, q, a), v in hodge_table_mod(f.delta, f.char).items():
+                if a == 0:
                     lhs[(p, q)] = lhs.get((p, q), 0) + v
             if f.dim >= 1:
-                for (p, q, a), v in hodge_table(f.poly, trivial).items():
-                    if a == _ZERO:
+                for (p, q, a), v in hodge_table_mod(f.poly, trivial).items():
+                    if a == 0:
                         lhs[(p, q)] = lhs.get((p, q), 0) + v
             rhs = {
                 (p, p): (-1) ** (f.dim + p) * comb(f.dim, p)
@@ -486,14 +489,14 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_global():
         acc: dict = {}
         for f in np_.faces:
-            part = _trivial_part(hodge_table(f.delta, f.char))
+            part = _trivial_part(hodge_table_mod(f.delta, f.char))
             if f.dim >= 1:
-                for k, v in _trivial_part(hodge_table(f.poly, trivial)).items():
+                for k, v in _trivial_part(hodge_table_mod(f.poly, trivial)).items():
                     part[k] = part.get(k, 0) + v
             for k, v in lefschetz_twist(part, f.twist + 1).items():
                 acc[k] = acc.get(k, 0) + v
         acc = {k: v for k, v in acc.items() if v}
-        want = {(0, 0, _ZERO): 1, (n, n, _ZERO): -1}
+        want = {(0, 0, 0): 1, (n, n, 0): -1}
         if acc != want:
             raise InternalConsistencyError(
                 f"global unipotent identity fails: {acc}"
@@ -528,19 +531,20 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     run("fan-refinement", chk_fans)
 
-    # 7. the Jordan data itself (two-route agreement is asserted inside)
-    spectrum = None
+    # 7. the Jordan data itself (two-route agreement is asserted inside),
+    # read off the one assembled motivic table the later checks use
+    mt = spectrum = None
 
     def chk_jordan():
-        nonlocal spectrum
-        spectrum = jordan_blocks(np_)
+        nonlocal mt, spectrum
+        mt = motivic_milnor_table(np_)
+        spectrum = _read_blocks(mt)
         if spectrum.mu <= 0:
             raise InternalConsistencyError(f"mu = {spectrum.mu} is not positive")
         return f"mu = {spectrum.mu}"
 
     if not run("jordan-blocks-consistent", chk_jordan):
         return report
-    mt = motivic_milnor_table(np_)
 
     def chk_two_route():
         sgn = (-1) ** (n - 1)
@@ -634,19 +638,19 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for f in np_.faces:
             if f.delta.primeness == "neither":
                 continue
-            table = hodge_table(f.delta, f.char)
+            d = restricted(f.delta, f.char)[0]
             diag: dict = {}
-            for (p, q, a), v in table.items():
-                if a != _ZERO:
+            for (p, q, a), v in hodge_table_mod(f.delta, f.char).items():
+                if a:
                     diag[(a, p + q)] = diag.get((a, p + q), 0) + v
-            buckets = {a for a, _ in diag} | set(_row_sums(f.delta, f.char))
+            buckets = {a for a, _ in diag} | set(_row_sums_mod(f.delta, f.char))
             for a in sorted(buckets):
-                pred = pseudo_prime_row_sums(f.delta, f.char, a)
+                pred = pseudo_prime_row_sums(f.delta, f.char, Fraction(a, d))
                 for r in range(f.delta.dim):
                     if diag.get((a, r), 0) != pred[r]:
                         raise InternalConsistencyError(
                             f"anti-diagonal formula fails on {f.points}, "
-                            f"bucket {a}, p+q={r}"
+                            f"bucket {a}/{d}, p+q={r}"
                         )
                 hits += 1
         if hits == 0:

@@ -51,6 +51,17 @@ def test_character_values():
     assert Character.trivial(2).is_trivial is True
 
 
+def test_character_vanishing_test_matches_its_value():
+    """is_trivial_at decides value == 0 in integers, on and off the
+    kernel, for a nontrivial and the trivial character."""
+    for c in (Character(6, (3, 2)), Character(12, (4, 9, 6)), Character.trivial(2)):
+        n = len(c.coeffs)
+        for v in [tuple((7 * i + 3 * j) % 13 - 6 for j in range(n)) for i in range(40)]:
+            assert c.is_trivial_at(v) == (c.value(v) == 0), (c, v)
+    assert Character(6, (3, 2)).is_trivial_at((2, 3))
+    assert not Character(6, (3, 2)).is_trivial_at((1, 1))
+
+
 def test_character_value_periodicity():
     c = Character(6, (3, 2))
     for v in [(0, 0), (1, 2), (5, 1)]:
@@ -175,7 +186,7 @@ def _reached_pairs(supports):
     """Every (polytope, character) pair whose numerators jordan_blocks
     reads on the supports, one per restricted character."""
     seen = {}
-    real = ehrhart.p_alpha
+    real = ehrhart.p_alpha_mod
 
     def record(poly, char):
         seen.setdefault((poly.key, ehrhart.restricted(poly, char)), (poly, char))
@@ -183,7 +194,7 @@ def _reached_pairs(supports):
 
     clear_caches()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ehrhart, "p_alpha", record)
+        mp.setattr(ehrhart, "p_alpha_mod", record)
         for support in supports:
             jordan_blocks(newton_polyhedron(support))
     return list(seen.values())

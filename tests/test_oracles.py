@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from newton_monodromy import oracles
+from newton_monodromy import monodromy, oracles
 from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.oracles import (
@@ -268,17 +268,21 @@ def test_validate_catches_injected_corruption(monkeypatch):
     """A table corrupted behind the validator's back must be flagged.
 
     The injected entries keep every row sum intact, so the first check
-    to notice is the conjugation symmetry."""
-    real = oracles.hodge_table
+    to notice is the conjugation symmetry.  The tables are keyed by
+    residues mod the modulus d' of the table's buckets, and the entries
+    go to d' + 1, which no bucket of that modulus has, as 1/7 is no
+    value of a character of order 6."""
+    real = oracles.hodge_table_mod
 
     def corrupted(poly, char):
         table = dict(real(poly, char))
         if poly.dim == 2:
-            table[(0, 0, F(1, 7))] = table.get((0, 0, F(1, 7)), 0) + 1
-            table[(0, 1, F(1, 7))] = table.get((0, 1, F(1, 7)), 0) - 1
+            bad = oracles.restricted(poly, char)[0] + 1
+            table[(0, 0, bad)] = table.get((0, 0, bad), 0) + 1
+            table[(0, 1, bad)] = table.get((0, 1, bad), 0) - 1
         return table
 
-    monkeypatch.setattr(oracles, "hodge_table", corrupted)
+    monkeypatch.setattr(oracles, "hodge_table_mod", corrupted)
     report = validate(_np([(2, 0), (0, 3)]))
     assert not report.ok
     by_name = {c.name: c for c in report.checks}
@@ -291,11 +295,11 @@ def test_validate_catches_a_moved_multiplicity(monkeypatch):
     """One unit of multiplicity moved, with its size-1 block, from 1/10
     to 3/10 keeps mu and every block count sane; only the comparison
     with Varchenko's multiplicities can notice."""
-    real = oracles.jordan_blocks
+    real = oracles._read_blocks
     one, three = F(1, 10), F(3, 10)
 
-    def moved(np_):
-        spec = real(np_)
+    def moved(mt):
+        spec = real(mt)
         blocks, mults = dict(spec.blocks), dict(spec.multiplicities)
         blocks[(one, 1)] -= 1
         blocks[(three, 1)] += 1
@@ -303,13 +307,29 @@ def test_validate_catches_a_moved_multiplicity(monkeypatch):
         mults[three] += 1
         return replace(spec, blocks=blocks, multiplicities=mults)
 
-    monkeypatch.setattr(oracles, "jordan_blocks", moved)
+    monkeypatch.setattr(oracles, "_read_blocks", moved)
     report = validate(_np([(5, 0), (2, 2), (0, 5)]))
     by_name = {c.name: c for c in report.checks}
     assert by_name["block-counts-sane"].status == "pass"
     assert by_name["kouchnirenko-mu"].status == "fail"
     assert "Varchenko" in by_name["kouchnirenko-mu"].detail
     assert not report.ok
+
+
+def test_validate_assembles_the_motivic_table_once(monkeypatch):
+    """validate reads the Jordan blocks off the motivic table that its
+    later checks use, so the table is assembled once per call."""
+    real = monodromy.motivic_milnor_table
+    calls = []
+
+    def counted(np_):
+        calls.append(np_)
+        return real(np_)
+
+    monkeypatch.setattr(monodromy, "motivic_milnor_table", counted)
+    monkeypatch.setattr(oracles, "motivic_milnor_table", counted)
+    assert validate(_np([(5, 0), (2, 2), (0, 5)])).ok
+    assert len(calls) == 1
 
 
 def test_validation_report_summary_format():
