@@ -26,9 +26,9 @@ character's restriction to that lattice (restricted), and it lies in
 is therefore the integer residue r mod d' of the value r/d': the
 functions named *_mod here and in hodge key by residues, and a caller
 that merges the buckets of a face into those of a larger polytope
-multiplies them by residue_step.  The Fraction-keyed relint_counts,
-p_alpha and phi_tilde (and in hodge the tables and row sums) are views
-for callers outside the engine (fraction_view).
+multiplies them by residue_step.  The Fraction-keyed relint_counts and
+p_alpha (and in hodge the tables and row sums) are views for callers
+outside the engine (fraction_view).
 
 One memo, _MEMO, holds everything computed from an interned polytope:
 the restrictions, the volumes, and the results of every function
@@ -152,9 +152,10 @@ def memoized(fn):
 def residue_step(d: int, sub, char: Character) -> int:
     """The factor d / d_sub that takes a bucket residue of the polytope
     sub (d_sub = restricted(sub, char)[0]) to a residue mod d.  A face's
-    lattice lies in its polytope's, so its modulus divides the polytope's,
-    as it divides a common multiple; one that does not divide d is an
-    engine error, not a bucket to round."""
+    lattice lies in its polytope's, so d_sub divides the modulus of every
+    polytope sub is a face of, and any common multiple of such moduli; a
+    d_sub that does not divide d is an engine error, not a bucket to
+    round."""
     step, rest = divmod(d, restricted(sub, char)[0])
     if rest:
         raise InternalConsistencyError(
@@ -346,20 +347,14 @@ def _open_box(gens, weights):
         yield from zip([h // det for h in heights], [v // det for v in values])
 
 
-def phi_tilde_mod(poly, char: Character) -> dict[int, int]:
-    """Per bucket residue, the sum of phi_0..phi_dim (the top coefficient
-    omitted)."""
+def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
+    """Per bucket, the sum of phi_0..phi_dim (the top coefficient omitted)."""
     out = {}
-    for r, tup in p_alpha_mod(poly, char).items():
+    for a, tup in p_alpha(poly, char).items():
         s = sum(tup[: poly.dim + 1])
         if s:
-            out[r] = s
+            out[a] = s
     return out
-
-
-def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
-    """phi_tilde_mod with every bucket as a Fraction in [0, 1)."""
-    return fraction_keys(phi_tilde_mod(poly, char), restricted(poly, char)[0])
 
 
 def normalized_volume(poly) -> int:

@@ -231,7 +231,7 @@ def _post_checks(poly, d, table, bv, m):
 
 @memoized
 def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
-    """Per nontrivial bucket residue r that phi_tilde_mod carries on some
+    """Per nontrivial bucket residue r that phi_tilde carries on some
     face, the anti-diagonal sums (s_0, ..., s_{dim-1}), s_k = sum_{p+q=k}
     e^{p,q}_r, by inclusion-exclusion over the face lattice: s_k is
     (-1)^(dim+k) times the sum over (k+1)-faces F and faces G of F of
@@ -244,10 +244,11 @@ def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     for face, fdim in lat.items():
         sub = poly.face_polytope(face)
         step = residue_step(d, sub, char)
+        # phi_tilde of the face: phi_0 + ... + phi_dim per bucket
         phis[face] = {
             r * step: (-1) ** fdim * v
-            for r, v in ehrhart.phi_tilde_mod(sub, char).items()
-            if r
+            for r, tup in ehrhart.p_alpha_mod(sub, char).items()
+            if r and (v := sum(tup[: sub.dim + 1]))
         }
     acc: dict = {a: [0] * m for part in phis.values() for a in part}
     for face, fdim in lat.items():

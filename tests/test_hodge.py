@@ -451,7 +451,9 @@ def _ref_row_sums(poly, char):
                     if a != 0:
                         rows = acc.setdefault(a, [0] * m)
                         rows[fdim - 1] += (-1) ** sdim * v
-    return {a: tuple((-1) ** (m + r) * rows[r] for r in range(m)) for a, rows in acc.items()}
+    return {
+        a: tuple((-1) ** (m + r) * rows[r] for r in range(m)) for a, rows in acc.items()
+    }
 
 
 def _reached_table_pairs(supports):
@@ -494,7 +496,8 @@ def test_public_views_match_the_fraction_assembly():
     by_restriction = {}
     for poly, char in pairs:
         d = restricted(poly, char)[0]
-        assert hodge_table(poly, char) == _ref_hodge_table(poly, char, memo), (poly, char)
+        want = _ref_hodge_table(poly, char, memo)
+        assert hodge_table(poly, char) == want, (poly, char)
         assert boundary_values(poly, char) == _ref_boundary_values(poly, char)
         assert _row_sums(poly, char) == _ref_row_sums(poly, char), (poly, char)
 
