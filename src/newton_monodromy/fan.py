@@ -55,14 +55,19 @@ def simplicial_refinement(cones: set[frozenset]) -> set[frozenset]:
     and subdivides at the primitive ray through the sum of its
     generators.  All proper faces of the picked cone are simplicial by
     minimality, which is what makes the purely combinatorial subdivision
-    below correct.
+    below correct.  Each cone's dimension is computed once.
     """
     cones = set(cones)
+    dims: dict[frozenset, int] = {}
     while True:
-        bad = [c for c in cones if not is_simplicial(c)]
+        for c in cones - dims.keys():
+            # two distinct primitive generators of a pointed cone are
+            # independent
+            dims[c] = len(c) if len(c) <= 2 else cone_dim(c)
+        bad = [c for c in cones if len(c) != dims[c]]
         if not bad:
             return cones
-        sigma0 = min(bad, key=lambda c: (cone_dim(c), sorted(c)))
+        sigma0 = min(bad, key=lambda c: (dims[c], sorted(c)))
         gens = sorted(sigma0)
         ray = ila.primitive(tuple(sum(col) for col in zip(*gens)))
         out = {c for c in cones if not sigma0 <= c}

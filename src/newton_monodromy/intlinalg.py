@@ -9,6 +9,10 @@ Hermite reduction by extended gcds: it gives Hermite normal forms, and
 on [A^T | I] it gives integer kernels (the transforms of the zero rows)
 and integer solves (forward substitution through the pivot rows).
 
+The engine solves over Z only: polytope charts invert their Hermite
+basis by forward substitution, so solve_rational has no caller in the
+engine, and frac_rank serves only the cone dimensions of fan.py.
+
 Conventions: a "matrix" is a sequence of equal-length rows.  Functions
 return tuples so results are hashable and safely shareable.
 """

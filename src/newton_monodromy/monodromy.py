@@ -12,15 +12,19 @@ Eigenvalues are labelled by their argument: the Fraction a/b in [0, 1)
 stands for exp(2*pi*i*a/b); 0 labels eigenvalue 1.  The hypersurface
 tables come keyed by integer residues, each face's cone table mod its
 own modulus d' (hodge.hodge_table_mod); motivic_milnor_table multiplies
-every face's residues up to the lcm of the d' and turns each residue r
-into the Fraction r/lcm once, when it hands out the MotivicTable.
+every face's residues up to the lcm of the d' and hands out the
+MotivicTable keyed by residues mod that lcm.  The Jordan read-off works
+on the residues too, and turns a residue r into the Fraction r/lcm once
+per eigenvalue, for the keys of the JordanSpectrum; the Fraction-keyed
+tables of a MotivicTable are views built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import comb, gcd, lcm
 
 from .ehrhart import (
     Character,
@@ -40,23 +44,36 @@ from .hodge import (
 )
 from .newton import NewtonPolyhedron
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class MotivicTable:
     """Hodge-degree/eigenvalue table of the Milnor fiber cohomology.
 
-    first   the face-cone sum (the proper part carrying eigenvalues)
-    second  the correction sum over positive-dimensional faces
-    total   first + second
-    All three are {(p, q, eigenvalue bucket): int} with zeros dropped.
+    first_mod   the face-cone sum (the proper part carrying eigenvalues)
+    second_mod  the correction sum over positive-dimensional faces
+    total_mod   first_mod + second_mod
+    All three are {(p, q, r): int} with zeros dropped, r the residue mod
+    modulus of the eigenvalue bucket r/modulus.  first, second and total
+    are the same tables keyed by the Fraction bucket, built on first use.
     """
 
     n: int
-    first: dict
-    second: dict
-    total: dict
+    modulus: int
+    first_mod: dict
+    second_mod: dict
+    total_mod: dict
+
+    @cached_property
+    def first(self) -> dict:
+        return fraction_keys(self.first_mod, self.modulus)
+
+    @cached_property
+    def second(self) -> dict:
+        return fraction_keys(self.second_mod, self.modulus)
+
+    @cached_property
+    def total(self) -> dict:
+        return fraction_keys(self.total_mod, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -102,14 +119,15 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     _merge(total, second)
     return MotivicTable(
         n=np_.n,
-        first=fraction_keys(_clean(first), modulus),
-        second=fraction_keys(_clean(second), modulus),
-        total=fraction_keys(_clean(total), modulus),
+        modulus=modulus,
+        first_mod=_clean(first),
+        second_mod=_clean(second),
+        total_mod=_clean(total),
     )
 
 
-def _degree_sums(table: dict) -> dict[tuple[Fraction, int], int]:
-    """{(eigenvalue bucket, p + q): sum of the entries} in one pass."""
+def _degree_sums(table: dict) -> dict[tuple[int, int], int]:
+    """{(bucket residue, p + q): sum of the entries} in one pass."""
     out: dict = {}
     for (p, q, a), v in table.items():
         out[a, p + q] = out.get((a, p + q), 0) + v
@@ -128,40 +146,49 @@ def jordan_blocks(np_: NewtonPolyhedron) -> JordanSpectrum:
 
 
 def _read_blocks(mt: MotivicTable) -> JordanSpectrum:
-    """The Jordan data of jordan_blocks, read off an assembled table."""
-    n = mt.n
-    sgn = (-1) ** (n - 1)
-    first, total = _degree_sums(mt.first), _degree_sums(mt.total)
-    eigen_total: dict = {}
-    for (a, _), v in total.items():
-        eigen_total[a] = eigen_total.get(a, 0) + v
-    evs = {a for a, _ in first} | set(eigen_total) | {_ZERO}
+    """The Jordan data of jordan_blocks, read off an assembled table.
 
-    def pair(sums, ev, r):
-        """The signed sum of the entries of ev in degrees r and r + 1."""
-        return sgn * (sums.get((ev, r), 0) + sums.get((ev, r + 1), 0))
+    Works on the residue-keyed tables; each eigenvalue's Fraction label
+    is built once, for the keys of the result.
+    """
+    n, d = mt.n, mt.modulus
+    sgn = (-1) ** (n - 1)
+    first, total = _degree_sums(mt.first_mod), _degree_sums(mt.total_mod)
+    eigen_total: dict = {}
+    for (r, _), v in total.items():
+        eigen_total[r] = eigen_total.get(r, 0) + v
+    residues = {r for r, _ in first} | set(eigen_total) | {0}
+
+    def pair(sums, r, deg):
+        """The signed sum of the entries of residue r in degrees deg and deg + 1."""
+        return sgn * (sums.get((r, deg), 0) + sums.get((r, deg + 1), 0))
+
+    def lowest_terms(r):
+        g = gcd(r, d)
+        return d // g, r // g
 
     blocks: dict = {}
     mults: dict = {}
-    for ev in sorted(evs, key=lambda a: (a.denominator, a.numerator)):
+    for r in sorted(residues, key=lowest_terms):
+        ev = Fraction(r, d)
         at_least: dict[int, int] = {}
-        if ev == _ZERO:
+        if r == 0:
             top = n - 1
             for k in range(1, top + 2):
-                via_total = pair(total, ev, n - 1 + k)
-                via_first = pair(first, ev, n - 2 - k)
+                via_total = pair(total, r, n - 1 + k)
+                via_first = pair(first, r, n - 2 - k)
                 if via_total != via_first:
                     raise InternalConsistencyError(
                         f"eigenvalue-1 block count disagrees at size >= {k}: "
                         f"{via_total} vs {via_first}"
                     )
                 at_least[k] = via_total
-            mult = sgn * (eigen_total.get(ev, 0) - 1)
+            mult = sgn * (eigen_total.get(r, 0) - 1)
         else:
             top = n
             for k in range(1, top + 2):
-                at_least[k] = pair(first, ev, n - 2 + k)
-            mult = sgn * eigen_total.get(ev, 0)
+                at_least[k] = pair(first, r, n - 2 + k)
+            mult = sgn * eigen_total.get(r, 0)
         if at_least[top + 1] != 0:
             raise InternalConsistencyError(
                 f"block of impossible size {top + 1} for eigenvalue {ev}"

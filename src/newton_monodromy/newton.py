@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlinalg as ila
-from .ehrhart import Character
+from .ehrhart import _MEMO, Character
 from .errors import InputError, InternalConsistencyError, NotConvenientError
 from .polytope import Polytope, cone_rays, make_polytope
 
@@ -120,8 +120,17 @@ def _face_character(poly: Polytope, delta: Polytope):
     origin, is constant on the face, and is primitive; the constant is
     the lattice distance.  The form is then expressed in ambient
     coordinates, which is possible because the chart lattice is
-    saturated.
+    saturated.  Memoized per (face polytope, cone) in ehrhart._MEMO, so
+    a face that many Newton polyhedra share is solved once.
     """
+    key = (_face_character, poly, delta)
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = _MEMO[key] = _solve_face_character(poly, delta)
+    return hit
+
+
+def _solve_face_character(poly: Polytope, delta: Polytope):
     rows = [delta.chart.to_chart(v) + (-1,) for v in poly.vertices]
     ker = ila.kernel_basis(rows, delta.dim + 1)
     if len(ker) != 1:

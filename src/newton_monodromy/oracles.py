@@ -551,13 +551,13 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for k in range(1, n + 1):
             a_route = sgn * sum(
                 v
-                for (p, q, a), v in mt.total.items()
-                if a == _ZERO and p + q in {n - 1 + k, n + k}
+                for (p, q, a), v in mt.total_mod.items()
+                if a == 0 and p + q in {n - 1 + k, n + k}
             )
             b_route = sgn * sum(
                 v
-                for (p, q, a), v in mt.first.items()
-                if a == _ZERO and p + q in {n - 2 - k, n - 1 - k}
+                for (p, q, a), v in mt.first_mod.items()
+                if a == 0 and p + q in {n - 2 - k, n - 1 - k}
             )
             if a_route != b_route:
                 raise InternalConsistencyError(
@@ -568,7 +568,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     run("two-route-unipotent", chk_two_route)
 
     def chk_normalization():
-        one = mt.total.get((0, 0, _ZERO), 0)
+        one = mt.total_mod.get((0, 0, 0), 0)
         if one != 1:
             raise InternalConsistencyError(
                 f"constant class has coefficient {one}, expected 1"
@@ -580,21 +580,24 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_ss():
         sgn = (-1) ** (n - 1)
         hp: dict = {}
-        for (p, q, a), v in mt.first.items():
-            if a != _ZERO:
+        for (p, q, a), v in mt.first_mod.items():
+            if a:
                 hp[(p, q, a)] = sgn * v
         for (p, q, a), v in hp.items():
             if v < 0:
-                raise InternalConsistencyError(f"negative Hodge number at {(p, q, a)}")
-            if not (0 <= p <= n - 1 and 0 <= q <= n - 1):
-                raise InternalConsistencyError(f"Hodge number out of range at {(p, q, a)}")
-            if hp.get((n - 1 - q, n - 1 - p, a), 0) != v:
-                raise InternalConsistencyError(
-                    f"Hodge symmetry fails at {(p, q, a)}"
-                )
+                problem = "negative Hodge number"
+            elif not (0 <= p <= n - 1 and 0 <= q <= n - 1):
+                problem = "Hodge number out of range"
+            elif hp.get((n - 1 - q, n - 1 - p, a), 0) != v:
+                problem = "Hodge symmetry fails"
+            else:
+                continue
+            raise InternalConsistencyError(
+                f"{problem} at {(p, q, Fraction(a, mt.modulus))}"
+            )
         tu: dict = {}
-        for (p, q, a), v in mt.total.items():
-            if a == _ZERO:
+        for (p, q, a), v in mt.total_mod.items():
+            if a == 0:
                 tu[(p, q)] = sgn * v
         tu[(0, 0)] = tu.get((0, 0), 0) - sgn
         tu = {k: v for k, v in tu.items() if v}

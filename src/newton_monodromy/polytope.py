@@ -1,11 +1,21 @@
 """Pointed cones, lattice polytopes, face lattices, and lattice charts.
 
-Everything is exact.  A polytope is given by integer points in some
-ambient Z^n; it carries a chart onto Z^r (r = its intrinsic dimension)
-through which all lattice-point work happens, so lower-dimensional
-faces are first-class objects and counts are always taken in the
-correct lattice.  Lattice points of a dilate are listed by one exact
-pure-Python walk of the fibres of the last chart coordinate.
+Everything is exact, and everything is integer.  A polytope is given by
+integer points in some ambient Z^n; it carries a chart onto Z^r (r = its
+intrinsic dimension) through which all lattice-point work happens, so
+lower-dimensional faces are first-class objects and counts are always
+taken in the correct lattice.  Lattice points of a dilate are listed by
+one exact pure-Python walk of the fibres of the last chart coordinate.
+
+The geometry is combinatorial once the facets are known: chart
+coordinates come by forward substitution through the Hermite basis, the
+double description decides adjacency of rays by their zero sets, a point
+is a vertex when the facets through it hold no other point, and a
+face's dimension is read off its chain of subfaces in the face lattice.
+No rank is computed and no rational system is solved here.  The
+eliminations left are integer ones: the Hermite reductions behind the
+chart basis, the starting simplicial cone of cone_rays, and the
+determinants of the unimodularity test behind primeness.
 """
 
 from __future__ import annotations
@@ -23,10 +33,14 @@ from .errors import InternalConsistencyError
 def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of the pointed cone {x in R^dim : a.x >= 0 for all a}.
 
-    Double description with exact integer arithmetic.  Adjacency of rays
-    is decided algebraically: two rays are adjacent iff their common
-    tight constraints have rank dim - 2.  The constraint rows must span
-    R^dim (i.e. the cone is pointed); all-zero rows are ignored.
+    Double description with exact integer arithmetic.  Each ray carries
+    its zero set, the indices of the processed rows it makes tight, and
+    adjacency is decided on those sets alone (Fukuda-Prodon 1996): two
+    rays are adjacent iff no third ray's zero set contains their common
+    one.  The ray a new row cuts from an adjacent pair is a positive
+    combination of the two, so its zero set is their common one plus
+    the new row.  The constraint rows must span R^dim (i.e. the cone is
+    pointed); all-zero rows are ignored.
     """
     rows = [tuple(int(x) for x in a) for a in constraints if any(a)]
     base_idx = ila.independent_rows(rows)
@@ -36,81 +50,76 @@ def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
     det_val, cols = ila.scaled_inverse_columns(base)
     sgn = 1 if det_val > 0 else -1
     rays = [ila.primitive(tuple(sgn * x for x in c)) for c in cols]
+    # base row i vanishes on every column of det * base^-1 but the i-th
+    zero_sets = [frozenset(range(dim)) - {j} for j in range(dim)]
 
-    processed = list(base)
-    zero_sets = [
-        frozenset(i for i, a in enumerate(processed) if ila.dot(a, r) == 0)
-        for r in rays
-    ]
+    aidx = dim
     base_set = set(base_idx)
     for ridx, a in enumerate(rows):
         if ridx in base_set:
             continue
         vals = [ila.dot(a, r) for r in rays]
-        aidx = len(processed)
-        keep_rays = []
-        keep_zero = []
-        new_rays = []
         plus = [i for i, v in enumerate(vals) if v > 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        for i, v in enumerate(vals):
-            if v >= 0:
-                keep_rays.append(rays[i])
-                keep_zero.append(zero_sets[i] | {aidx} if v == 0 else zero_sets[i])
+        new_rays = []
+        new_zero = []
         for p in plus:
             for m in minus:
                 common = zero_sets[p] & zero_sets[m]
-                if len(common) < dim - 2:
-                    continue
-                if ila.frac_rank([processed[i] for i in common]) != dim - 2:
+                if len(common) < dim - 2 or any(
+                    common <= z
+                    for t, z in enumerate(zero_sets)
+                    if t != p and t != m
+                ):
                     continue
                 w = tuple(
                     vals[p] * xm - vals[m] * xp
                     for xp, xm in zip(rays[p], rays[m])
                 )
                 new_rays.append(ila.primitive(w))
-        processed.append(a)
-        rays = keep_rays
-        zero_sets = keep_zero
-        seen = set(rays)
-        for w in new_rays:
-            if w in seen:
-                continue
-            seen.add(w)
-            rays.append(w)
-            zero_sets.append(
-                frozenset(i for i, c in enumerate(processed) if ila.dot(c, w) == 0)
-            )
-    return tuple(sorted(set(rays)))
+                new_zero.append(common | {aidx})
+        # a new ray lies inside the 2-face of its pair, so it is none of
+        # the old rays and no other pair's
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        zero_sets = [
+            zero_sets[i] | {aidx} if vals[i] == 0 else zero_sets[i] for i in keep
+        ] + new_zero
+        aidx += 1
+    return tuple(sorted(rays))
 
 
 @dataclass(frozen=True)
 class Chart:
     """Affine chart identifying a saturated affine sublattice of Z^n with Z^r.
 
-    The chart point y stands for origin + sum_j y[j] * basis[j]; to_chart
-    inverts this and insists the preimage is an actual lattice point of
-    the sublattice.
+    The chart point y stands for origin + sum_j y[j] * basis[j].  The
+    basis is in row echelon form, as the rows of intlinalg.row_hnf are:
+    each row's first nonzero entry, its pivot, is positive and lies right
+    of the pivot of the row before.  to_chart inverts the chart by
+    forward substitution through the rows, one integer division at each
+    pivot, and insists the preimage is an actual lattice point of the
+    sublattice: a remainder at a pivot stays in its column, which no
+    later row touches, so anything left over after the last row raises.
     """
 
     origin: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
 
     def to_chart(self, v) -> tuple[int, ...]:
-        if not self.basis:
-            if tuple(v) != self.origin:
-                raise InternalConsistencyError(
-                    f"point {v} is not the chart origin {self.origin}"
-                )
-            return ()
-        target = ila.vec_sub(v, self.origin)
-        cols = [[b[i] for b in self.basis] for i in range(len(self.origin))]
-        sol = ila.solve_rational(cols, target)
-        if sol is None or any(x.denominator != 1 for x in sol):
+        rest = ila.vec_sub(v, self.origin)
+        y = []
+        for b in self.basis:
+            c = next(i for i, x in enumerate(b) if x)
+            q = rest[c] // b[c]
+            if q:
+                rest = tuple(x - q * u for x, u in zip(rest, b))
+            y.append(q)
+        if any(rest):
             raise InternalConsistencyError(
-                f"point {v} is not in the chart lattice"
+                f"point {v} is not in the chart lattice of {self.origin} + {self.basis}"
             )
-        return tuple(int(x) for x in sol)
+        return tuple(y)
 
 
 class Polytope:
@@ -132,6 +141,7 @@ class Polytope:
         self.chart = Chart(p0, basis)
         self.cpoints = tuple(self.chart.to_chart(p) for p in points)
         self._key = points
+        self._faces: dict[frozenset[int], Polytope] = {}
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, points={list(self.points)})"
@@ -163,15 +173,25 @@ class Polytope:
 
     @cached_property
     def vertex_ids(self) -> tuple[int, ...]:
-        """Indices into self.points of the vertices of the hull."""
+        """Indices into self.points of the vertices of the hull.
+
+        A point is a vertex when it lies on some facet and no other point
+        lies on every facet through it: the facets through a point cut
+        out the smallest face containing it, which is the hull of the
+        points on it.
+        """
         if self.dim == 0:
             return (0,)
-        out = []
-        for i, y in enumerate(self.cpoints):
-            tight = [u for (u, b) in self.cfacets if ila.dot(u, y) + b == 0]
-            if ila.frac_rank(tight) == self.dim:
-                out.append(i)
-        return tuple(out)
+        facets = self.cfacets
+        tight = [
+            frozenset(j for j, (u, b) in enumerate(facets) if ila.dot(u, y) + b == 0)
+            for y in self.cpoints
+        ]
+        return tuple(
+            i
+            for i, t in enumerate(tight)
+            if t and not any(j != i and t <= s for j, s in enumerate(tight))
+        )
 
     @property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -192,7 +212,9 @@ class Polytope:
 
         Includes the polytope itself (top face) and every vertex.  Faces
         are intersections of facet vertex sets; two distinct faces have
-        distinct vertex sets, so the representation is faithful.
+        distinct vertex sets, so the representation is faithful.  A
+        vertex has dimension 0 and any other face one more than the
+        largest dimension of its proper faces, which the lattice holds.
         """
         if self.dim == 0:
             return MappingProxyType({frozenset({0}): 0})
@@ -209,11 +231,9 @@ class Polytope:
                     if h and h not in faces:
                         nxt.add(h)
             frontier = nxt
-        out = {}
-        for f in faces:
-            pts = [self.cpoints[i] for i in sorted(f)]
-            diffs = [ila.vec_sub(p, pts[0]) for p in pts[1:]]
-            out[f] = ila.frac_rank(diffs) if diffs else 0
+        out: dict[frozenset[int], int] = {}
+        for f in sorted(faces, key=len):
+            out[f] = 1 + max((d for g, d in out.items() if g < f), default=-1)
         return MappingProxyType(out)
 
     def faces_of_dim(self, d: int) -> list[frozenset[int]]:
@@ -225,7 +245,18 @@ class Polytope:
         return tuple(sorted(self.points[i] for i in face))
 
     def face_polytope(self, face: frozenset[int]) -> "Polytope":
-        return make_polytope(self.face_points(face))
+        """The interned polytope of a face, remembered per face.
+
+        A face holding every point is the polytope itself, which is
+        returned but never stored: an instance that referenced itself
+        would outlive clear_caches() until the cyclic collector ran.
+        """
+        if len(face) == len(self.points):
+            return self
+        poly = self._faces.get(face)
+        if poly is None:
+            poly = self._faces[face] = make_polytope(self.face_points(face))
+        return poly
 
     def bounding_box(self, k: int) -> tuple[tuple[int, int], ...]:
         """Per-coordinate (lo, hi) of the k-th chart dilate."""

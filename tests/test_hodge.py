@@ -27,6 +27,7 @@ from newton_monodromy.hodge import (
     pseudo_prime_row_sums,
 )
 from newton_monodromy.monodromy import jordan_blocks, prime_face_blocks
+from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import make_polytope
 
@@ -532,3 +533,49 @@ def test_stratum_modulus_must_divide_the_polytope_modulus():
     assert ehrhart.residue_step(6, edge, char) == 6 // restricted(edge, char)[0]
     with pytest.raises(InternalConsistencyError, match="does not divide"):
         ehrhart.residue_step(5, tri, char)
+
+
+def test_duality_step_reads_the_conjugate_bucket():
+    """The duality step fills e^{p,q}_a below the middle from the closure's
+    e^{m-1-p,m-1-q} at the conjugate bucket -a.  It matters only where
+    the stratum sum differs between a and -a at one (p, q) of the high
+    range, which needs a stratum of dimension >= 2 twisted by (1-L)^j far
+    enough up: a cone of dimension >= 5.  No face cone of the random
+    battery (dimension <= 3) and no hand-made triangle or tetrahedron
+    can tell a from -a there.  This cone over a non-simple 4-dimensional
+    compact face can: reading bucket a instead breaks the conjugation
+    symmetry of the assembled table."""
+    clear_caches()
+    np_ = newton_polyhedron(
+        parse_polynomial(
+            "x1^7 + x2^7 + x3^7 + x4^7 + x5^7 + x1^2*x2*x3*x4*x5 + x1*x2^2*x3*x4*x5"
+        )
+    )
+    face = next(
+        f
+        for f in np_.faces
+        if f.points
+        == (
+            (0, 0, 0, 0, 7),
+            (0, 0, 0, 7, 0),
+            (0, 7, 0, 0, 0),
+            (1, 2, 1, 1, 1),
+            (2, 1, 1, 1, 1),
+            (7, 0, 0, 0, 0),
+        )
+    )
+    poly, char = face.delta, face.char
+    m, d = poly.dim, restricted(poly, char)[0]
+    assert (m, d, poly.primeness) == (5, 7, "neither")
+    strata = hodge._strata_sum(poly, char, m)
+    assert any(
+        v != strata.get((p, q, -a % d), 0)
+        for (p, q, a), v in strata.items()
+        if p + q > m - 1
+    )
+    table = hodge_table_mod(poly, char)
+    for (p, q, a), v in table.items():
+        assert table.get((q, p, -a % d), 0) == v
+    assert [table.get((1, 2, a), 0) for a in range(d)] == [15, 155, 137, 113, 86, 59, 35]
+    assert [table.get((2, 1, a), 0) for a in range(d)] == [15, 35, 59, 86, 113, 137, 155]
+    clear_caches()

@@ -1,13 +1,24 @@
 """Exact polytope geometry: hulls, face lattices, charts, primeness."""
 
+import gc
 import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from newton_monodromy import clear_caches
+from newton_monodromy import clear_caches, polytope
+from newton_monodromy import intlinalg as ila
 from newton_monodromy.ehrhart import Character, relint_counts
-from newton_monodromy.polytope import Polytope, cone_rays, make_polytope
+from newton_monodromy.errors import InternalConsistencyError
+from newton_monodromy.monodromy import fastpath_unipotent, jordan_blocks
+from newton_monodromy.frontend import parse_polynomial
+from newton_monodromy.newton import newton_polyhedron
+from newton_monodromy.polytope import Chart, Polytope, cone_rays, make_polytope
+
+from _battery import edge_points, golden_supports, random_supports
 
 
 def test_cone_rays_quadrant():
@@ -212,3 +223,224 @@ def test_interning_and_cache_clear():
     c = make_polytope([(0, 0), (1, 0), (0, 1)])
     assert c is not a
     assert isinstance(c, Polytope)
+
+
+# ---------------------------------------------------------------------------
+# The rank-based geometry that the integer combinatorics replaced, kept as
+# a differential oracle: a Fraction solve per chart point, a rank test per
+# point for vertices, per face for dimensions and per ray pair for the
+# adjacency of the double description.
+
+
+def _rank_to_chart(chart, v):
+    if not chart.basis:
+        if tuple(v) != chart.origin:
+            raise InternalConsistencyError(f"point {v} is not the chart origin")
+        return ()
+    target = ila.vec_sub(v, chart.origin)
+    cols = [[b[i] for b in chart.basis] for i in range(len(chart.origin))]
+    sol = ila.solve_rational(cols, target)
+    if sol is None or any(x.denominator != 1 for x in sol):
+        raise InternalConsistencyError(f"point {v} is not in the chart lattice")
+    return tuple(int(x) for x in sol)
+
+
+def _rank_cone_rays(constraints, dim):
+    rows = [tuple(int(x) for x in a) for a in constraints if any(a)]
+    base_idx = ila.independent_rows(rows)
+    base = [rows[i] for i in base_idx]
+    det_val, cols = ila.scaled_inverse_columns(base)
+    sgn = 1 if det_val > 0 else -1
+    rays = [ila.primitive(tuple(sgn * x for x in c)) for c in cols]
+    processed = list(base)
+    zero_sets = [
+        frozenset(i for i, a in enumerate(processed) if ila.dot(a, r) == 0)
+        for r in rays
+    ]
+    for ridx, a in enumerate(rows):
+        if ridx in base_idx:
+            continue
+        vals = [ila.dot(a, r) for r in rays]
+        aidx = len(processed)
+        new_rays = []
+        for p in (i for i, v in enumerate(vals) if v > 0):
+            for m in (i for i, v in enumerate(vals) if v < 0):
+                common = zero_sets[p] & zero_sets[m]
+                if ila.frac_rank([processed[i] for i in common]) != dim - 2:
+                    continue
+                w = tuple(vals[p] * xm - vals[m] * xp for xp, xm in zip(rays[p], rays[m]))
+                new_rays.append(ila.primitive(w))
+        processed.append(a)
+        rays = [r for r, v in zip(rays, vals) if v >= 0]
+        rays += [w for w in dict.fromkeys(new_rays) if w not in rays]
+        zero_sets = [
+            frozenset(i for i, c in enumerate(processed) if ila.dot(c, r) == 0)
+            for r in rays
+        ]
+    return tuple(sorted(rays))
+
+
+def _rank_geometry(poly):
+    """(cpoints, cfacets, vertex_ids, facet_vertex_sets, face_lattice) of
+    poly by the rank-based methods."""
+    cpoints = tuple(_rank_to_chart(poly.chart, p) for p in poly.points)
+    if poly.dim == 0:
+        return cpoints, (), (0,), (), {frozenset({0}): 0}
+    rays = _rank_cone_rays([y + (1,) for y in cpoints], poly.dim + 1)
+    cfacets = tuple(sorted((r[:-1], r[-1]) for r in rays if any(r[:-1])))
+    vids = tuple(
+        i
+        for i, y in enumerate(cpoints)
+        if ila.frac_rank([u for u, b in cfacets if ila.dot(u, y) + b == 0]) == poly.dim
+    )
+    fsets = tuple(
+        frozenset(i for i in vids if ila.dot(u, cpoints[i]) + b == 0)
+        for u, b in cfacets
+    )
+    faces = {frozenset(vids)} | set(fsets)
+    while True:
+        more = {f & g for f in faces for g in fsets if f & g} - faces
+        if not more:
+            break
+        faces |= more
+    lattice = {}
+    for f in faces:
+        pts = [cpoints[i] for i in sorted(f)]
+        diffs = [ila.vec_sub(p, pts[0]) for p in pts[1:]]
+        lattice[f] = ila.frac_rank(diffs) if diffs else 0
+    return cpoints, cfacets, vids, fsets, lattice
+
+
+def _geometry(poly):
+    return (
+        poly.cpoints,
+        poly.cfacets,
+        poly.vertex_ids,
+        poly.facet_vertex_sets,
+        dict(poly.face_lattice),
+    )
+
+
+def test_integer_geometry_matches_the_rank_based_one_on_the_engine_polytopes():
+    """Every polytope that the answer path builds for 40 battery supports
+    and the golden inputs (the compact faces, their cones and every face
+    of those) has the same chart points, facets, vertices, facet vertex
+    sets and face lattice as the rank-based methods give."""
+    clear_caches()
+    for support in list(random_supports(40)) + list(golden_supports()):
+        np_ = newton_polyhedron(support)
+        fastpath_unipotent(np_)
+        jordan_blocks(np_)
+    polys = list(polytope._POLYTOPES.values())
+    clear_caches()
+    assert len(polys) > 300
+    assert {p.dim for p in polys} == {0, 1, 2, 3, 4}
+    for poly in polys:
+        assert _geometry(poly) == _rank_geometry(poly), poly
+
+
+@st.composite
+def _point_sets(draw):
+    """Lattice point sets in Z^2..Z^4 of every intrinsic dimension: an
+    origin plus small integer combinations of up to n random direction
+    vectors, which may be dependent (lower-dimensional sets), and which
+    give points inside the hull (non-vertices) and charts whose Hermite
+    pivots exceed 1."""
+    n = draw(st.integers(2, 4))
+    coord = st.integers(-3, 3)
+    origin = draw(st.tuples(*[coord] * n))
+    dirs = draw(st.lists(st.tuples(*[coord] * n), min_size=0, max_size=n))
+    combos = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 2)] * len(dirs)), min_size=1, max_size=8
+        )
+    )
+    return [
+        tuple(o + sum(c * d[i] for c, d in zip(combo, dirs)) for i, o in enumerate(origin))
+        for combo in combos
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+@example([(0, 0), (2, 1)])
+@example([(0, 0, 0), (4, 2, 0), (2, 1, 0), (0, 3, 3), (1, 2, 1)])
+@example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)])
+def test_integer_geometry_matches_the_rank_based_one(points):
+    poly = Polytope(tuple(sorted(set(points))))
+    assert _geometry(poly) == _rank_geometry(poly)
+    for p in poly.points:
+        assert poly.chart.to_chart(p) == _rank_to_chart(poly.chart, p)
+
+
+def test_double_description_skips_rays_that_are_not_adjacent():
+    """A 4-simplex with the lattice points of its edges: on the way to its
+    five facets, the double description meets ray pairs that share
+    enough tight points to pass the counting filter but span no 2-face.
+    Combining them would leave redundant rays among the facets."""
+    verts = [(0, 4, 4, 2), (2, 0, 0, 4), (2, 0, 2, 2), (2, 2, 0, 2), (4, 2, 4, 2)]
+    pts = sorted({p for a, b in itertools.combinations(verts, 2) for p in edge_points(a, b)})
+    assert len(pts) == 15
+    poly = make_polytope(pts)
+    assert len(poly.cfacets) == 5
+    assert poly.vertices == tuple(verts)
+    assert _geometry(poly) == _rank_geometry(poly)
+
+
+def test_chart_with_a_hermite_pivot_above_one():
+    """The segment (0,0)-(2,1) spans the lattice Z(2,1), whose Hermite
+    basis row has pivot 2: the chart divides there, and raises on a
+    point off the lattice or off the affine hull."""
+    p = make_polytope([(0, 0), (2, 1)])
+    assert p.chart == Chart((0, 0), ((2, 1),))
+    assert p.cpoints == ((0,), (1,))
+    assert p.chart.to_chart((-4, -2)) == (-2,)
+    for off in ((1, Fraction(1, 2)), (1, 0), (0, 1), (2, 2)):
+        with pytest.raises(InternalConsistencyError):
+            p.chart.to_chart(off)
+
+
+def test_chart_raises_off_the_lattice_and_off_the_affine_hull():
+    """A triangle in a plane of Z^3 whose lattice has index 2 in the
+    sublattice its edges span: a half-integral point of the plane is
+    off the lattice, and points above the plane are off the hull."""
+    p = make_polytope([(0, 0, 0), (2, 0, 2), (0, 2, 2)])
+    assert p.dim == 2
+    assert p.chart.to_chart((1, 1, 2)) == tuple(
+        _rank_to_chart(p.chart, (1, 1, 2))
+    )
+    off_lattice = (Fraction(1, 2), 0, Fraction(1, 2))
+    for v in (off_lattice, (0, 0, 1), (1, 0, 0), (2, 2, 2)):
+        with pytest.raises(InternalConsistencyError):
+            p.chart.to_chart(v)
+    point = make_polytope([(3, 5)])
+    assert point.chart.to_chart((3, 5)) == ()
+    with pytest.raises(InternalConsistencyError):
+        point.chart.to_chart((3, 6))
+
+
+def test_no_polytope_outlives_clear_caches():
+    """Without the cyclic collector, every polytope that an answer built
+    is freed once clear_caches() drops the interning table and the memo:
+    no polytope, in particular none whose face map held the polytope
+    itself, sits in a reference cycle."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Polytope)]
+    ids = {id(o) for o in before}
+    gc.disable()
+    try:
+        for text in ("x^2 + y^3", "x^5 + x^2*y^2 + y^5", "x^3 + y^4 + z^5 + x*y*z"):
+            np_ = newton_polyhedron(parse_polynomial(text))
+            fastpath_unipotent(np_)
+            jordan_blocks(np_)
+            for face in np_.faces:
+                for f in face.delta.face_lattice:
+                    face.delta.face_polytope(f)
+        del np_, face
+        clear_caches()
+        left = [
+            o for o in gc.get_objects() if isinstance(o, Polytope) and id(o) not in ids
+        ]
+    finally:
+        gc.enable()
+    assert not left, left
