@@ -83,11 +83,13 @@ def euler_count_ok(cones, dim: int) -> bool:
     """Completeness sanity check: the alternating cone count of a
     complete fan in R^dim matches the Euler characteristic of a
     (dim-1)-sphere."""
-    total = 0
-    for c in cones:
-        if c:
-            total += (-1) ** (cone_dim(c) - 1)
-    return total == 1 + (-1) ** (dim - 1)
+    return euler_dims_ok([cone_dim(c) for c in cones if c], dim)
+
+
+def euler_dims_ok(dims, dim: int) -> bool:
+    """euler_count_ok from the dimensions of the nonzero cones, for a
+    caller that already knows them."""
+    return sum((-1) ** (d - 1) for d in dims) == 1 + (-1) ** (dim - 1)
 
 
 def subset_closed(cones) -> bool:

@@ -276,6 +276,17 @@ def prime_face_blocks(np_: NewtonPolyhedron, ev: Fraction, k: int) -> int:
         raise InputError("prime_face_blocks needs an eigenvalue bucket in (0, 1)")
     if k < 1:
         raise InputError("block size threshold must be >= 1")
+    return _prime_face_counts(np_, ev).get(k, 0)
+
+
+def _prime_face_counts(np_: NewtonPolyhedron, ev: Fraction) -> dict[int, int]:
+    """{k: the closed formula's count of blocks of size >= k} for
+    k = 1..n+1 at the eigenvalue bucket ev in (0, 1), from one walk over
+    the compact faces.  Larger k count nothing: there the binomial index
+    d exceeds every face's twist |axes| - dim - 1 <= n - 1 - dim.
+
+    Raises InputError naming the first non-prime face.
+    """
     n = np_.n
     for face in np_.faces:
         if face.poly.primeness != "prime":
@@ -283,10 +294,11 @@ def prime_face_blocks(np_: NewtonPolyhedron, ev: Fraction, k: int) -> int:
                 f"compact face {face.points} is not prime; "
                 "the closed formula does not apply"
             )
-    total = 0
+    # terms[kk]: the signed sum over faces for one size, kk = 1..n+2
+    terms = [0] * (n + 3)
     for face in np_.faces:
         rows = pseudo_prime_row_sums(face.delta, face.char, ev)
-        for kk in (k, k + 1):
+        for kk in range(1, n + 3):
             base = n - 2 + kk
             for r in range(face.dim + 1):
                 if (base - r) % 2 != 0:
@@ -294,5 +306,6 @@ def prime_face_blocks(np_: NewtonPolyhedron, ev: Fraction, k: int) -> int:
                 d = (base - r) // 2
                 if d < 0:
                     continue
-                total += (-1) ** d * comb(face.twist, d) * rows[r]
-    return (-1) ** (n - 1) * total
+                terms[kk] += (-1) ** d * comb(face.twist, d) * rows[r]
+    sgn = (-1) ** (n - 1)
+    return {k: sgn * (terms[k] + terms[k + 1]) for k in range(1, n + 2)}

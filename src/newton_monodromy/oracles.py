@@ -3,13 +3,19 @@
 varchenko_multiplicities computes the eigenvalue multiplicities of the
 monodromy of a convenient nondegenerate singularity from Varchenko's
 zeta function.  It deliberately shares no geometry code with the
-engine: facet search is brute force over point subsets, volumes come
-from integer finite differences of lattice counts, fibre-counted along
-the last coordinate, so agreement with the engine is meaningful
-evidence rather than the same bug twice.  kouchnirenko_mu, the Milnor
-number, is their total: the classical alternating sum of normalized
-under-volumes.  validate's kouchnirenko-mu check compares both the
-Milnor number and every multiplicity with the engine.
+engine: facet search is brute force over point subsets, with facet
+normals from a fraction-free integer elimination of its own, and
+volumes come from integer finite differences of lattice counts, so
+agreement with the engine is meaningful evidence rather than the same
+bug twice.  The lattice counts fix one coordinate at a time, each within
+the bounds its inequalities leave once every later coordinate takes its
+most favourable box value.  Those bounds are necessary conditions, so
+no lattice point is lost, and the last coordinate, with nothing left to
+relax, gets an exact interval, so the counts are exact.
+kouchnirenko_mu, the Milnor number, is their total: the classical
+alternating sum of normalized under-volumes.  validate's kouchnirenko-mu
+check compares both the Milnor number and every multiplicity with the
+engine.
 
 brieskorn_pham_spectrum computes the classical eigenvalue multiset of
 x1^a1 + ... + xn^an directly from the exponents, as residues mod the
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, gcd, lcm
 
 from . import fan as fans
@@ -38,11 +44,11 @@ from .hodge import (
     pseudo_prime_row_sums,
 )
 from .monodromy import (
+    _prime_face_counts,
     _read_blocks,
     fastpath_top,
     fastpath_unipotent,
     motivic_milnor_table,
-    prime_face_blocks,
 )
 from .newton import NewtonPolyhedron
 
@@ -59,8 +65,12 @@ def _dot(u, v) -> int:
 
 def _nullspace_generator(rows, k):
     """Primitive integer generator of the nullspace of rows in Z^k,
-    or None unless the nullspace is exactly one-dimensional."""
-    mat = [[Fraction(x) for x in r] for r in rows]
+    or None unless the nullspace is exactly one-dimensional.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot
+    column by cross-multiplying with the pivot row, then divided by the
+    gcd of its entries, so every entry stays an integer."""
+    mat = [list(r) for r in rows]
     pivot_cols = []
     r = 0
     for c in range(k):
@@ -68,29 +78,27 @@ def _nullspace_generator(rows, k):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivot_cols.append(c)
         r += 1
     if r != k - 1:
         return None
     (free,) = [c for c in range(k) if c not in pivot_cols]
-    sol = [Fraction(0)] * k
-    sol[free] = Fraction(1)
+    # row ri reads mat[ri][c] * x_c + mat[ri][free] * x_free = 0
+    scale = lcm(*(abs(mat[ri][c]) for ri, c in enumerate(pivot_cols)))
+    sol = [0] * k
+    sol[free] = scale
     for ri, c in enumerate(pivot_cols):
-        sol[c] = -mat[ri][free]
-    scale = 1
-    for x in sol:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in sol]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+        sol[c] = -mat[ri][free] * (scale // mat[ri][c])
+    g = gcd(*sol)
+    return tuple(x // g for x in sol)
 
 
 def _lower_facets(pts, k):
@@ -138,26 +146,84 @@ def _pyramid_normalized_volume(tight, k):
 
 def _fibre_count(ineqs, top, t):
     """Lattice points x of the box 0 <= x <= top with u.x >= t*b for every
-    (u, b) in ineqs.  The leading coordinates walk their box; the last
-    one runs over an interval cut by floor/ceil division, once per
-    inequality, whose length is added in one step."""
-    cuts = [(u[:-1], u[-1], t * b) for u, b in ineqs]
-    count = 0
-    for lead in product(*(range(m + 1) for m in top[:-1])):
-        lo, hi = 0, top[-1]
-        for head, c, tb in cuts:
-            rest = tb - _dot(head, lead)  # need c * x_last >= rest
+    (u, b) in ineqs.
+
+    The coordinates are fixed one at a time.  At coordinate j each
+    inequality is relaxed by giving every later coordinate its most
+    favourable box value, which adds at most sum_{r>j} max(0, u_r) top_r
+    to u.x; what is left bounds x_j by floor or ceiling division.  The
+    bounds are necessary conditions, so no point of the dilate is lost,
+    and an empty range prunes the whole branch.  The last coordinate has
+    nothing left to relax, so its interval is exact and so is the count.
+    The last two coordinates are done together: along the second-to-last
+    the bound an inequality puts on the last coordinate follows an
+    arithmetic progression, so it is walked by one list comprehension
+    over the pruned range, and the exact last intervals are summed."""
+    k = len(top)
+    cuts = []
+    for u, _ in ineqs:
+        tail = [0] * k  # tail[j] = sum over r > j of max(0, u_r) * top_r
+        for j in range(k - 2, -1, -1):
+            tail[j] = tail[j + 1] + max(0, u[j + 1]) * top[j + 1]
+        cuts.append((u, tail))
+
+    def interval(j, rems):
+        """The range of x_j that the relaxed inequalities allow."""
+        lo, hi = 0, top[j]
+        for (u, tail), rem in zip(cuts, rems):
+            c, need = u[j], rem - tail[j]  # need c * x_j >= need
             if c > 0:
-                lo = max(lo, -(-rest // c))
+                lo = max(lo, -(-need // c))
             elif c < 0:
-                hi = min(hi, rest // c)
-            elif rest > 0:
-                hi = -1
+                hi = min(hi, need // c)
+            elif need > 0:
+                return 0, -1
             if lo > hi:
                 break
-        else:
-            count += hi - lo + 1
-    return count
+        return lo, hi
+
+    def last_two(rems):
+        lo, hi = interval(k - 2, rems)
+        if lo > hi:
+            return 0
+        xs = range(lo, hi + 1)
+        low, high = 0, top[-1]  # the bounds on x_last that do not move with x
+        steps = []
+        for (u, _), rem in zip(cuts, rems):
+            a, c = u[-2], u[-1]  # need c * x_last >= rem - a * x
+            if c == 0:
+                continue  # the range of x already meets a * x >= rem exactly
+            if a:
+                steps.append((a, c, rem))
+            elif c > 0:
+                low = max(low, -(-rem // c))
+            else:
+                high = min(high, rem // c)
+        if low > high:
+            return 0
+        los = [low] * len(xs)
+        his = [high] * len(xs)
+        for a, c, rem in steps:
+            if c > 0:
+                los = [max(y, -((a * x - rem) // c)) for y, x in zip(los, xs)]
+            else:
+                his = [min(y, (rem - a * x) // c) for y, x in zip(his, xs)]
+        return sum(max(0, y - x + 1) for x, y in zip(los, his))
+
+    def walk(j, rems):
+        if j == k - 2:
+            return last_two(rems)
+        lo, hi = interval(j, rems)
+        return sum(
+            walk(j + 1, [rem - u[j] * x for (u, _), rem in zip(cuts, rems)])
+            for x in range(lo, hi + 1)
+        )
+
+    rems = [t * b for _, b in ineqs]
+    if k == 1:
+        lo, hi = interval(0, rems)
+        return max(0, hi - lo + 1)
+    return walk(0, rems)
 
 
 def _integer_point(p):
@@ -217,7 +283,12 @@ def kouchnirenko_cost(points, n) -> int:
     """Rough operation count of kouchnirenko_mu, used to decide whether
     the oracle is affordable inside validate: per coordinate subset, the
     fibres the lattice counts walk over all dilates, times a bound on
-    the number of inequalities each fibre is cut by."""
+    the number of inequalities each fibre is cut by.
+
+    It estimates an unpruned walk over the whole box of the leading
+    coordinates, so it overstates what the pruned walk of _fibre_count
+    costs.  It is kept as it is, so that validate skips and runs the same
+    checks as before the walk was pruned."""
     pts = sorted({tuple(p) for p in points})
     total = 0
     for size, sub in _coordinate_sections(pts, n):
@@ -256,13 +327,15 @@ def varchenko_multiplicities(points, n=None) -> dict[Fraction, int]:
                     f"pyramid volume over {tight} is not a multiple of {m}"
                 )
             by_distance[m] = by_distance.get(m, 0) + (-1) ** (size - 1) * e
-    ex: dict[Fraction, int] = {_ZERO: -1}
+    # the bucket j/m is the residue j * (L / m) mod L, L the lcm of the m
+    L = lcm(*by_distance)
+    ex = {0: -1}
     for m, e in by_distance.items():
+        step = L // m
         for j in range(m):
-            a = Fraction(j, m)
-            ex[a] = ex.get(a, 0) + e
+            ex[j * step] = ex.get(j * step, 0) + e
     sgn = (-1) ** (n - 1)
-    return {a: sgn * v for a, v in sorted(ex.items()) if v}
+    return {Fraction(r, L): sgn * v for r, v in sorted(ex.items()) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +590,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                 ref = fans.simplicial_refinement(nf)
                 if any(not fans.is_simplicial(c) for c in ref):
                     raise InternalConsistencyError("refinement not simplicial")
-                if not fans.euler_count_ok(ref, poly.dim):
+                # the sweep showed that every refined cone has rank len(c)
+                if not fans.euler_dims_ok([len(c) for c in ref if c], poly.dim):
                     raise InternalConsistencyError(
                         "refined fan fails Euler count"
                     )
@@ -667,14 +741,15 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         if any(f.poly.primeness != "prime" for f in np_.faces):
             return "skip", "some compact face is not prime"
         evs = [a for a in spectrum.multiplicities if a != _ZERO]
+        sizes: dict = {ev: {} for ev in evs}  # ev -> {block size: count}
+        for (e, size), cnt in spectrum.blocks.items():
+            if e in sizes:
+                sizes[e][size] = cnt
         for ev in evs:
+            counts = _prime_face_counts(np_, ev)
             for k in range(1, n + 2):
-                want = sum(
-                    cnt
-                    for (e, size), cnt in spectrum.blocks.items()
-                    if e == ev and size >= k
-                )
-                got = prime_face_blocks(np_, ev, k)
+                want = sum(c for size, c in sizes[ev].items() if size >= k)
+                got = counts[k]
                 if got != want:
                     raise InternalConsistencyError(
                         f"closed formula at eigenvalue {ev}, size >= {k}: "

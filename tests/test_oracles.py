@@ -4,7 +4,7 @@ import inspect
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -106,6 +106,77 @@ def test_kouchnirenko_runs_within_default_limit_on_large_exponents():
     assert kouchnirenko_mu(points) == 79**3 == 493039
 
 
+def _fraction_nullspace_generator(rows, k):
+    """Reference: the nullspace generator by Fraction Gauss-Jordan
+    elimination."""
+    mat = [[F(x) for x in r] for r in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+    if r != k - 1:
+        return None
+    (free,) = [c for c in range(k) if c not in pivot_cols]
+    sol = [F(0)] * k
+    sol[free] = F(1)
+    for ri, c in enumerate(pivot_cols):
+        sol[c] = -mat[ri][free]
+    scale = 1
+    for x in sol:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in sol]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+def _random_matrices(seed=3):
+    """Integer (k-1) x k matrices for k = 1..6: full rank ones, ones made
+    rank-deficient by a row that is a combination of the others, ones
+    with a zero row, and sparse ones with zero columns."""
+    rng = Random(seed)
+    for k in range(1, 7):
+        for _ in range(60):
+            rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k - 1)]
+            kind = rng.randrange(4)
+            if kind == 1 and k >= 3:
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            elif kind == 2 and k >= 2:
+                rows[rng.randrange(k - 1)] = [0] * k
+            elif kind == 3:
+                rows = [[x if rng.random() < 0.4 else 0 for x in r] for r in rows]
+            yield k, rows
+
+
+def test_integer_nullspace_matches_fraction_elimination():
+    """The fraction-free elimination finds the Fraction one's generator,
+    up to sign, and gives None exactly when it does."""
+    seen = {True: 0, False: 0}
+    for k, rows in _random_matrices():
+        got = oracles._nullspace_generator(rows, k)
+        want = _fraction_nullspace_generator(rows, k)
+        assert (got is None) == (want is None), (k, rows)
+        if want is not None:
+            assert got in (want, tuple(-x for x in want)), (k, rows)
+            assert all(sum(a * x for a, x in zip(r, got)) == 0 for r in rows)
+            assert gcd(*got) == 1
+        seen[want is None] += 1
+    assert seen[True] >= 50 and seen[False] >= 200
+
+
 def _pyramid_inequalities(tight, k):
     """The facet inequalities u.x >= b of conv({0} union tight), by brute
     force over vertex subsets, and the pyramid's largest coordinates."""
@@ -114,7 +185,7 @@ def _pyramid_inequalities(tight, k):
     for subset in combinations(verts, k):
         base = subset[0]
         diffs = [tuple(x - y for x, y in zip(p, base)) for p in subset[1:]]
-        nrm = oracles._nullspace_generator(diffs, k)
+        nrm = _fraction_nullspace_generator(diffs, k)
         if nrm is None:
             continue
         for u in (nrm, tuple(-x for x in nrm)):
@@ -134,13 +205,14 @@ def _box_filter_count(ineqs, top, t):
 
 
 def _random_tight_sets(seed=11):
-    """Per k = 1..4: point sets on one hyperplane with a positive normal
+    """Per k = 1..5: point sets on one hyperplane with a positive normal
     (as the oracle's facets are, often with more than k points), and
     unconstrained clouds, whose pyramids have facets through the origin
-    with zero or negative last normal coordinates."""
+    with zero or negative last normal coordinates.  At k = 4 and 5 the
+    walk recurses above the two innermost coordinates."""
     rng = Random(seed)
-    width = {1: 9, 2: 6, 3: 4, 4: 2}
-    for k in (1, 2, 3, 4):
+    width = {1: 9, 2: 6, 3: 4, 4: 2, 5: 1}
+    for k in (1, 2, 3, 4, 5):
         w = width[k]
         box = list(product(range(w + 1), repeat=k))
         for _ in range(4 if k < 4 else 2):
@@ -151,6 +223,9 @@ def _random_tight_sets(seed=11):
         for _ in range(4 if k < 4 else 2):
             yield k, rng.sample(box[1:], k + rng.randint(0, 3))
     yield 3, [(1, 2, 0), (1, 2, 3), (3, 1, 1), (0, 0, 2)]
+    # facet normals with a zero on a leading coordinate, and a range of
+    # x_1 that the relaxed inequalities leave empty
+    yield 4, [(3, 1, 2, 0), (2, 1, 3, 1), (3, 1, 2, 3), (3, 1, 1, 2)]
 
 
 def test_fibre_counts_match_box_filter():
@@ -169,7 +244,26 @@ def test_fibre_counts_match_box_filter():
         want = sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
         assert oracles._pyramid_normalized_volume(tight, k) == want, (k, tight)
         seen.add(k)
-    assert seen == {1, 2, 3, 4}
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_fibre_count_matches_box_filter_on_any_inequalities():
+    """The counter's contract holds for any inequalities, not just a
+    pyramid's: offsets of either sign, normals with zeros and negative
+    entries, and boxes the inequalities leave empty."""
+    rng = Random(17)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        top = [rng.randint(0, 4) for _ in range(k)]
+        ineqs = [
+            (tuple(rng.randint(-2, 2) for _ in range(k)), rng.randint(-3, 2))
+            for _ in range(rng.randint(1, 4))
+        ]
+        t = rng.randint(1, 2)
+        assert oracles._fibre_count(ineqs, top, t) == _box_filter_count(
+            ineqs, top, t
+        ), (ineqs, top, t)
+    assert oracles._fibre_count([((0, 1, 1), 1)], [3, 0, 0], 1) == 0
 
 
 def test_kouchnirenko_cost_scales_with_input():
@@ -314,6 +408,38 @@ def test_validate_catches_a_moved_multiplicity(monkeypatch):
     assert by_name["kouchnirenko-mu"].status == "fail"
     assert "Varchenko" in by_name["kouchnirenko-mu"].detail
     assert not report.ok
+
+
+def test_validate_catches_an_off_closed_formula_count(monkeypatch):
+    """One closed-formula count off by one, at a single eigenvalue and
+    size, fails prime-face-closed-formula and nothing before it."""
+    real = oracles._prime_face_counts
+
+    def off(np_, ev):
+        counts = dict(real(np_, ev))
+        if ev == F(3, 10):
+            counts[2] += 1
+        return counts
+
+    monkeypatch.setattr(oracles, "_prime_face_counts", off)
+    report = validate(_np([(5, 0), (2, 2), (0, 5)]))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["block-counts-sane"].status == "pass"
+    assert by_name["prime-face-closed-formula"].status == "fail"
+    assert "eigenvalue 3/10, size >= 2" in by_name["prime-face-closed-formula"].detail
+    assert not report.ok
+
+
+def test_validate_runs_the_oracle_on_five_variables():
+    """x1^6 + ... + x5^6 + x1*...*x5 (61 compact faces) is within the
+    default limit, and the oracle agrees with the engine."""
+    names = tuple(f"x{i}" for i in range(1, 6))
+    points = tuple(sorted(_fermat(5, 6) + [(1,) * 5]))
+    report = validate(newton_polyhedron(SupportSet(names, points)))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["kouchnirenko-mu"].status == "pass"
+    assert by_name["kouchnirenko-mu"].detail == "mu = 1829"
+    assert report.ok
 
 
 def test_validate_assembles_the_motivic_table_once(monkeypatch):
