@@ -165,9 +165,10 @@ def residue_step(d: int, sub, char: Character) -> int:
 
 
 def residue(alpha, d: int) -> int | None:
-    """The integer r with alpha = r/d, or None when d * alpha is not one."""
-    r = Fraction(alpha) * d
-    return r.numerator if r.denominator == 1 else None
+    """The integer r with alpha = r/d, or None when d * alpha is not one;
+    alpha is a Fraction or an int."""
+    r, rest = divmod(alpha.numerator * d, alpha.denominator)
+    return None if rest else r
 
 
 def fraction_keys(mapping: Mapping, d: int) -> dict:

@@ -13,7 +13,31 @@ from . import intlinalg as ila
 
 
 def cone_dim(cone) -> int:
-    return ila.frac_rank(list(cone))
+    """The rank of a collection of integer generators, exact for any
+    vectors, primitive or not.
+
+    Up to two generators the rank needs no elimination: one generator
+    has rank 1 unless it is zero, and two, u and v, have rank 2 iff some
+    minor u_i*v_j - u_j*v_i is nonzero, where it suffices to take i the
+    first nonzero coordinate of u.  Three or more go through frac_rank.
+    """
+    k = len(cone)
+    if k > 2:
+        return ila.frac_rank(list(cone))
+    if k == 0:
+        return 0
+    if k == 1:
+        (u,) = cone
+        return 1 if any(u) else 0
+    u, v = cone
+    for i, x in enumerate(u):
+        if x:
+            y = v[i]
+            for a, b in zip(u, v):
+                if x * b != y * a:
+                    return 2
+            return 1
+    return 1 if any(v) else 0
 
 
 def is_simplicial(cone) -> bool:
@@ -55,15 +79,13 @@ def simplicial_refinement(cones: set[frozenset]) -> set[frozenset]:
     and subdivides at the primitive ray through the sum of its
     generators.  All proper faces of the picked cone are simplicial by
     minimality, which is what makes the purely combinatorial subdivision
-    below correct.  Each cone's dimension is computed once.
+    below correct.  Each cone's dimension is computed once, by cone_dim.
     """
     cones = set(cones)
     dims: dict[frozenset, int] = {}
     while True:
         for c in cones - dims.keys():
-            # two distinct primitive generators of a pointed cone are
-            # independent
-            dims[c] = len(c) if len(c) <= 2 else cone_dim(c)
+            dims[c] = cone_dim(c)
         bad = [c for c in cones if len(c) != dims[c]]
         if not bad:
             return cones

@@ -235,8 +235,10 @@ def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     face, the anti-diagonal sums (s_0, ..., s_{dim-1}), s_k = sum_{p+q=k}
     e^{p,q}_r, by inclusion-exclusion over the face lattice: s_k is
     (-1)^(dim+k) times the sum over (k+1)-faces F and faces G of F of
-    (-1)^dim(G) phi_tilde(G)_r.  One pass over the face pairs serves
-    every bucket.  A read-only mapping of tuples."""
+    (-1)^dim(G) phi_tilde(G)_r.  So each face G that carries a
+    nontrivial bucket enters row k once, times the number of
+    (k+1)-faces containing it, counted with one subset test per face
+    pair.  A read-only mapping of tuples."""
     m = poly.dim
     d = restricted(poly, char)[0]
     lat = poly.face_lattice
@@ -251,13 +253,17 @@ def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
             if r and (v := sum(tup[: sub.dim + 1]))
         }
     acc: dict = {a: [0] * m for part in phis.values() for a in part}
-    for face, fdim in lat.items():
-        if fdim < 1:
+    for sub, part in phis.items():
+        if not part:
             continue
-        for sub in lat:
-            if sub <= face:
-                for a, v in phis[sub].items():
-                    acc[a][fdim - 1] += v
+        above = [0] * m  # above[k]: the (k+1)-faces containing sub
+        for face, fdim in lat.items():
+            if fdim and sub <= face:
+                above[fdim - 1] += 1
+        for a, v in part.items():
+            rows = acc[a]
+            for k, c in enumerate(above):
+                rows[k] += c * v
     return {
         a: tuple((-1) ** (m + r) * rows[r] for r in range(m))
         for a, rows in sorted(acc.items())

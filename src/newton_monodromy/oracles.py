@@ -41,7 +41,6 @@ from .hodge import (
     boundary_values_mod,
     hodge_table_mod,
     lefschetz_twist,
-    pseudo_prime_row_sums,
 )
 from .monodromy import (
     _prime_face_counts,
@@ -488,15 +487,19 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                     raise InternalConsistencyError(
                         f"boundary entry {k} on face {f.points}"
                     )
-            m = f.delta.dim
-            alphas = {a for (_, _, a) in table} | {a for (_, a) in targets}
-            for a in alphas:
-                for p in range(m):
-                    got = sum(table.get((p, q, a), 0) for q in range(m))
-                    if got != targets.get((p, a), 0):
-                        raise InternalConsistencyError(
-                            f"row sum p={p} bucket residue {a} on face {f.points}"
-                        )
+            sums: dict = {}
+            for (p, _, a), v in table.items():
+                sums[(p, a)] = sums.get((p, a), 0) + v
+            bad = [
+                key
+                for key in sums.keys() | targets.keys()
+                if sums.get(key, 0) != targets.get(key, 0)
+            ]
+            if bad:
+                p, a = min(bad, key=lambda key: (key[1], key[0]))
+                raise InternalConsistencyError(
+                    f"row sum p={p} bucket residue {a} on face {f.points}"
+                )
         return ""
 
     run("boundary-and-row-sums", chk_boundary)
@@ -689,6 +692,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     run("steenbrink-saito-symmetry", chk_ss)
 
     def chk_blocks_sane():
+        sized: dict = {}  # eigenvalue -> sum of size * count over its blocks
         for (ev, size), cnt in spectrum.blocks.items():
             if cnt <= 0:
                 raise InternalConsistencyError("non-positive block count")
@@ -697,11 +701,9 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                 raise InternalConsistencyError(
                     f"block size {size} out of range for eigenvalue {ev}"
                 )
+            sized[ev] = sized.get(ev, 0) + size * cnt
         for ev, mult in spectrum.multiplicities.items():
-            s = sum(
-                size * cnt for (e, size), cnt in spectrum.blocks.items() if e == ev
-            )
-            if s != mult:
+            if sized.get(ev, 0) != mult:
                 raise InternalConsistencyError(f"block sizes vs multiplicity at {ev}")
         if spectrum.mu != sum(spectrum.multiplicities.values()):
             raise InternalConsistencyError("mu is not the sum of multiplicities")
@@ -720,9 +722,10 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
             for (p, q, a), v in hodge_table_mod(f.delta, f.char).items():
                 if a:
                     diag[(a, p + q)] = diag.get((a, p + q), 0) + v
-            buckets = {a for a, _ in diag} | set(_row_sums_mod(f.delta, f.char))
-            for a in sorted(buckets):
-                pred = pseudo_prime_row_sums(f.delta, f.char, Fraction(a, d))
+            rows = _row_sums_mod(f.delta, f.char)
+            zeros = (0,) * f.delta.dim
+            for a in sorted({a for a, _ in diag} | set(rows)):
+                pred = rows.get(a, zeros)
                 for r in range(f.delta.dim):
                     if diag.get((a, r), 0) != pred[r]:
                         raise InternalConsistencyError(

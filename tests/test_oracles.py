@@ -430,6 +430,63 @@ def test_validate_catches_an_off_closed_formula_count(monkeypatch):
     assert not report.ok
 
 
+def test_validate_catches_a_perturbed_row_sum(monkeypatch):
+    """One anti-diagonal sum of one pseudo-prime cone, read by residue
+    from _row_sums_mod, off by one fails pseudo-prime-row-sums, and the
+    detail names the cone and the bucket."""
+    real = oracles._row_sums_mod
+    seen = []
+
+    def perturbed(poly, char):
+        rows = dict(real(poly, char))
+        if not seen and rows:
+            a = min(rows)
+            rows[a] = (rows[a][0] + 1,) + rows[a][1:]
+            seen.append((poly, a, oracles.restricted(poly, char)[0]))
+        return rows
+
+    monkeypatch.setattr(oracles, "_row_sums_mod", perturbed)
+    np_ = _np([(5, 0), (2, 2), (0, 5)])
+    report = validate(np_)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["boundary-and-row-sums"].status == "pass"
+    assert by_name["pseudo-prime-row-sums"].status == "fail"
+    (poly, a, d), = seen
+    face = next(f for f in np_.faces if f.delta is poly)
+    assert by_name["pseudo-prime-row-sums"].detail == (
+        f"anti-diagonal formula fails on {face.points}, bucket {a}/{d}, p+q=0"
+    )
+    assert not report.ok
+
+
+def test_validate_catches_a_shifted_row_target(monkeypatch):
+    """One row-sum target of boundary_values_mod moved by +1 behind the
+    validator's back fails boundary-and-row-sums, naming the row and the
+    bucket residue."""
+    real = oracles.boundary_values_mod
+    seen = []
+
+    def shifted(poly, char):
+        bv, targets, alphas = real(poly, char)
+        if not seen:
+            targets = dict(targets)
+            key = min(targets)
+            targets[key] += 1
+            seen.append(key)
+        return bv, targets, alphas
+
+    monkeypatch.setattr(oracles, "boundary_values_mod", shifted)
+    report = validate(_np([(5, 0), (2, 2), (0, 5)]))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["boundary-and-row-sums"].status == "fail"
+    (p, a), = seen
+    assert f"row sum p={p} bucket residue {a} on face" in (
+        by_name["boundary-and-row-sums"].detail
+    )
+    assert by_name["conjugation-symmetry"].status == "pass"
+    assert not report.ok
+
+
 def test_validate_runs_the_oracle_on_five_variables():
     """x1^6 + ... + x5^6 + x1*...*x5 (61 compact faces) is within the
     default limit, and the oracle agrees with the engine."""
