@@ -11,7 +11,7 @@ and read off degree by degree.
 """
 
 from . import ehrhart, polytope
-from .ehrhart import Character, conj
+from .ehrhart import Character
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -58,7 +58,6 @@ __all__ = [
     "ValidationReport",
     "brieskorn_pham_spectrum",
     "clear_caches",
-    "conj",
     "fastpath_top",
     "fastpath_unipotent",
     "hodge_table",

@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .ehrhart import restricted
 from .errors import InputError, InternalConsistencyError, SizeGuardError
 from .frontend import load_support, parse_polynomial
 from .hodge import hodge_table
@@ -126,9 +127,12 @@ def _face_payload(face) -> dict:
     }
 
 
-def _table_payload(table) -> list:
-    rows = sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
-    return [[p, q, _bucket(a), v] for (p, q, a), v in rows]
+def _table_payload(face) -> list:
+    """The face's cone table as [p, q, bucket, value] rows; a residue r
+    mod d' is the bucket r/d', so residue order is bucket order."""
+    d = restricted(face.delta, face.char)[0]
+    rows = sorted(hodge_table(face.delta, face.char).items())
+    return [[p, q, _bucket(Fraction(r, d)), v] for (p, q, r), v in rows]
 
 
 def run(args) -> tuple[dict, int]:
@@ -176,7 +180,7 @@ def run(args) -> tuple[dict, int]:
         payload["hodge_tables"] = [
             {
                 "face": face_doc,
-                "cone_table": _table_payload(hodge_table(face.delta, face.char)),
+                "cone_table": _table_payload(face),
             }
             for face, face_doc in zip(np_.faces, payload["faces"])
         ]

@@ -13,7 +13,7 @@ each tau contributes the lattice points of its open fundamental
 parallelepiped, NVol(tau) of them (Beck-Robins, ch. 3).  No dilate is
 scanned.
 
-relint_counts_mod is the engine's one lattice-point counter: the
+relint_counts is the engine's one lattice-point counter: the
 boundary rows of the Hodge tables (faces of every dimension, vertices
 included), the largest-block shortcuts and the check of phi_1 all count
 relative-interior points through it, and it reads them off
@@ -22,13 +22,11 @@ Polytope.lattice_scan in the polytope's own chart.
 Every value these counts read is the character's value at a lattice
 point of the polytope's affine hull, so it depends only on the
 character's restriction to that lattice (restricted), and it lies in
-(1/d')Z for the restriction's modulus d'.  Inside the engine a bucket
-is therefore the integer residue r mod d' of the value r/d': the
-functions named *_mod here and in hodge key by residues, and a caller
-that merges the buckets of a face into those of a larger polytope
-multiplies them by residue_step.  The Fraction-keyed relint_counts and
-p_alpha (and in hodge the tables and row sums) are views for callers
-outside the engine (fraction_view).
+(1/d')Z for the restriction's modulus d'.  A bucket is therefore the
+integer residue r mod d' of the value r/d': relint_counts and p_alpha
+here, and the tables and row sums in hodge, key by residues, and a
+caller that merges the buckets of a face into those of a larger
+polytope multiplies them by residue_step.
 
 One memo, _MEMO, holds everything computed from an interned polytope:
 the restrictions, the volumes, and the results of every function
@@ -100,11 +98,6 @@ class Character:
         return ila.dot(self.coeffs, v) % self.modulus == 0
 
 
-def conj(alpha: Fraction) -> Fraction:
-    """The bucket of the inverse character value: 1 - alpha mod 1."""
-    return -alpha % 1
-
-
 _MEMO: dict = {}
 
 
@@ -171,33 +164,8 @@ def residue(alpha, d: int) -> int | None:
     return None if rest else r
 
 
-def fraction_keys(mapping: Mapping, d: int) -> dict:
-    """The mapping with each bucket residue r mod d, a key or the last
-    entry of a tuple key, replaced by the character value r/d."""
-    return {
-        k[:-1] + (Fraction(k[-1], d),) if isinstance(k, tuple) else Fraction(k, d): v
-        for k, v in mapping.items()
-    }
-
-
-def fraction_view(residues):
-    """The public face of a memoized residue-keyed function: its result
-    under fraction_keys, memoized on its own as a read-only mapping.  The
-    engine reads the residues, so a view is built only for a caller
-    outside it.  __wrapped__ is the computation whose result it copies."""
-
-    def view(poly, char, *args):
-        return fraction_keys(residues(poly, char, *args), restricted(poly, char)[0])
-
-    view.__name__ = view.__qualname__ = residues.__name__.removesuffix("_mod")
-    view.__doc__ = f"{view.__name__}_mod with every bucket as a Fraction in [0, 1)."
-    public = memoized(view)
-    public.__wrapped__ = residues.__wrapped__
-    return public
-
-
 @memoized
-def relint_counts_mod(poly, char: Character, k: int) -> Mapping[int, int]:
+def relint_counts(poly, char: Character, k: int) -> Mapping[int, int]:
     """Bucketed count of interior lattice points of the k-th dilate.
 
     Keys are bucket residues r mod d' = restricted(poly, char)[0], in
@@ -217,17 +185,17 @@ def relint_counts_mod(poly, char: Character, k: int) -> Mapping[int, int]:
 
 
 @memoized
-def p_alpha_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
+def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     """Numerator coefficients of each bucket's interior Ehrhart series.
 
     Returns {r: (phi_0, ..., phi_{dim+1})}, r a bucket residue as in
-    relint_counts_mod, where
+    relint_counts, where
     sum_k |relint(k*poly)|_r t^k = (phi_0 + ... + phi_{dim+1} t^{dim+1})
     / (1-t)^{dim+1}.  Requires the character to vanish on every vertex,
     hence on each generator (v, 1) of a simplex's cone, so an interior
     simplex of dimension j adds (1-t)^(dim-j) t^height(b) to the bucket
     of each point b of its open parallelepiped (_open_box).  Checks:
-    phi_1 equals the k = 1 walk of relint_counts_mod in every bucket; the
+    phi_1 equals the k = 1 walk of relint_counts in every bucket; the
     total equals normalized_volume(poly), whose pyramids use another
     apex; phi_{dim+1} is 1 in bucket 0 and 0 elsewhere (the Euler
     characteristic of the interior, one point per interior simplex).
@@ -254,7 +222,7 @@ def p_alpha_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     out = {r: tuple(row) for r, row in sorted(phi.items())}
 
     first = {r: tup[1] for r, tup in out.items() if tup[1]}
-    walk = dict(relint_counts_mod(poly, char, 1))
+    walk = dict(relint_counts(poly, char, 1))
     if first != walk:
         raise InternalConsistencyError(
             f"phi_1 {first} differs from the interior points {walk}"
@@ -271,10 +239,6 @@ def p_alpha_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
             f"phi_{m + 1} is {top}, not 1 in bucket 0 and 0 elsewhere"
         )
     return out
-
-
-relint_counts = fraction_view(relint_counts_mod)
-p_alpha = fraction_view(p_alpha_mod)
 
 
 def _interior_simplices(poly) -> list[tuple[int, ...]]:
@@ -346,16 +310,6 @@ def _open_box(gens, weights):
             heights = list(map(add, heights, lam))
             values = list(map(add, values, [wt * v for v in lam]))
         yield from zip([h // det for h in heights], [v // det for v in values])
-
-
-def phi_tilde(poly, char: Character) -> dict[Fraction, int]:
-    """Per bucket, the sum of phi_0..phi_dim (the top coefficient omitted)."""
-    out = {}
-    for a, tup in p_alpha(poly, char).items():
-        s = sum(tup[: poly.dim + 1])
-        if s:
-            out[a] = s
-    return out
 
 
 def normalized_volume(poly) -> int:

@@ -4,14 +4,12 @@ hodge_table(poly, char) returns the table e^{p,q}_alpha of the
 hypersurface cut out, inside the torus of poly's intrinsic lattice, by
 a generic Laurent polynomial with Newton polytope poly, graded by the
 finite mu_d-action that char encodes.  Entries live at 0 <= p, q <= dim-1
-and character buckets alpha in [0,1); tables are mappings
-{(p, q, alpha): int} with zero entries dropped.  Every bucket of one
-table is r/d' for d' = restricted(poly, char)[0], so the engine computes
-hodge_table_mod, keyed by (p, q, r) with the residue r in range(d'):
-the conjugate bucket of r is (-r) % d', and the table of a stratum,
-whose own modulus divides d', has its residues multiplied by
-ehrhart.residue_step before they are merged.  hodge_table and _row_sums
-are the Fraction-keyed views of hodge_table_mod and _row_sums_mod.
+and character buckets alpha in [0,1).  Every bucket of one table is
+alpha = r/d' for d' = restricted(poly, char)[0], so a table is a mapping
+{(p, q, r): int} keyed by the residue r in range(d'), zero entries
+dropped: the conjugate bucket of r is (-r) % d', and the table of a
+stratum, whose own modulus divides d', has its residues multiplied by
+ehrhart.residue_step before they are merged.
 
 The computation is the classical one: closed formulas for both extreme
 rows and for the high range p+q > dim-1, a stratification of the
@@ -23,7 +21,7 @@ e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
 
 A table reads its character only at lattice points of the polytope and
-of its faces, so hodge_table_mod and _row_sums_mod are decorated with
+of its faces, so hodge_table and _row_sums are decorated with
 ehrhart.memoized, which keys them by the polytope and the character's
 restriction to its lattice: the cone over a face is built once,
 whichever compact face's height character reaches it.
@@ -37,7 +35,7 @@ from fractions import Fraction
 from math import comb
 
 from . import ehrhart, fan as fans
-from .ehrhart import Character, fraction_keys, memoized, residue_step, restricted
+from .ehrhart import Character, memoized, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
 
 
@@ -63,7 +61,7 @@ def lefschetz_twist(table: dict, k: int) -> dict:
     return _clean(out)
 
 
-def boundary_values_mod(poly, char: Character):
+def boundary_values(poly, char: Character):
     """Directly computable table entries and row-sum targets.
 
     Returns (bv, targets, alphas), every bucket a residue r mod d':
@@ -73,7 +71,7 @@ def boundary_values_mod(poly, char: Character):
       alphas           every bucket seen, closed under conjugation.
 
     The extreme rows count lattice points by character bucket with
-    ehrhart.relint_counts_mod, summed over the faces of each dimension:
+    ehrhart.relint_counts, summed over the faces of each dimension:
     row p >= 1 reads the relative-interior points of the (p+1)-faces, and
     row 0 the points of the 1-skeleton, i.e. the vertices (dimension 0)
     plus the edge interiors (dimension 1).
@@ -85,10 +83,10 @@ def boundary_values_mod(poly, char: Character):
     for face, fdim in poly.face_lattice.items():
         sub = poly.face_polytope(face)
         step = residue_step(d, sub, char)
-        for r, c in ehrhart.relint_counts_mod(sub, char, 1).items():
+        for r, c in ehrhart.relint_counts(sub, char, 1).items():
             lsum[fdim][r * step] += c
     skel = lsum[0] + lsum[1]
-    pa = ehrhart.p_alpha_mod(poly, char)
+    pa = ehrhart.p_alpha(poly, char)
     alphas = {0} | set(pa)
     for part in lsum.values():
         alphas |= set(part)
@@ -122,17 +120,6 @@ def boundary_values_mod(poly, char: Character):
     return bv, targets, alphas
 
 
-def boundary_values(poly, char: Character):
-    """boundary_values_mod with every bucket as a Fraction in [0, 1)."""
-    d = restricted(poly, char)[0]
-    bv, targets, alphas = boundary_values_mod(poly, char)
-    return (
-        fraction_keys(bv, d),
-        fraction_keys(targets, d),
-        {Fraction(a, d) for a in alphas},
-    )
-
-
 def _strata_sum(poly, char: Character, m: int) -> dict:
     """Sum over torus orbits of the boundary strata of the closure.
 
@@ -157,13 +144,13 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
                 "stratum dimension defect is negative"
             )
         # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
-        twisted = lefschetz_twist(hodge_table_mod(sub, char), j)
+        twisted = lefschetz_twist(hodge_table(sub, char), j)
         _merge(S, twisted, (-1) ** j, residue_step(d, sub, char))
     return _clean(S)
 
 
 @memoized
-def hodge_table_mod(poly, char: Character) -> Mapping[tuple, int]:
+def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     """e^{p,q}_r of the nondegenerate hypersurface with this Newton
     polytope, graded by char, as a read-only mapping keyed by (p, q, r)
     with r the bucket residue mod d' = restricted(poly, char)[0]."""
@@ -171,7 +158,7 @@ def hodge_table_mod(poly, char: Character) -> Mapping[tuple, int]:
     if m < 1:
         raise InternalConsistencyError("hypersurface table needs dim >= 1")
     d = restricted(poly, char)[0]
-    bv, targets, alphas = boundary_values_mod(poly, char)
+    bv, targets, alphas = boundary_values(poly, char)
     if m == 1:
         table = dict(bv)
         for (p, a), t in targets.items():
@@ -230,12 +217,13 @@ def _post_checks(poly, d, table, bv, m):
 
 
 @memoized
-def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
-    """Per nontrivial bucket residue r that phi_tilde carries on some
-    face, the anti-diagonal sums (s_0, ..., s_{dim-1}), s_k = sum_{p+q=k}
-    e^{p,q}_r, by inclusion-exclusion over the face lattice: s_k is
-    (-1)^(dim+k) times the sum over (k+1)-faces F and faces G of F of
-    (-1)^dim(G) phi_tilde(G)_r.  So each face G that carries a
+def _row_sums(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
+    """Per nontrivial bucket residue r in which some face G has a nonzero
+    sigma(G)_r = phi_0 + ... + phi_dim(G) (p_alpha without its top
+    coefficient), the anti-diagonal sums (s_0, ..., s_{dim-1}),
+    s_k = sum_{p+q=k} e^{p,q}_r, by inclusion-exclusion over the face
+    lattice: s_k is (-1)^(dim+k) times the sum over (k+1)-faces F and
+    faces G of F of (-1)^dim(G) sigma(G)_r.  So each face G that carries a
     nontrivial bucket enters row k once, times the number of
     (k+1)-faces containing it, counted with one subset test per face
     pair.  A read-only mapping of tuples."""
@@ -246,10 +234,10 @@ def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     for face, fdim in lat.items():
         sub = poly.face_polytope(face)
         step = residue_step(d, sub, char)
-        # phi_tilde of the face: phi_0 + ... + phi_dim per bucket
+        # sigma of the face: phi_0 + ... + phi_dim per bucket
         phis[face] = {
             r * step: (-1) ** fdim * v
-            for r, tup in ehrhart.p_alpha_mod(sub, char).items()
+            for r, tup in ehrhart.p_alpha(sub, char).items()
             if r and (v := sum(tup[: sub.dim + 1]))
         }
     acc: dict = {a: [0] * m for part in phis.values() for a in part}
@@ -270,21 +258,17 @@ def _row_sums_mod(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     }
 
 
-hodge_table = ehrhart.fraction_view(hodge_table_mod)
-_row_sums = ehrhart.fraction_view(_row_sums_mod)
-
-
 def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, int]:
     """Anti-diagonal sums sum_{p+q=r} e^{p,q}_alpha of the hypersurface
     table, obtained by inclusion-exclusion over the face lattice without
     building the table itself.  Valid for every nontrivial bucket alpha
     when the polytope is pseudo-prime (in particular when it is prime);
-    both conditions are enforced.  A bucket no face carries has all sums
-    zero."""
+    both conditions are enforced, and alpha must lie in (0, 1).  A bucket
+    no face carries has all sums zero."""
     if poly.primeness == "neither":
         raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
-    if alpha == 0:
-        raise InputError("anti-diagonal formula is for nontrivial buckets only")
+    if not 0 < alpha < 1:
+        raise InputError("anti-diagonal formula needs a nontrivial bucket in (0, 1)")
     r = ehrhart.residue(alpha, restricted(poly, char)[0])
-    rows = _row_sums_mod(poly, char).get(r, (0,) * poly.dim)
+    rows = _row_sums(poly, char).get(r, (0,) * poly.dim)
     return dict(enumerate(rows))

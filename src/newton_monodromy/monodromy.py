@@ -11,34 +11,25 @@ counts of Jordan blocks of each size.
 Eigenvalues are labelled by their argument: the Fraction a/b in [0, 1)
 stands for exp(2*pi*i*a/b); 0 labels eigenvalue 1.  The hypersurface
 tables come keyed by integer residues, each face's cone table mod its
-own modulus d' (hodge.hodge_table_mod); motivic_milnor_table multiplies
+own modulus d' (hodge.hodge_table); motivic_milnor_table multiplies
 every face's residues up to the lcm of the d' and hands out the
 MotivicTable keyed by residues mod that lcm.  The Jordan read-off works
 on the residues too, and turns a residue r into the Fraction r/lcm once
-per eigenvalue, for the keys of the JordanSpectrum; the Fraction-keyed
-tables of a MotivicTable are views built only when a caller reads them.
+per eigenvalue, for the keys of the JordanSpectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd, lcm
 
-from .ehrhart import (
-    Character,
-    fraction_keys,
-    relint_counts_mod,
-    residue,
-    residue_step,
-    restricted,
-)
+from .ehrhart import Character, relint_counts, residue, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
 from .hodge import (
     _clean,
     _merge,
-    hodge_table_mod,
+    hodge_table,
     lefschetz_twist,
     pseudo_prime_row_sums,
 )
@@ -49,31 +40,18 @@ from .newton import NewtonPolyhedron
 class MotivicTable:
     """Hodge-degree/eigenvalue table of the Milnor fiber cohomology.
 
-    first_mod   the face-cone sum (the proper part carrying eigenvalues)
-    second_mod  the correction sum over positive-dimensional faces
-    total_mod   first_mod + second_mod
+    first   the face-cone sum (the proper part carrying eigenvalues)
+    second  the correction sum over positive-dimensional faces
+    total   first + second
     All three are {(p, q, r): int} with zeros dropped, r the residue mod
-    modulus of the eigenvalue bucket r/modulus.  first, second and total
-    are the same tables keyed by the Fraction bucket, built on first use.
+    modulus of the eigenvalue bucket r/modulus.
     """
 
     n: int
     modulus: int
-    first_mod: dict
-    second_mod: dict
-    total_mod: dict
-
-    @cached_property
-    def first(self) -> dict:
-        return fraction_keys(self.first_mod, self.modulus)
-
-    @cached_property
-    def second(self) -> dict:
-        return fraction_keys(self.second_mod, self.modulus)
-
-    @cached_property
-    def total(self) -> dict:
-        return fraction_keys(self.total_mod, self.modulus)
+    first: dict
+    second: dict
+    total: dict
 
 
 @dataclass(frozen=True)
@@ -107,22 +85,22 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     trivial = Character.trivial(np_.n)
     modulus = lcm(*(restricted(face.delta, face.char)[0] for face in np_.faces))
     for face in np_.faces:
-        cone = lefschetz_twist(hodge_table_mod(face.delta, face.char), face.twist)
+        cone = lefschetz_twist(hodge_table(face.delta, face.char), face.twist)
         _merge(first, cone, step=residue_step(modulus, face.delta, face.char))
         if face.dim >= 1:
             # the trivial character's one bucket is 0 under every modulus
             _merge(
                 second,
-                lefschetz_twist(hodge_table_mod(face.poly, trivial), face.twist + 1),
+                lefschetz_twist(hodge_table(face.poly, trivial), face.twist + 1),
             )
     total = dict(first)
     _merge(total, second)
     return MotivicTable(
         n=np_.n,
         modulus=modulus,
-        first_mod=_clean(first),
-        second_mod=_clean(second),
-        total_mod=_clean(total),
+        first=_clean(first),
+        second=_clean(second),
+        total=_clean(total),
     )
 
 
@@ -153,7 +131,7 @@ def _read_blocks(mt: MotivicTable) -> JordanSpectrum:
     """
     n, d = mt.n, mt.modulus
     sgn = (-1) ** (n - 1)
-    first, total = _degree_sums(mt.first_mod), _degree_sums(mt.total_mod)
+    first, total = _degree_sums(mt.first), _degree_sums(mt.total)
     eigen_total: dict = {}
     for (r, _), v in total.items():
         eigen_total[r] = eigen_total.get(r, 0) + v
@@ -238,7 +216,7 @@ def fastpath_top(np_: NewtonPolyhedron, ev: Fraction) -> tuple[int, int]:
             d = restricted(face.delta, face.char)[0]
             r = residue(ev, d)
             if r is not None:
-                counts = relint_counts_mod(face.delta, face.char, 1)
+                counts = relint_counts(face.delta, face.char, 1)
                 size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
     return size_n, size_n1
 
@@ -250,7 +228,7 @@ def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
     The first is the number of lattice points of the 1-skeleton of the
     Newton boundary in the open orthant, the second twice the number of
     relative-interior lattice points of the interior-touching 2-faces.
-    Both are sums of relint_counts_mod(face.poly, trivial, 1) over
+    Both are sums of relint_counts(face.poly, trivial, 1) over
     interior-touching compact faces: every lattice point of the
     1-skeleton is in the relative interior of exactly one face of
     dimension <= 1, and such a point is strictly positive exactly when
@@ -260,7 +238,7 @@ def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
     points = [0, 0, 0]
     for face in np_.faces:
         if face.dim <= 2 and face.interior_touching:
-            points[face.dim] += sum(relint_counts_mod(face.poly, trivial, 1).values())
+            points[face.dim] += sum(relint_counts(face.poly, trivial, 1).values())
     return points[0] + points[1], 2 * points[2]
 
 

@@ -34,12 +34,12 @@ from itertools import combinations
 from math import comb, gcd, lcm
 
 from . import fan as fans
-from .ehrhart import Character, p_alpha_mod, restricted
+from .ehrhart import Character, p_alpha, restricted
 from .errors import InputError, InternalConsistencyError
 from .hodge import (
-    _row_sums_mod,
-    boundary_values_mod,
-    hodge_table_mod,
+    _row_sums,
+    boundary_values,
+    hodge_table,
     lefschetz_twist,
 )
 from .monodromy import (
@@ -468,9 +468,9 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     # checks read the tables keyed by residues r mod d', as the engine does
     def chk_tables():
         for f in np_.faces:
-            hodge_table_mod(f.delta, f.char)
+            hodge_table(f.delta, f.char)
             if f.dim >= 1:
-                hodge_table_mod(f.poly, trivial)
+                hodge_table(f.poly, trivial)
         return ""
 
     tables_ok = run("hodge-tables-build", chk_tables)
@@ -480,8 +480,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     # 3-5. visible recheck of the per-table identities
     def chk_boundary():
         for f in np_.faces:
-            table = hodge_table_mod(f.delta, f.char)
-            bv, targets, _ = boundary_values_mod(f.delta, f.char)
+            table = hodge_table(f.delta, f.char)
+            bv, targets, _ = boundary_values(f.delta, f.char)
             for k, v in bv.items():
                 if table.get(k, 0) != v:
                     raise InternalConsistencyError(
@@ -508,8 +508,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for f in np_.faces:
             d = restricted(f.delta, f.char)[0]
             for table in (
-                hodge_table_mod(f.delta, f.char),
-                hodge_table_mod(f.poly, trivial) if f.dim >= 1 else {},
+                hodge_table(f.delta, f.char),
+                hodge_table(f.poly, trivial) if f.dim >= 1 else {},
             ):
                 # the trivial character's one bucket is 0 under every modulus
                 for (p, q, a), v in table.items():
@@ -525,8 +525,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for f in np_.faces:
             if f.dim < 1:
                 continue
-            big = p_alpha_mod(f.delta, f.char).get(0, (0,) * (f.dim + 3))
-            small = p_alpha_mod(f.poly, trivial).get(0, (0,) * (f.dim + 2))
+            big = p_alpha(f.delta, f.char).get(0, (0,) * (f.dim + 3))
+            small = p_alpha(f.poly, trivial).get(0, (0,) * (f.dim + 2))
             if big[0] != 0:
                 raise InternalConsistencyError("phi_0 of a cone is nonzero")
             for j in range(f.dim + 2):
@@ -541,11 +541,11 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_pyramid():
         for f in np_.faces:
             lhs: dict = {}
-            for (p, q, a), v in hodge_table_mod(f.delta, f.char).items():
+            for (p, q, a), v in hodge_table(f.delta, f.char).items():
                 if a == 0:
                     lhs[(p, q)] = lhs.get((p, q), 0) + v
             if f.dim >= 1:
-                for (p, q, a), v in hodge_table_mod(f.poly, trivial).items():
+                for (p, q, a), v in hodge_table(f.poly, trivial).items():
                     if a == 0:
                         lhs[(p, q)] = lhs.get((p, q), 0) + v
             rhs = {
@@ -565,9 +565,9 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_global():
         acc: dict = {}
         for f in np_.faces:
-            part = _trivial_part(hodge_table_mod(f.delta, f.char))
+            part = _trivial_part(hodge_table(f.delta, f.char))
             if f.dim >= 1:
-                for k, v in _trivial_part(hodge_table_mod(f.poly, trivial)).items():
+                for k, v in _trivial_part(hodge_table(f.poly, trivial)).items():
                     part[k] = part.get(k, 0) + v
             for k, v in lefschetz_twist(part, f.twist + 1).items():
                 acc[k] = acc.get(k, 0) + v
@@ -628,12 +628,12 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for k in range(1, n + 1):
             a_route = sgn * sum(
                 v
-                for (p, q, a), v in mt.total_mod.items()
+                for (p, q, a), v in mt.total.items()
                 if a == 0 and p + q in {n - 1 + k, n + k}
             )
             b_route = sgn * sum(
                 v
-                for (p, q, a), v in mt.first_mod.items()
+                for (p, q, a), v in mt.first.items()
                 if a == 0 and p + q in {n - 2 - k, n - 1 - k}
             )
             if a_route != b_route:
@@ -645,7 +645,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     run("two-route-unipotent", chk_two_route)
 
     def chk_normalization():
-        one = mt.total_mod.get((0, 0, 0), 0)
+        one = mt.total.get((0, 0, 0), 0)
         if one != 1:
             raise InternalConsistencyError(
                 f"constant class has coefficient {one}, expected 1"
@@ -657,7 +657,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_ss():
         sgn = (-1) ** (n - 1)
         hp: dict = {}
-        for (p, q, a), v in mt.first_mod.items():
+        for (p, q, a), v in mt.first.items():
             if a:
                 hp[(p, q, a)] = sgn * v
         for (p, q, a), v in hp.items():
@@ -673,7 +673,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                 f"{problem} at {(p, q, Fraction(a, mt.modulus))}"
             )
         tu: dict = {}
-        for (p, q, a), v in mt.total_mod.items():
+        for (p, q, a), v in mt.total.items():
             if a == 0:
                 tu[(p, q)] = sgn * v
         tu[(0, 0)] = tu.get((0, 0), 0) - sgn
@@ -719,10 +719,10 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                 continue
             d = restricted(f.delta, f.char)[0]
             diag: dict = {}
-            for (p, q, a), v in hodge_table_mod(f.delta, f.char).items():
+            for (p, q, a), v in hodge_table(f.delta, f.char).items():
                 if a:
                     diag[(a, p + q)] = diag.get((a, p + q), 0) + v
-            rows = _row_sums_mod(f.delta, f.char)
+            rows = _row_sums(f.delta, f.char)
             zeros = (0,) * f.delta.dim
             for a in sorted({a for a, _ in diag} | set(rows)):
                 pred = rows.get(a, zeros)

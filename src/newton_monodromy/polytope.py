@@ -140,7 +140,6 @@ class Polytope:
         self.dim = len(basis)
         self.chart = Chart(p0, basis)
         self.cpoints = tuple(self.chart.to_chart(p) for p in points)
-        self._key = points
         self._faces: dict[frozenset[int], Polytope] = {}
 
     def __repr__(self):
@@ -148,7 +147,7 @@ class Polytope:
 
     @property
     def key(self):
-        return self._key
+        return self.points
 
     @cached_property
     def cfacets(self) -> tuple[tuple[tuple[int, ...], int], ...]:

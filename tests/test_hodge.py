@@ -7,22 +7,12 @@ from types import MappingProxyType
 import pytest
 
 from newton_monodromy import clear_caches, ehrhart, fan as fans, hodge, monodromy
-from newton_monodromy.ehrhart import (
-    Character,
-    conj,
-    p_alpha,
-    phi_tilde,
-    relint_counts,
-    restricted,
-)
+from newton_monodromy.ehrhart import Character, p_alpha, relint_counts, restricted
 from newton_monodromy.errors import InputError, InternalConsistencyError
 from newton_monodromy.hodge import (
     _row_sums,
-    _row_sums_mod,
     boundary_values,
-    boundary_values_mod,
     hodge_table,
-    hodge_table_mod,
     lefschetz_twist,
     pseudo_prime_row_sums,
 )
@@ -32,6 +22,7 @@ from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import make_polytope
 
 from _battery import edge_points, golden_supports, random_supports
+from _buckets import as_fractions, read_buckets
 
 F = Fraction
 
@@ -55,25 +46,25 @@ def test_twist_and_torus_factor_expansions():
 
 def test_table_segment_length_two():
     seg = make_polytope([(0, 0), (2, 2)])
-    got = hodge_table(seg, Character(2, (1, 0)))
+    got = read_buckets(hodge_table, seg, Character(2, (1, 0)))
     assert got == {(0, 0, F(0)): 1, (0, 0, F(1, 2)): 1}
 
 
 def test_table_primitive_segment():
     seg = make_polytope([(2, 0), (0, 3)])
-    got = hodge_table(seg, Character.trivial(2))
+    got = read_buckets(hodge_table, seg, Character.trivial(2))
     assert got == {(0, 0, F(0)): 1}
 
 
 def test_table_length_three_segment():
     seg = make_polytope([(0, 0), (0, 3)])
-    got = hodge_table(seg, Character(3, (0, 1)))
+    got = read_buckets(hodge_table, seg, Character(3, (0, 1)))
     assert got == {(0, 0, F(0)): 1, (0, 0, F(1, 3)): 1, (0, 0, F(2, 3)): 1}
 
 
 def test_table_cusp_cone():
     delta = make_polytope([(0, 0), (2, 0), (0, 3)])
-    got = hodge_table(delta, Character(6, (3, 2)))
+    got = read_buckets(hodge_table, delta, Character(6, (3, 2)))
     assert got == {
         (0, 0, F(0)): -2,
         (0, 0, F(1, 3)): -1,
@@ -87,7 +78,7 @@ def test_table_cusp_cone():
 
 def test_table_fermat_cubic_cone():
     tri = make_polytope([(0, 0), (3, 0), (0, 3)])
-    got = hodge_table(tri, Character(3, (1, 1)))
+    got = read_buckets(hodge_table, tri, Character(3, (1, 1)))
     assert got == {
         (0, 0, F(0)): -4,
         (0, 0, F(1, 3)): -2,
@@ -106,7 +97,7 @@ def test_table_total_is_signed_volume():
 
 def test_table_conjugation_symmetry():
     tri = make_polytope([(0, 0), (2, 0), (0, 3)])
-    t = hodge_table(tri, Character(6, (3, 2)))
+    t = read_buckets(hodge_table, tri, Character(6, (3, 2)))
     for (p, q, a), v in t.items():
         c = F(0) if a == 0 else 1 - a
         assert t.get((q, p, c), 0) == v
@@ -115,7 +106,7 @@ def test_table_conjugation_symmetry():
 def test_anti_diagonal_sums_match_table():
     delta = make_polytope([(0, 0), (2, 0), (0, 3)])
     char = Character(6, (3, 2))
-    table = hodge_table(delta, char)
+    table = read_buckets(hodge_table, delta, char)
     for alpha, want in [
         (F(1, 6), {0: 0, 1: -1}),
         (F(5, 6), {0: 0, 1: -1}),
@@ -143,8 +134,9 @@ def test_anti_diagonal_gates():
     with pytest.raises(InputError, match="pseudo-prime"):
         pseudo_prime_row_sums(cross, Character.trivial(4), F(1, 2))
     delta = make_polytope([(0, 0), (2, 0), (0, 3)])
-    with pytest.raises(InputError, match="nontrivial"):
-        pseudo_prime_row_sums(delta, Character(6, (3, 2)), F(0))
+    for alpha in (F(0), F(1), F(7, 6), F(-5, 6)):
+        with pytest.raises(InputError, match="nontrivial"):
+            pseudo_prime_row_sums(delta, Character(6, (3, 2)), alpha)
 
 
 def test_tables_are_memoized():
@@ -160,14 +152,15 @@ def test_tables_are_memoized():
 
 
 def _double_loop_row_sums(poly, char, alpha):
-    """Reference: the inclusion-exclusion for one bucket, with phi_tilde
-    of every face looked up again for that bucket."""
+    """Reference: the inclusion-exclusion for one bucket, with
+    phi_0 + ... + phi_dim of every face looked up again for that bucket."""
     m = poly.dim
     lat = poly.face_lattice
-    phis = {
-        face: phi_tilde(poly.face_polytope(face), char).get(alpha, 0)
-        for face in lat
-    }
+    phis = {}
+    for face in lat:
+        sub = poly.face_polytope(face)
+        tup = read_buckets(p_alpha, sub, char).get(alpha)
+        phis[face] = sum(tup[: sub.dim + 1]) if tup else 0
     out = {}
     for r in range(m):
         acc = 0
@@ -188,11 +181,11 @@ def test_row_sum_memo_is_read_only_and_cleared():
     rows = _row_sums(delta, char)
     assert isinstance(rows, MappingProxyType)
     assert _row_sums(delta, char) is rows
-    assert rows[F(1, 6)] == (0, -1)
+    assert read_buckets(_row_sums, delta, char)[F(1, 6)] == (0, -1)
     with pytest.raises(TypeError):
-        rows[F(1, 7)] = (0, 0)
+        rows[2] = (0, 0)
     with pytest.raises(TypeError):
-        rows[F(1, 6)][0] = 5
+        rows[1][0] = 5
     got = pseudo_prime_row_sums(delta, char, F(1, 6))
     got[0] = 5
     assert pseudo_prime_row_sums(delta, char, F(1, 6)) == {0: 0, 1: -1}
@@ -205,9 +198,9 @@ def test_row_sum_memo_is_read_only_and_cleared():
 
 def test_row_sums_match_per_bucket_double_loop():
     """One pass over the face pairs gives, for every cone of 40 battery
-    supports, the buckets phi_tilde carries on some face and, in each of
-    them and in a bucket no face carries, the per-bucket double loop's
-    sums."""
+    supports, the nontrivial buckets in which phi_0 + ... + phi_dim of
+    some face is nonzero and, in each of them and in a bucket no face
+    carries, the per-bucket double loop's sums."""
     pairs = 0
     for support in random_supports(40):
         for f in newton_polyhedron(support).faces:
@@ -216,8 +209,12 @@ def test_row_sums_match_per_bucket_double_loop():
             buckets = set()
             for face in f.delta.face_lattice:
                 sub = f.delta.face_polytope(face)
-                buckets.update(a for a in phi_tilde(sub, f.char) if a != 0)
-            assert set(_row_sums(f.delta, f.char)) == buckets
+                buckets.update(
+                a
+                for a, tup in read_buckets(p_alpha, sub, f.char).items()
+                if a != 0 and sum(tup[: sub.dim + 1])
+            )
+            assert set(read_buckets(_row_sums, f.delta, f.char)) == buckets
             for a in sorted(buckets) + [F(1, 997)]:
                 got = pseudo_prime_row_sums(f.delta, f.char, a)
                 assert got == _double_loop_row_sums(f.delta, f.char, a), (
@@ -266,6 +263,13 @@ def _skeleton_counts(poly, char):
     return {F(r, d): c for r, c in raw.items()}
 
 
+def _as_fraction_boundary_values(poly, char):
+    """boundary_values with every bucket read as a Fraction."""
+    d = restricted(poly, char)[0]
+    bv, targets, alphas = boundary_values(poly, char)
+    return as_fractions(bv, d), as_fractions(targets, d), {F(a, d) for a in alphas}
+
+
 def test_boundary_row_zero_matches_skeleton_walk():
     """Row 0 of the boundary values, read from relint_counts over the
     faces of dimension 0 and 1, matches the 1-skeleton walked point by
@@ -280,15 +284,15 @@ def test_boundary_row_zero_matches_skeleton_walk():
         cases = [(f.delta, f.char) for f in np_.faces]
         cases += [(f.poly, trivial) for f in np_.faces if f.dim >= 1]
         for poly, char in cases:
-            bv, _, alphas = boundary_values(poly, char)
+            bv, _, alphas = _as_fraction_boundary_values(poly, char)
             skel = _skeleton_counts(poly, char)
-            assert set(skel) | {conj(a) for a in skel} <= alphas
+            assert set(skel) | {-a % 1 for a in skel} <= alphas
             sign = (-1) ** (poly.dim - 1)
             for a in alphas:
                 if a == 0:
                     want = sign * (skel.get(a, 0) - 1)
                 else:
-                    want = sign * skel.get(conj(a), 0)
+                    want = sign * skel.get(-a % 1, 0)
                 assert bv[(0, 0, a)] == want, (support.points, poly, char, a)
             checked += 1
     assert checked > 400
@@ -340,9 +344,9 @@ def test_shared_memo_entries_match_cold_computations():
 
 
 # The Fraction-keyed assembly that the residue-keyed tables replaced, kept
-# as a differential reference.  It reads the public Fraction views of the
-# counts and numerators, in which every face's buckets are values of its
-# own, so buckets of different faces merge without a residue step.
+# as a differential reference.  It reads the counts and numerators of each
+# face as Fractions, values of its own, so buckets of different faces
+# merge without a residue step.
 
 
 def _ref_merge(acc, table, scale=1):
@@ -355,23 +359,24 @@ def _ref_boundary_values(poly, char):
     sign = (-1) ** (m - 1)
     lsum = {d: {} for d in range(m + 1)}
     for face, fdim in poly.face_lattice.items():
-        _ref_merge(lsum[fdim], relint_counts(poly.face_polytope(face), char, 1))
+        sub = poly.face_polytope(face)
+        _ref_merge(lsum[fdim], read_buckets(relint_counts, sub, char, 1))
     skel = dict(lsum[0])
     _ref_merge(skel, lsum[1])
-    pa = p_alpha(poly, char)
+    pa = read_buckets(p_alpha, poly, char)
     alphas = {F(0)} | set(pa)
     for d in lsum:
         alphas |= set(lsum[d])
-    alphas |= {conj(a) for a in alphas}
+    alphas |= {-a % 1 for a in alphas}
     bv = {}
     for a in alphas:
         if a == 0:
             bv[(0, 0, a)] = sign * (skel.get(F(0), 0) - 1)
         else:
-            bv[(0, 0, a)] = sign * skel.get(conj(a), 0)
+            bv[(0, 0, a)] = sign * skel.get(-a % 1, 0)
         for p in range(1, m):
             bv[(p, 0, a)] = sign * lsum[p + 1].get(a, 0)
-            bv[(0, p, a)] = sign * lsum[p + 1].get(conj(a), 0)
+            bv[(0, p, a)] = sign * lsum[p + 1].get(-a % 1, 0)
         for p in range(m):
             for q in range(m):
                 if p + q > m - 1:
@@ -414,7 +419,7 @@ def _ref_hodge_table(poly, char, memo):
             sub_table = _ref_hodge_table(sub, char, memo)
             _ref_merge(S, lefschetz_twist(sub_table, j), (-1) ** j)
         alphas = set(alphas) | {a for (_, _, a) in S}
-        alphas |= {conj(a) for a in alphas}
+        alphas |= {-a % 1 for a in alphas}
         table = {}
         for a in alphas:
             for p in range(m):
@@ -426,7 +431,8 @@ def _ref_hodge_table(poly, char, memo):
                 for q in range(m):
                     if p + q < m - 1:
                         dp, dq = m - 1 - p, m - 1 - q
-                        closure = table[(dp, dq, conj(a))] + S.get((dp, dq, conj(a)), 0)
+                        c = -a % 1
+                        closure = table[(dp, dq, c)] + S.get((dp, dq, c), 0)
                         table[(p, q, a)] = closure - S.get((p, q, a), 0)
         for a in alphas:
             for p in range(m):
@@ -448,8 +454,10 @@ def _ref_row_sums(poly, char):
             continue
         for sub, sdim in lat.items():
             if sub <= face:
-                for a, v in phi_tilde(poly.face_polytope(sub), char).items():
-                    if a != 0:
+                face_poly = poly.face_polytope(sub)
+                for a, tup in read_buckets(p_alpha, face_poly, char).items():
+                    v = sum(tup[: face_poly.dim + 1])
+                    if a != 0 and v:
                         rows = acc.setdefault(a, [0] * m)
                         rows[fdim - 1] += (-1) ** sdim * v
     return {
@@ -462,7 +470,7 @@ def _reached_table_pairs(supports):
     reads on the supports, cone tables and strata alike, in first-read
     order."""
     seen = {}
-    real = hodge_table_mod
+    real = hodge_table
 
     def record(poly, char):
         seen.setdefault((poly, char), None)
@@ -470,8 +478,8 @@ def _reached_table_pairs(supports):
 
     clear_caches()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hodge, "hodge_table_mod", record)
-        mp.setattr(monodromy, "hodge_table_mod", record)
+        mp.setattr(hodge, "hodge_table", record)
+        mp.setattr(monodromy, "hodge_table", record)
         for support in supports:
             jordan_blocks(newton_polyhedron(support))
     return list(seen)
@@ -486,11 +494,10 @@ def _residue_keys(mapping, d):
 
 def test_public_views_match_the_fraction_assembly():
     """On every pair jordan_blocks reaches on 40 battery supports and the
-    golden inputs, the public hodge_table, boundary_values and _row_sums
-    equal the Fraction-keyed assembly above.  Their residue-keyed
-    sources key every bucket by an int in range(d'), the memoized ones
-    are read-only, and two characters with one restriction share one
-    memo entry."""
+    golden inputs, hodge_table, boundary_values and _row_sums, read as
+    Fractions, equal the Fraction-keyed assembly above.  They key every
+    bucket by an int in range(d'), the memoized ones are read-only, and
+    two characters with one restriction share one memo entry."""
     supports = list(random_supports(40)) + list(golden_supports())
     pairs = _reached_table_pairs(supports)
     memo = {}
@@ -498,18 +505,23 @@ def test_public_views_match_the_fraction_assembly():
     for poly, char in pairs:
         d = restricted(poly, char)[0]
         want = _ref_hodge_table(poly, char, memo)
-        assert hodge_table(poly, char) == want, (poly, char)
-        assert boundary_values(poly, char) == _ref_boundary_values(poly, char)
-        assert _row_sums(poly, char) == _ref_row_sums(poly, char), (poly, char)
+        assert read_buckets(hodge_table, poly, char) == want, (poly, char)
+        assert _as_fraction_boundary_values(poly, char) == _ref_boundary_values(
+            poly, char
+        )
+        assert read_buckets(_row_sums, poly, char) == _ref_row_sums(poly, char), (
+            poly,
+            char,
+        )
 
-        bv, targets, alphas = boundary_values_mod(poly, char)
+        bv, targets, alphas = boundary_values(poly, char)
         for mapping in (bv, targets, alphas):
             _residue_keys(mapping, d)
         memoized = [
-            hodge_table_mod(poly, char),
-            _row_sums_mod(poly, char),
-            ehrhart.p_alpha_mod(poly, char),
-            ehrhart.relint_counts_mod(poly, char, 1),
+            hodge_table(poly, char),
+            _row_sums(poly, char),
+            p_alpha(poly, char),
+            relint_counts(poly, char, 1),
         ]
         for mapping in memoized:
             _residue_keys(mapping, d)
@@ -573,7 +585,7 @@ def test_duality_step_reads_the_conjugate_bucket():
         for (p, q, a), v in strata.items()
         if p + q > m - 1
     )
-    table = hodge_table_mod(poly, char)
+    table = hodge_table(poly, char)
     for (p, q, a), v in table.items():
         assert table.get((q, p, -a % d), 0) == v
     assert [table.get((1, 2, a), 0) for a in range(d)] == [15, 155, 137, 113, 86, 59, 35]

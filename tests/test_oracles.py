@@ -366,7 +366,7 @@ def test_validate_catches_injected_corruption(monkeypatch):
     residues mod the modulus d' of the table's buckets, and the entries
     go to d' + 1, which no bucket of that modulus has, as 1/7 is no
     value of a character of order 6."""
-    real = oracles.hodge_table_mod
+    real = oracles.hodge_table
 
     def corrupted(poly, char):
         table = dict(real(poly, char))
@@ -376,7 +376,7 @@ def test_validate_catches_injected_corruption(monkeypatch):
             table[(0, 1, bad)] = table.get((0, 1, bad), 0) - 1
         return table
 
-    monkeypatch.setattr(oracles, "hodge_table_mod", corrupted)
+    monkeypatch.setattr(oracles, "hodge_table", corrupted)
     report = validate(_np([(2, 0), (0, 3)]))
     assert not report.ok
     by_name = {c.name: c for c in report.checks}
@@ -432,9 +432,9 @@ def test_validate_catches_an_off_closed_formula_count(monkeypatch):
 
 def test_validate_catches_a_perturbed_row_sum(monkeypatch):
     """One anti-diagonal sum of one pseudo-prime cone, read by residue
-    from _row_sums_mod, off by one fails pseudo-prime-row-sums, and the
+    from _row_sums, off by one fails pseudo-prime-row-sums, and the
     detail names the cone and the bucket."""
-    real = oracles._row_sums_mod
+    real = oracles._row_sums
     seen = []
 
     def perturbed(poly, char):
@@ -445,7 +445,7 @@ def test_validate_catches_a_perturbed_row_sum(monkeypatch):
             seen.append((poly, a, oracles.restricted(poly, char)[0]))
         return rows
 
-    monkeypatch.setattr(oracles, "_row_sums_mod", perturbed)
+    monkeypatch.setattr(oracles, "_row_sums", perturbed)
     np_ = _np([(5, 0), (2, 2), (0, 5)])
     report = validate(np_)
     by_name = {c.name: c for c in report.checks}
@@ -460,10 +460,10 @@ def test_validate_catches_a_perturbed_row_sum(monkeypatch):
 
 
 def test_validate_catches_a_shifted_row_target(monkeypatch):
-    """One row-sum target of boundary_values_mod moved by +1 behind the
+    """One row-sum target of boundary_values moved by +1 behind the
     validator's back fails boundary-and-row-sums, naming the row and the
     bucket residue."""
-    real = oracles.boundary_values_mod
+    real = oracles.boundary_values
     seen = []
 
     def shifted(poly, char):
@@ -475,7 +475,7 @@ def test_validate_catches_a_shifted_row_target(monkeypatch):
             seen.append(key)
         return bv, targets, alphas
 
-    monkeypatch.setattr(oracles, "boundary_values_mod", shifted)
+    monkeypatch.setattr(oracles, "boundary_values", shifted)
     report = validate(_np([(5, 0), (2, 2), (0, 5)]))
     by_name = {c.name: c for c in report.checks}
     assert by_name["boundary-and-row-sums"].status == "fail"

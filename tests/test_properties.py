@@ -8,7 +8,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_monodromy.ehrhart import Character, conj
+from newton_monodromy.ehrhart import Character
 from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.monodromy import fastpath_unipotent, jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
@@ -156,13 +156,6 @@ def test_character_value_periodicity(modulus, coeffs, v, axis):
     shifted[axis] += modulus
     assert c.value(tuple(v)) == c.value(tuple(shifted))
     assert 0 <= c.value(tuple(v)) < 1
-
-
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=59))
-def test_conj_is_an_involution(denominator, numerator):
-    a = Fraction(numerator % denominator, denominator)
-    assert conj(conj(a)) == a
-    assert (conj(a) == 0) == (a == 0)
 
 
 def _render(support) -> str:
