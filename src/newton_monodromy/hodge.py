@@ -15,7 +15,12 @@ The computation is the classical one: closed formulas for both extreme
 rows and for the high range p+q > dim-1, a stratification of the
 closure in the toric variety of a simplicially refined normal fan,
 Poincare duality for that closure, and row-sum targets to recover the
-middle anti-diagonal.  Every table is cross-checked before it is cached:
+middle anti-diagonal.  One assembly serves every dimension, filling
+each bucket in one pass: the low range p+q < dim-1 reads the closed-form
+high range through duality, and each row's middle entry is what its
+target leaves.  A segment (dimension 1) takes the same path; its strata
+are all vertices, so the strata sum is empty and its one entry per
+bucket is the row target.  Every table is cross-checked before it is cached:
 the boundary formulas must be reproduced, conjugation symmetry
 e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
@@ -39,11 +44,16 @@ from .ehrhart import Character, memoized, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
 
 
-def _merge(acc: dict, table: dict, scale: int = 1, step: int = 1) -> None:
-    """acc += scale * table, each bucket residue r of table read as r * step."""
+def _merge(
+    acc: dict, table: dict, scale: int = 1, step: int = 1, twist: int = 0
+) -> None:
+    """acc += scale * (1 - L)^twist * table, each bucket residue r of
+    table read as r * step; L shifts (p, q) by (1, 1)."""
+    terms = [(i, scale * (-1) ** i * comb(twist, i)) for i in range(twist + 1)]
     for (p, q, r), v in table.items():
-        key = (p, q, r * step)
-        acc[key] = acc.get(key, 0) + scale * v
+        for i, c in terms:
+            key = (p + i, q + i, r * step)
+            acc[key] = acc.get(key, 0) + c * v
 
 
 def _clean(table: dict) -> dict:
@@ -53,11 +63,7 @@ def _clean(table: dict) -> dict:
 def lefschetz_twist(table: dict, k: int) -> dict:
     """Multiply a table by (1 - L)^k; L shifts (p, q) by (1, 1)."""
     out: dict = {}
-    for i in range(k + 1):
-        c = (-1) ** i * comb(k, i)
-        for (p, q, a), v in table.items():
-            kk = (p + i, q + i, a)
-            out[kk] = out.get(kk, 0) + c * v
+    _merge(out, table, twist=k)
     return _clean(out)
 
 
@@ -144,8 +150,7 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
                 "stratum dimension defect is negative"
             )
         # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
-        twisted = lefschetz_twist(hodge_table(sub, char), j)
-        _merge(S, twisted, (-1) ** j, residue_step(d, sub, char))
+        _merge(S, hodge_table(sub, char), (-1) ** j, residue_step(d, sub, char), j)
     return _clean(S)
 
 
@@ -153,44 +158,39 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
 def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     """e^{p,q}_r of the nondegenerate hypersurface with this Newton
     polytope, graded by char, as a read-only mapping keyed by (p, q, r)
-    with r the bucket residue mod d' = restricted(poly, char)[0]."""
+    with r the bucket residue mod d' = restricted(poly, char)[0].
+
+    Every dimension m >= 1 goes through the one assembly; in dimension 1
+    the strata sum is empty and the table is the row targets, which
+    _post_checks compares with the boundary values."""
     m = poly.dim
     if m < 1:
         raise InternalConsistencyError("hypersurface table needs dim >= 1")
     d = restricted(poly, char)[0]
     bv, targets, alphas = boundary_values(poly, char)
-    if m == 1:
-        table = dict(bv)
-        for (p, a), t in targets.items():
-            if table.get((0, 0, a), 0) != t:
-                raise InternalConsistencyError(
-                    f"row target mismatch in dimension 1 at bucket {a}/{d}"
-                )
-    else:
-        S = _strata_sum(poly, char, m)
-        alphas = set(alphas) | {a for (_, _, a) in S}
-        alphas |= {-a % d for a in alphas}
-        table = {}
-        for a in alphas:
-            for p in range(m):
-                for q in range(m):
-                    if p + q > m - 1:
-                        table[(p, q, a)] = bv.get((p, q, a), 0)
-        for a in alphas:
-            c = -a % d
-            for p in range(m):
-                for q in range(m):
-                    if p + q < m - 1:
-                        dp, dq = m - 1 - p, m - 1 - q
-                        closure = table[(dp, dq, c)] + S.get((dp, dq, c), 0)
-                        table[(p, q, a)] = closure - S.get((p, q, a), 0)
-        for a in alphas:
-            for p in range(m):
-                q = m - 1 - p
-                rest = sum(
-                    table.get((p, qq, a), 0) for qq in range(m) if qq != q
-                )
-                table[(p, q, a)] = targets.get((p, a), 0) - rest
+    S = _strata_sum(poly, char, m)
+    alphas = set(alphas) | {a for (_, _, a) in S}
+    alphas |= {-a % d for a in alphas}
+    table = {}
+    for a in alphas:
+        c = -a % d
+        for p in range(m):
+            mid = m - 1 - p
+            row = 0
+            for q in range(m):
+                if p + q > m - 1:
+                    v = bv.get((p, q, a), 0)
+                elif q < mid:
+                    # Poincare duality for the closure (table + S): its
+                    # (p, q, a) entry is its (dim-1-p, dim-1-q, -a) entry,
+                    # which lies in the closed-form high range
+                    dual = (mid, m - 1 - q, c)
+                    v = bv.get(dual, 0) + S.get(dual, 0) - S.get((p, q, a), 0)
+                else:
+                    continue
+                table[(p, q, a)] = v
+                row += v
+            table[(p, mid, a)] = targets.get((p, a), 0) - row
     _post_checks(poly, d, table, bv, m)
     return _clean(table)
 

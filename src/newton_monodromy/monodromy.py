@@ -26,13 +26,7 @@ from math import comb, gcd, lcm
 
 from .ehrhart import Character, relint_counts, residue, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
-from .hodge import (
-    _clean,
-    _merge,
-    hodge_table,
-    lefschetz_twist,
-    pseudo_prime_row_sums,
-)
+from .hodge import _clean, _merge, hodge_table, pseudo_prime_row_sums
 from .newton import NewtonPolyhedron
 
 
@@ -85,14 +79,11 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     trivial = Character.trivial(np_.n)
     modulus = lcm(*(restricted(face.delta, face.char)[0] for face in np_.faces))
     for face in np_.faces:
-        cone = lefschetz_twist(hodge_table(face.delta, face.char), face.twist)
-        _merge(first, cone, step=residue_step(modulus, face.delta, face.char))
+        step = residue_step(modulus, face.delta, face.char)
+        _merge(first, hodge_table(face.delta, face.char), step=step, twist=face.twist)
         if face.dim >= 1:
             # the trivial character's one bucket is 0 under every modulus
-            _merge(
-                second,
-                lefschetz_twist(hodge_table(face.poly, trivial), face.twist + 1),
-            )
+            _merge(second, hodge_table(face.poly, trivial), twist=face.twist + 1)
     total = dict(first)
     _merge(total, second)
     return MotivicTable(

@@ -5,6 +5,21 @@ conv(union of v + R_{>=0}^n over v in S).  The engine only needs its
 compact faces, and for each compact face gamma the cone
 delta_gamma = conv({0} union gamma) together with the character that
 grades delta_gamma's lattice points by their height relative to gamma.
+
+The compact faces are polytope.intersection_closure of the compact
+facets' tight sets under every facet's tight set.  A convenient
+polyhedron's facets are the compact ones and the coordinate ones x_i = 0:
+a normal u >= 0 with zero set Z nonempty takes its minimum 0, on the
+pure powers of the axes in Z, exactly where x_j = 0 for every j outside
+Z, a face of dimension |Z|, so it is a facet only as a coordinate
+vector.  The
+normal cone of a compact face gamma holds a strictly positive vector, a
+positive combination of the normals of the facets through gamma, which
+coordinate normals alone never give: gamma misses the origin, so it is
+not in every coordinate hyperplane.  So a compact facet contains gamma,
+and gamma is that facet cut by the other facets through it.  Each
+compact face is the hull of its tight support points, so the tight set
+labels it faithfully.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .ehrhart import _MEMO, Character
 from .errors import InputError, InternalConsistencyError, NotConvenientError
-from .polytope import Polytope, cone_rays, make_polytope
+from .polytope import Polytope, cone_rays, intersection_closure, make_polytope
 
 
 @dataclass(frozen=True)
@@ -203,25 +218,12 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
         )
     facets.sort(key=lambda f: f.normal)
 
-    # Faces are intersections of facets; identity is the pair
-    # (tight support points, unbounded directions).
-    items = {
-        (f.tight, frozenset(i for i, x in enumerate(f.normal) if x == 0))
-        for f in facets
-    }
-    frontier = set(items)
-    while frontier:
-        nxt = set()
-        for a1, b1 in frontier:
-            for a2, b2 in items:
-                a, b = a1 & a2, b1 & b2
-                if a and (a, b) not in items and (a, b) not in nxt:
-                    nxt.add((a, b))
-        items |= nxt
-        frontier = nxt
+    # Every compact face is a face of a compact facet (module docstring).
+    compact = [f.tight for f in facets if f.compact]
+    closure = intersection_closure(compact, [f.tight for f in facets])
 
     fields = []
-    for tight in {a for a, b in items if not b}:
+    for tight in closure:
         fpts = tuple(sorted(pts[i] for i in tight))
         poly = make_polytope(fpts)
         delta = make_polytope(fpts + (origin,))

@@ -3,8 +3,9 @@
 varchenko_multiplicities computes the eigenvalue multiplicities of the
 monodromy of a convenient nondegenerate singularity from Varchenko's
 zeta function.  It deliberately shares no geometry code with the
-engine: facet search is brute force over point subsets, with facet
-normals from a fraction-free integer elimination of its own, and
+engine: one brute-force supporting-hyperplane search over point
+subsets, with normals from a fraction-free integer elimination of its
+own, finds both the lower facets and the facets of each pyramid, and
 volumes come from integer finite differences of lattice counts, so
 agreement with the engine is meaningful evidence rather than the same
 bug twice.  The lattice counts fix one coordinate at a time, each within
@@ -36,12 +37,7 @@ from math import comb, gcd, lcm
 from . import fan as fans
 from .ehrhart import Character, p_alpha, restricted
 from .errors import InputError, InternalConsistencyError
-from .hodge import (
-    _row_sums,
-    boundary_values,
-    hodge_table,
-    lefschetz_twist,
-)
+from .hodge import _merge, _row_sums, boundary_values, hodge_table
 from .monodromy import (
     _prime_face_counts,
     _read_blocks,
@@ -100,9 +96,11 @@ def _nullspace_generator(rows, k):
     return tuple(x // g for x in sol)
 
 
-def _lower_facets(pts, k):
-    """Facets of the under-boundary: maximal tight sets of supporting
-    hyperplanes with strictly positive normal."""
+def _supporting_hyperplanes(pts, k):
+    """{u: b} over the primitive u for which u.p >= b on every point of
+    pts, with equality on k points spanning a hyperplane: brute force
+    over the k-subsets of pts, each one's normal from
+    _nullspace_generator, tried in both orientations."""
     found = {}
     for subset in combinations(pts, k):
         base = subset[0]
@@ -111,31 +109,29 @@ def _lower_facets(pts, k):
         if nrm is None:
             continue
         for u in (nrm, tuple(-x for x in nrm)):
-            if any(x <= 0 for x in u):
+            if u in found:
                 continue
             b = _dot(u, base)
             if all(_dot(u, p) >= b for p in pts):
-                found[u] = (b, tuple(sorted(p for p in pts if _dot(u, p) == b)))
-    return [(u, b, tight) for u, (b, tight) in sorted(found.items())]
+                found[u] = b
+    return found
+
+
+def _lower_facets(pts, k):
+    """Facets of the under-boundary: maximal tight sets of supporting
+    hyperplanes with strictly positive normal."""
+    return [
+        (u, b, tuple(sorted(p for p in pts if _dot(u, p) == b)))
+        for u, b in sorted(_supporting_hyperplanes(pts, k).items())
+        if all(x > 0 for x in u)
+    ]
 
 
 def _pyramid_normalized_volume(tight, k):
     """k! times the volume of conv({0} union tight), by finite differences
     of lattice counts of the dilates 0..k.  Integer arithmetic only."""
-    origin = (0,) * k
-    verts = [origin] + [tuple(p) for p in tight]
-    ineqs = {}
-    for subset in combinations(verts, k):
-        base = subset[0]
-        diffs = [tuple(x - y for x, y in zip(p, base)) for p in subset[1:]]
-        nrm = _nullspace_generator(diffs, k)
-        if nrm is None:
-            continue
-        for u in (nrm, tuple(-x for x in nrm)):
-            b = _dot(u, base)
-            if all(_dot(u, v) >= b for v in verts):
-                ineqs[u] = min(b, ineqs.get(u, b))
-    ineq_list = sorted(ineqs.items())
+    verts = [(0,) * k] + [tuple(p) for p in tight]
+    ineq_list = sorted(_supporting_hyperplanes(verts, k).items())
     maxc = [max(v[j] for v in verts) for j in range(k)]
     counts = [1]
     for t in range(1, k + 1):
@@ -225,15 +221,19 @@ def _fibre_count(ineqs, top, t):
     return walk(0, rems)
 
 
-def _integer_point(p):
-    """The point as a tuple of ints; a non-integral coordinate raises
-    instead of being truncated."""
-    if any(x != int(x) for x in p):
-        raise ValueError(f"bad support point {tuple(p)}")
-    return tuple(int(x) for x in p)
-
-
-def _check_oracle_support(pts, n):
+def _oracle_support(points, n):
+    """The support as sorted distinct integer points, and n, checked: a
+    non-integral coordinate raises instead of being truncated."""
+    pts = set()
+    for p in points:
+        if any(x != int(x) for x in p):
+            raise ValueError(f"bad support point {tuple(p)}")
+        pts.add(tuple(int(x) for x in p))
+    pts = sorted(pts)
+    if not pts:
+        raise ValueError("empty support")
+    if n is None:
+        n = len(pts[0])
     for p in pts:
         if len(p) != n or any(x < 0 for x in p):
             raise ValueError(f"bad support point {p}")
@@ -245,16 +245,6 @@ def _check_oracle_support(pts, n):
             for p in pts
         ):
             raise ValueError(f"support not convenient on axis {i}")
-
-
-def _oracle_support(points, n):
-    """The support as sorted distinct integer points, and n, checked."""
-    pts = sorted({_integer_point(p) for p in points})
-    if not pts:
-        raise ValueError("empty support")
-    if n is None:
-        n = len(pts[0])
-    _check_oracle_support(pts, n)
     return pts, n
 
 
@@ -435,12 +425,10 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         except (InternalConsistencyError, InputError, ValueError) as exc:
             add(name, "fail", str(exc))
             return False
-        if detail == "skip":
-            add(name, "skip")
-        elif isinstance(detail, tuple) and detail and detail[0] == "skip":
-            add(name, "skip", detail[1])
+        if isinstance(detail, tuple):  # ("skip", detail)
+            add(name, *detail)
         else:
-            add(name, "pass", detail or "")
+            add(name, "pass", detail)
         return True
 
     # 1. structural face data
@@ -569,8 +557,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
             if f.dim >= 1:
                 for k, v in _trivial_part(hodge_table(f.poly, trivial)).items():
                     part[k] = part.get(k, 0) + v
-            for k, v in lefschetz_twist(part, f.twist + 1).items():
-                acc[k] = acc.get(k, 0) + v
+            _merge(acc, part, twist=f.twist + 1)
         acc = {k: v for k, v in acc.items() if v}
         want = {(0, 0, 0): 1, (n, n, 0): -1}
         if acc != want:
@@ -734,7 +721,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                         )
                 hits += 1
         if hits == 0:
-            return "skip"
+            return "skip", ""
         return f"{hits} cone/bucket pairs"
 
     run("pseudo-prime-row-sums", chk_pseudo_prime)
@@ -789,7 +776,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     def chk_fast_uni():
         if n < 2:
-            return "skip"
+            return "skip", ""
         got = fastpath_unipotent(np_)
         want = (
             spectrum.blocks.get((_ZERO, n - 1), 0),
@@ -805,7 +792,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     def chk_quasi_homogeneous():
         if not np_.is_quasi_homogeneous:
-            return "skip"
+            return "skip", ""
         bad = [key for key in spectrum.blocks if key[1] != 1]
         if bad:
             raise InternalConsistencyError(
@@ -838,7 +825,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_bp():
         exps = brieskorn_pham_exponents(np_)
         if exps is None:
-            return "skip"
+            return "skip", ""
         want = brieskorn_pham_spectrum(exps)
         if spectrum.multiplicities != want:
             raise InternalConsistencyError(

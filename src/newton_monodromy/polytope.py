@@ -10,8 +10,11 @@ one exact pure-Python walk of the fibres of the last chart coordinate.
 The geometry is combinatorial once the facets are known: chart
 coordinates come by forward substitution through the Hermite basis, the
 double description decides adjacency of rays by their zero sets, a point
-is a vertex when the facets through it hold no other point, and a
-face's dimension is read off its chain of subfaces in the face lattice.
+is a vertex when the facets through it hold no other point, the faces
+are intersection_closure of the facets' vertex sets under themselves,
+and a face's dimension is read off its chain of subfaces in the face
+lattice.  newton.newton_polyhedron finds the compact faces of a Newton
+polyhedron by the same closure, seeded with its compact facets.
 No rank is computed and no rational system is solved here.  The
 eliminations left are integer ones: the Hermite reductions behind the
 chart basis, the starting simplicial cone of cone_rays, and the
@@ -87,6 +90,25 @@ def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
         ] + new_zero
         aidx += 1
     return tuple(sorted(rays))
+
+
+def intersection_closure(seeds, cuts) -> set[frozenset]:
+    """Every nonempty set a seed cuts down to by intersecting it with any
+    number of cuts, the seeds included.
+
+    With the facets' point sets as both seeds and cuts these are the
+    proper faces of a polytope; newton.newton_polyhedron takes its
+    compact faces as the closure of the compact facets under every
+    facet.
+    """
+    out: set[frozenset] = set()
+    frontier = set(seeds)
+    while frontier:
+        out |= frontier
+        frontier = {
+            h for f in frontier for g in cuts if (h := f & g) and h not in out
+        }
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,19 +239,9 @@ class Polytope:
         """
         if self.dim == 0:
             return MappingProxyType({frozenset({0}): 0})
-        vids = self.vertex_ids
-        facet_sets = list(self.facet_vertex_sets)
-        faces = {frozenset(vids)}
-        frontier = set(facet_sets)
-        while frontier:
-            faces |= frontier
-            nxt = set()
-            for f in frontier:
-                for g in facet_sets:
-                    h = f & g
-                    if h and h not in faces:
-                        nxt.add(h)
-            frontier = nxt
+        facet_sets = self.facet_vertex_sets
+        faces = {frozenset(self.vertex_ids)}
+        faces |= intersection_closure(facet_sets, facet_sets)
         out: dict[frozenset[int], int] = {}
         for f in sorted(faces, key=len):
             out[f] = 1 + max((d for g, d in out.items() if g < f), default=-1)

@@ -23,6 +23,8 @@ CASES = {
     "cusp": ["x^2 + y^3"],
     "node": ["x^2 + y^2"],
     "fermat_cubic": ["x^3 + y^3"],
+    # the compact edge holds (1,1), a support point that is not a vertex
+    "conic_with_middle_point": ["x^2 + x*y + y^2"],
     "mixed_quintic_half": ["x^5 + x^2*y^2 + y^5", "--eigenvalue", "1/2"],
     "quartic_surface": ["x^4 + y^4 + z^4 + x^2*y^2*z^2"],
     "septic_surface": ["x^7 + y^7 + z^7 + x^2*y^2*z^2"],

@@ -42,6 +42,21 @@ def test_twist_and_torus_factor_expansions():
         (1, 1, F(0)): -2,
         (0, 0, F(0)): 1,
     }
+    # _merge folds the twist into the residue-stepped merge: the same as
+    # lefschetz_twist followed by a plain merge of the twisted table
+    cusp = hodge_table(make_polytope([(0, 0), (2, 0), (0, 3)]), Character(6, (3, 2)))
+    residue_keyed = {(0, 0, 1): 2, (1, 0, 2): -1, (0, 1, 0): 3, (2, 1, 1): 1}
+    start = {(0, 0, 3): 5, (1, 1, 0): -2, (2, 2, 9): 4, (3, 3, 3): 1}
+    for table in (cusp, residue_keyed):
+        for twist in range(4):
+            for scale, step in ((1, 1), (-1, 1), (1, 3), (-1, 2), (-2, 5)):
+                got = dict(start)
+                hodge._merge(got, table, scale, step, twist)
+                want = dict(start)
+                for (p, q, r), v in lefschetz_twist(table, twist).items():
+                    key = (p, q, r * step)
+                    want[key] = want.get(key, 0) + scale * v
+                assert hodge._clean(got) == hodge._clean(want), (twist, scale, step)
 
 
 def test_table_segment_length_two():

@@ -1,12 +1,15 @@
 """Newton polyhedra: compact faces, facets, characters, twists."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from newton_monodromy.ehrhart import Character
 from newton_monodromy.errors import InputError, NotConvenientError
 from newton_monodromy.newton import SupportSet, newton_polyhedron
+
+from _battery import golden_supports, random_supports
 
 F = Fraction
 
@@ -130,3 +133,34 @@ def test_face_order_is_by_dim_then_points():
     np_ = _np([(4, 0), (2, 2), (0, 4)])
     keyed = [(f.dim, f.points) for f in np_.faces]
     assert keyed == sorted(keyed)
+
+
+def _argmin(u, pts):
+    vals = [sum(a * b for a, b in zip(u, p)) for p in pts]
+    low = min(vals)
+    return frozenset(p for p, v in zip(pts, vals) if v == low)
+
+
+def test_compact_faces_checked_without_the_closure():
+    """The compact faces against facts that do not go through the
+    facet-intersection closure: their Euler characteristic is that of
+    the ball the compact boundary is, each face is the argmin over the
+    support of the summed normals of the facets through it (a strictly
+    positive vector), and the argmin of seeded random strictly positive
+    weights is a listed face."""
+    rng = Random(16)
+    for support in [*random_supports(40), *golden_supports()]:
+        np_ = newton_polyhedron(support)
+        pts = support.points
+        assert sum((-1) ** f.dim for f in np_.faces) == 1, pts
+        listed = {frozenset(f.points) for f in np_.faces}
+        assert len(listed) == len(np_.faces)
+        for f in np_.faces:
+            ids = {i for i, p in enumerate(pts) if p in f.points}
+            through = [g.normal for g in np_.facets if ids <= g.tight]
+            u = tuple(map(sum, zip(*through)))
+            assert all(x > 0 for x in u), (pts, f.points)
+            assert _argmin(u, pts) == frozenset(f.points), (pts, f.points)
+        for _ in range(100):
+            u = tuple(rng.randint(1, 30) for _ in range(support.n))
+            assert _argmin(u, pts) in listed, (pts, u)
