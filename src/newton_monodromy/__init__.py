@@ -76,7 +76,9 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Drop every memo: the interned polytopes and everything computed
-    from them (restrictions, volumes, counts, numerators, Hodge tables)."""
+    """Drop every memo: the interned polytopes and shapes and everything
+    computed from them (restrictions, volumes, counts, numerators, Hodge
+    tables)."""
     ehrhart._MEMO.clear()
     polytope._POLYTOPES.clear()
+    polytope._SHAPES.clear()

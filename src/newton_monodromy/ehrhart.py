@@ -30,12 +30,16 @@ polytope multiplies them by residue_step.
 
 One memo, _MEMO, holds everything computed from an interned polytope:
 the restrictions, the volumes, and the results of every function
-decorated with memoized, keyed by the polytope and that restriction,
-not by the ambient character.  A face G of a cone conv(0 u gamma) is
-reached under the height character of every compact face above it, and
-those all restrict to the same triple on G, so each of its counts is
-built once.  The memo hands out read-only mappings, so a caller cannot
-corrupt it.
+decorated with memoized.  Those results are keyed by the polytope's
+Shape (its chart points, shared by every polytope that reaches them)
+and the restriction, not by the instance nor by the ambient character.
+A face G of a cone conv(0 u gamma) is reached under the height
+character of every compact face above it, and those all restrict to
+the same triple on G; a translate of G reached from another cone has
+G's shape, and under the same triple the same counts.  So each count
+and table is built once per (shape, restriction).  restricted itself
+stays per instance: it reads the instance's chart basis.  The memo
+hands out read-only mappings, so a caller cannot corrupt it.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
 point polytope.
@@ -125,15 +129,17 @@ def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
 
 
 def memoized(fn):
-    """Memoize fn(poly, char, *args) per (fn, polytope, restricted
+    """Memoize fn(poly, char, *args) per (fn, poly.shape, restricted
     character, *args) in _MEMO, and hand out the result as a read-only
-    mapping.  Interned polytopes hash by identity, so a lookup does not
-    hash the point set; only a function whose values depend on char
-    through restricted(poly, char) alone may be decorated."""
+    mapping.  Interned shapes hash by identity, so a lookup does not
+    hash the chart points.  Only a function whose values depend on poly
+    through its chart points and on char through restricted(poly, char)
+    alone may be decorated: it must not read the ambient points or
+    character, since the entry serves every polytope of the shape."""
 
     @wraps(fn)
     def lookup(poly, char, *args):
-        key = (fn, poly, restricted(poly, char), *args)
+        key = (fn, poly.shape, restricted(poly, char), *args)
         hit = _MEMO.get(key)
         if hit is None:
             hit = _MEMO[key] = MappingProxyType(fn(poly, char, *args))
@@ -199,17 +205,20 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     total equals normalized_volume(poly), whose pyramids use another
     apex; phi_{dim+1} is 1 in bucket 0 and 0 elsewhere (the Euler
     characteristic of the interior, one point per interior simplex).
-    The vertex check runs on the first computation of each memo key, and
-    its outcome depends only on the restriction.
+    The vertex check reads the restriction (d', w', o'): the value at
+    the chart point y is (o' + w'.y)/d', so it runs on the first
+    computation of each memo key with the outcome every polytope of the
+    shape would get under that restriction.
     """
-    for v in poly.vertices:
-        if not char.is_trivial_at(v):
+    d, w, o = restricted(poly, char)
+    for i in poly.vertex_ids:
+        if (o + ila.dot(w, poly.cpoints[i])) % d:
             raise InternalConsistencyError(
-                f"character {char.coeffs}/{char.modulus} is not trivial on vertex {v}"
+                f"character with restriction {(d, w, o)} is not trivial on "
+                f"vertex {poly.points[i]}"
             )
+    # so o = 0: the chart origin is a vertex
     m = poly.dim
-    # o = 0: the chart origin is a vertex, where char vanishes
-    d, w, _ = restricted(poly, char)
     phi: dict[int, list[int]] = {}
     for simplex in _interior_simplices(poly):
         ys = [poly.cpoints[i] for i in simplex]
@@ -321,9 +330,10 @@ def normalized_volume(poly) -> int:
     where u.a + b is the lattice distance of a from the facet, zero on
     the facets through a.  p_alpha's triangulation cones from the lowest
     vertex id, so its check against this total is not circular.  No
-    lattice point is scanned.  Memoized per polytope.
+    lattice point is scanned.  Memoized per shape, as a function of the
+    chart points alone.
     """
-    key = (normalized_volume, poly)
+    key = (normalized_volume, poly.shape)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit

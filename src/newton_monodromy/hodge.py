@@ -25,11 +25,12 @@ the boundary formulas must be reproduced, conjugation symmetry
 e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
 
-A table reads its character only at lattice points of the polytope and
-of its faces, so hodge_table and _row_sums are decorated with
-ehrhart.memoized, which keys them by the polytope and the character's
-restriction to its lattice: the cone over a face is built once,
-whichever compact face's height character reaches it.
+A table reads its polytope only through its chart points and its
+character only at lattice points of the polytope and of its faces, so
+hodge_table and _row_sums are decorated with ehrhart.memoized, which
+keys them by the polytope's Shape and the character's restriction to
+its lattice: the cone over a face is built once, whichever compact
+face's height character reaches it, and once for all its translates.
 """
 
 from __future__ import annotations

@@ -7,6 +7,16 @@ lower-dimensional faces are first-class objects and counts are always
 taken in the correct lattice.  Lattice points of a dilate are listed by
 one exact pure-Python walk of the fibres of the last chart coordinate.
 
+A Polytope is split in two.  Its Shape holds everything that is a
+function of the chart points alone: facets, vertices, face lattice,
+primeness and the lattice walk.  make_polytope interns one Shape per
+tuple of chart points in _SHAPES, next to the polytopes in _POLYTOPES,
+so a translate or lattice image of a polytope whose sorted points reach
+the same chart coordinates builds none of that again, and the memo of
+ehrhart, keyed by shape, computes its counts and tables once for all of
+them.  The Polytope keeps the ambient embedding: points, chart,
+cpoints, vertices and its face polytopes.
+
 The geometry is combinatorial once the facets are known: chart
 coordinates come by forward substitution through the Hermite basis, the
 double description decides adjacency of rays by their zero sets, a point
@@ -144,36 +154,29 @@ class Chart:
         return tuple(y)
 
 
-class Polytope:
-    """Lattice polytope conv(points) with exact face and lattice data.
+class Shape:
+    """The lattice geometry of one tuple of chart points.
 
-    Construct through make_polytope so equal point sets share one
-    instance (face lattices and Ehrhart data are cached per instance).
+    Everything here is a function of cpoints alone: the facets, the
+    vertices, the face lattice, the unimodularity and primeness tests and
+    the walk of a dilate's lattice points.  Face-id sets index cpoints,
+    and so the points of every polytope whose chart points these are,
+    which is what lets the translates and lattice images of one polytope
+    share a shape.  Interned per cpoints in _SHAPES; a shape hashes by
+    identity and holds no polytope, so the memo keys of ehrhart.memoized
+    cost one pointer hash and keep no polytope alive.
     """
 
-    def __init__(self, points: tuple[tuple[int, ...], ...]):
-        if not points:
-            raise ValueError("a polytope needs at least one point")
-        self.points = points
-        self.ambient_dim = len(points[0])
-        p0 = points[0]
-        diffs = [ila.vec_sub(p, p0) for p in points[1:]]
-        basis = ila.saturation_basis(diffs, self.ambient_dim)
-        self.dim = len(basis)
-        self.chart = Chart(p0, basis)
-        self.cpoints = tuple(self.chart.to_chart(p) for p in points)
-        self._faces: dict[frozenset[int], Polytope] = {}
+    def __init__(self, cpoints: tuple[tuple[int, ...], ...]):
+        self.cpoints = cpoints
+        self.dim = len(cpoints[0])
 
     def __repr__(self):
-        return f"Polytope(dim={self.dim}, points={list(self.points)})"
-
-    @property
-    def key(self):
-        return self.points
+        return f"Shape(dim={self.dim}, cpoints={list(self.cpoints)})"
 
     @cached_property
     def cfacets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Facets of the chart image as pairs (u, b) with u.y + b >= 0.
+        """Facets of the chart points' hull as pairs (u, b) with u.y + b >= 0.
 
         u is primitive; equality holds exactly on the facet.  Empty for
         a point.  The dilate k*P satisfies u.y + k*b >= 0.
@@ -194,7 +197,7 @@ class Polytope:
 
     @cached_property
     def vertex_ids(self) -> tuple[int, ...]:
-        """Indices into self.points of the vertices of the hull.
+        """Indices into cpoints of the vertices of the hull.
 
         A point is a vertex when it lies on some facet and no other point
         lies on every facet through it: the facets through a point cut
@@ -213,10 +216,6 @@ class Polytope:
             for i, t in enumerate(tight)
             if t and not any(j != i and t <= s for j, s in enumerate(tight))
         )
-
-    @property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.points[i] for i in self.vertex_ids)
 
     @cached_property
     def facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
@@ -252,23 +251,6 @@ class Polytope:
         out.sort(key=lambda f: tuple(sorted(f)))
         return out
 
-    def face_points(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.points[i] for i in face))
-
-    def face_polytope(self, face: frozenset[int]) -> "Polytope":
-        """The interned polytope of a face, remembered per face.
-
-        A face holding every point is the polytope itself, which is
-        returned but never stored: an instance that referenced itself
-        would outlive clear_caches() until the cyclic collector ran.
-        """
-        if len(face) == len(self.points):
-            return self
-        poly = self._faces.get(face)
-        if poly is None:
-            poly = self._faces[face] = make_polytope(self.face_points(face))
-        return poly
-
     def bounding_box(self, k: int) -> tuple[tuple[int, int], ...]:
         """Per-coordinate (lo, hi) of the k-th chart dilate."""
         box = []
@@ -277,19 +259,19 @@ class Polytope:
             box.append((k * min(vals), k * max(vals)))
         return tuple(box)
 
-    def lattice_scan(self, k: int, relint: bool):
-        """Chart lattice points of the k-th dilate (interior only if relint).
+    def lattice_scan(self, k: int, relint: bool) -> list[tuple[int, ...]]:
+        """Chart lattice points of the k-th dilate (interior only if relint),
+        in lexicographic order.
 
-        Returns ("py", list of int tuples) with the points in
-        lexicographic order; the tag names the walk.  The walk follows
-        the fibres of the last chart coordinate: for each point of the
-        box of the leading coordinates, every facet u.y + k*b >= lo_off
-        bounds the last coordinate y' through c*y' >= -s, with c = u[-1]
-        and s = u[:-1].y + k*b - lo_off, so the fibre is one integer
-        interval and only its points are produced.
+        The walk follows the fibres of the last chart coordinate: for each
+        point of the box of the leading coordinates, every facet
+        u.y + k*b >= lo_off bounds the last coordinate y' through
+        c*y' >= -s, with c = u[-1] and s = u[:-1].y + k*b - lo_off, so the
+        fibre is one integer interval and only its points are produced.
+        The points are not kept: the counts read off them are memoized.
         """
         if self.dim == 0:
-            return "py", [()]
+            return [()]
         lo_off = 1 if relint else 0
         *lead_box, (last_lo, last_hi) = self.bounding_box(k)
         rows = [(u[:-1], u[-1], k * b - lo_off) for u, b in self.cfacets]
@@ -307,7 +289,7 @@ class Polytope:
                 if lo > hi:
                     break
             out.extend(lead + (y,) for y in range(lo, hi + 1))
-        return "py", out
+        return out
 
     @cached_property
     def vertex_cone_unimodular(self) -> bool:
@@ -354,11 +336,103 @@ class Polytope:
         return "pseudo_prime"
 
 
+class Polytope:
+    """Lattice polytope conv(points): its ambient embedding and its shape.
+
+    The points are sorted, the chart starts at the first of them (a
+    vertex) and cpoints are their chart coordinates, in the same order.
+    Everything that depends on cpoints alone (facets, vertices, faces,
+    primeness, the lattice walk) is read from self.shape, which every
+    polytope with the same chart points shares; face-id sets index points
+    and cpoints alike, so the shape's faces are this polytope's.  What
+    stays here is the embedding: points, chart, cpoints, vertices and
+    the interned face polytopes.  Construct through make_polytope so
+    equal point sets share one instance.
+    """
+
+    def __init__(self, points: tuple[tuple[int, ...], ...]):
+        if not points:
+            raise ValueError("a polytope needs at least one point")
+        self.points = points
+        self.ambient_dim = len(points[0])
+        p0 = points[0]
+        diffs = [ila.vec_sub(p, p0) for p in points[1:]]
+        basis = ila.saturation_basis(diffs, self.ambient_dim)
+        self.dim = len(basis)
+        self.chart = Chart(p0, basis)
+        self.cpoints = tuple(self.chart.to_chart(p) for p in points)
+        shape = _SHAPES.get(self.cpoints)
+        if shape is None:
+            shape = _SHAPES[self.cpoints] = Shape(self.cpoints)
+        self.shape = shape
+        self._faces: dict[frozenset[int], Polytope] = {}
+
+    def __repr__(self):
+        return f"Polytope(dim={self.dim}, points={list(self.points)})"
+
+    @property
+    def key(self):
+        return self.points
+
+    @cached_property
+    def cfacets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return self.shape.cfacets
+
+    @cached_property
+    def face_lattice(self) -> Mapping[frozenset[int], int]:
+        return self.shape.face_lattice
+
+    @property
+    def vertex_ids(self) -> tuple[int, ...]:
+        return self.shape.vertex_ids
+
+    @property
+    def facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
+        return self.shape.facet_vertex_sets
+
+    @property
+    def primeness(self) -> str:
+        return self.shape.primeness
+
+    def faces_of_dim(self, d: int) -> list[frozenset[int]]:
+        return self.shape.faces_of_dim(d)
+
+    def bounding_box(self, k: int) -> tuple[tuple[int, int], ...]:
+        return self.shape.bounding_box(k)
+
+    def lattice_scan(self, k: int, relint: bool):
+        """("py", Shape.lattice_scan(k, relint)); the tag names the walk."""
+        return "py", self.shape.lattice_scan(k, relint)
+
+    @property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.points[i] for i in self.vertex_ids)
+
+    def face_points(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(self.points[i] for i in face))
+
+    def face_polytope(self, face: frozenset[int]) -> "Polytope":
+        """The interned polytope of a face, remembered per face.
+
+        A face holding every point is the polytope itself, which is
+        returned but never stored: an instance that referenced itself
+        would outlive clear_caches() until the cyclic collector ran.
+        """
+        if len(face) == len(self.points):
+            return self
+        poly = self._faces.get(face)
+        if poly is None:
+            poly = self._faces[face] = make_polytope(self.face_points(face))
+        return poly
+
+
 _POLYTOPES: dict[tuple, Polytope] = {}
+_SHAPES: dict[tuple, Shape] = {}
 
 
 def make_polytope(points) -> Polytope:
-    """Interning constructor: one Polytope instance per distinct point set."""
+    """Interning constructor: one Polytope instance per distinct point set,
+    and through it one Shape per distinct tuple of chart points."""
     key = tuple(sorted({tuple(int(x) for x in p) for p in points}))
     poly = _POLYTOPES.get(key)
     if poly is None:

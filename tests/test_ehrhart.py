@@ -188,11 +188,14 @@ def _reached_pairs(supports):
 
 def test_p_alpha_matches_the_dilate_scan():
     """The open-face sums equal the numerators of the dilate scan on every
-    pair that jordan_blocks reaches on 40 battery supports, the golden
-    inputs, two Fermat surfaces, a Fermat quartic threefold and a support
-    with a non-simplicial compact face."""
+    pair that jordan_blocks reaches on 40 battery supports, 45 more in
+    three and four variables, the golden inputs, two Fermat surfaces, a
+    Fermat quartic threefold and a support with a non-simplicial compact
+    face.  The memo is keyed by shape, so translates of a face are reached
+    once; the four-variable supports bring the shapes the floor asks for."""
     supports = (
         list(random_supports(40))
+        + list(random_supports(45, seed=7, dims=(3, 4)))
         + list(golden_supports())
         + [parse_polynomial(f"x^{e} + y^{e} + z^{e}") for e in (8, 12)]
         + [parse_polynomial("x^4 + y^4 + z^4 + w^4")]

@@ -16,7 +16,7 @@ from newton_monodromy.errors import InternalConsistencyError
 from newton_monodromy.monodromy import fastpath_unipotent, jordan_blocks
 from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.newton import newton_polyhedron
-from newton_monodromy.polytope import Chart, Polytope, cone_rays, make_polytope
+from newton_monodromy.polytope import Chart, Polytope, Shape, cone_rays, make_polytope
 
 from _battery import edge_points, golden_supports, random_supports
 
@@ -420,12 +420,13 @@ def test_chart_raises_off_the_lattice_and_off_the_affine_hull():
 
 
 def test_no_polytope_outlives_clear_caches():
-    """Without the cyclic collector, every polytope that an answer built
-    is freed once clear_caches() drops the interning table and the memo:
-    no polytope, in particular none whose face map held the polytope
-    itself, sits in a reference cycle."""
+    """Without the cyclic collector, every polytope and every shape that
+    an answer built is freed once clear_caches() drops the interning
+    tables and the memo: no polytope, in particular none whose face map
+    held the polytope itself, sits in a reference cycle, and no shape is
+    kept by a memo key."""
     gc.collect()
-    before = [o for o in gc.get_objects() if isinstance(o, Polytope)]
+    before = [o for o in gc.get_objects() if isinstance(o, (Polytope, Shape))]
     ids = {id(o) for o in before}
     gc.disable()
     try:
@@ -439,7 +440,9 @@ def test_no_polytope_outlives_clear_caches():
         del np_, face
         clear_caches()
         left = [
-            o for o in gc.get_objects() if isinstance(o, Polytope) and id(o) not in ids
+            o
+            for o in gc.get_objects()
+            if isinstance(o, (Polytope, Shape)) and id(o) not in ids
         ]
     finally:
         gc.enable()
