@@ -1,5 +1,9 @@
 """Normal fans and their simplicial refinements.
 
+The answer builds no fan.  Only validate's fan-refinement check and the
+Hodge tests' stellar reference use this module; perfbench/tracer.py
+times normal_fan and simplicial_refinement by name.
+
 A cone is a frozenset of primitive generator tuples in the polytope's
 chart lattice.  Within one fan this representation is faithful, and
 face relations reduce to set inclusion of generator sets: a subset of a
@@ -48,8 +52,7 @@ def normal_fan(poly) -> set[frozenset]:
     """Every cone of the inner normal fan, including the zero cone.
 
     The cone of a face F collects the primitive normals of the facets
-    containing F; each normal u attains its minimum over the polytope
-    exactly on its facet, so min_face inverts the construction.
+    containing F.
     """
     if poly.dim == 0:
         raise ValueError("normal fan needs a positive-dimensional polytope")
@@ -61,14 +64,6 @@ def normal_fan(poly) -> set[frozenset]:
             frozenset(normals[i] for i, fs in enumerate(fsets) if face <= fs)
         )
     return cones
-
-
-def min_face(poly, vector) -> frozenset[int]:
-    """Vertex-id set of the face where vector.y is minimal over the chart."""
-    vids = poly.vertex_ids
-    vals = {i: ila.dot(vector, poly.cpoints[i]) for i in vids}
-    mn = min(vals.values())
-    return frozenset(i for i in vids if vals[i] == mn)
 
 
 def simplicial_refinement(cones: set[frozenset]) -> set[frozenset]:

@@ -13,7 +13,7 @@ ehrhart.residue_step before they are merged.
 
 The computation is the classical one: closed formulas for both extreme
 rows and for the high range p+q > dim-1, a stratification of the
-closure in the toric variety of a simplicially refined normal fan,
+closure by chains of faces (the cones of a simplicial refinement),
 Poincare duality for that closure, and row-sum targets to recover the
 middle anti-diagonal.  One assembly serves every dimension, filling
 each bucket in one pass: the low range p+q < dim-1 reads the closed-form
@@ -40,7 +40,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 
-from . import ehrhart, fan as fans
+from . import ehrhart
 from .ehrhart import Character, memoized, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
 
@@ -130,28 +130,30 @@ def boundary_values(poly, char: Character):
 def _strata_sum(poly, char: Character, m: int) -> dict:
     """Sum over torus orbits of the boundary strata of the closure.
 
-    The orbit of a refined normal cone sigma meets the closure in the
-    hypersurface of the face where sum(rays of sigma) is minimized,
-    times a torus soaking up the dimension defect.  Faces that are
-    single vertices contribute nothing (their hypersurface is empty).
+    The closure lives in the toric variety of the barycentric subdivision
+    of the normal fan, whose nonzero cones are the chains F_0 > ... > F_k
+    of proper faces.  A chain's orbit meets the closure in the
+    hypersurface of F_k, empty for a vertex, times a torus of dimension
+    j = m - k - 1 - dim F_k.  Faces are visited by descending vertex
+    count, so the chains ending at a face are counted from those above it.
     """
     d = restricted(poly, char)[0]
-    cones = fans.simplicial_refinement(fans.normal_fan(poly))
+    lat = poly.face_lattice
+    chains: dict = {}  # face -> {k: chains F_0 > ... > F_k = face}
     S: dict = {}
-    for sigma in sorted(cones, key=lambda c: (len(c), sorted(c))):
-        if not sigma:
-            continue
-        u0 = tuple(sum(col) for col in zip(*sorted(sigma)))
-        sub = poly.face_polytope(fans.min_face(poly, u0))
-        if sub.dim == 0:
-            continue
-        j = (m - len(sigma)) - sub.dim
-        if j < 0:
-            raise InternalConsistencyError(
-                "stratum dimension defect is negative"
-            )
-        # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
-        _merge(S, hodge_table(sub, char), (-1) ** j, residue_step(d, sub, char), j)
+    for face in sorted((f for f in lat if 0 < lat[f] < m), key=len, reverse=True):
+        ends = Counter({0: 1})
+        for above, counts in chains.items():
+            if face < above:
+                for k, c in counts.items():
+                    ends[k + 1] += c
+        chains[face] = ends
+        sub = poly.face_polytope(face)
+        table, step = hodge_table(sub, char), residue_step(d, sub, char)
+        for k, c in ends.items():
+            j = m - k - 1 - lat[face]
+            # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
+            _merge(S, table, c * (-1) ** j, step, j)
     return _clean(S)
 
 

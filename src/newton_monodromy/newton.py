@@ -37,8 +37,8 @@ class SupportSet:
     """A finite set of exponent vectors with named coordinates.
 
     Valid instances have at least two variables and a nonempty set of
-    distinct, nonnegative points of matching arity; the constructor
-    enforces this."""
+    distinct points of matching arity whose exponents are nonnegative
+    ints; the constructor enforces this."""
 
     variables: tuple[str, ...]
     points: tuple[tuple[int, ...], ...]
@@ -53,6 +53,8 @@ class SupportSet:
         for p in self.points:
             if len(p) != n:
                 raise InputError("support point arity does not match variables")
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in p):
+                raise InputError(f"non-integer exponent in support point {p}")
             if any(x < 0 for x in p):
                 raise InputError(f"negative exponent in support point {p}")
             if p in seen:

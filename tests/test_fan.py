@@ -9,7 +9,6 @@ from newton_monodromy.fan import (
     cone_dim,
     euler_count_ok,
     is_simplicial,
-    min_face,
     normal_fan,
     simplicial_refinement,
     subset_closed,
@@ -87,18 +86,6 @@ def test_normal_fan_segment():
 def test_normal_fan_point_rejected():
     with pytest.raises(ValueError):
         normal_fan(make_polytope([(1, 1)]))
-
-
-def test_min_face_inverts_facet_normals():
-    tri = make_polytope([(0, 0), (2, 0), (0, 3)])
-    for i, (u, _) in enumerate(tri.cfacets):
-        assert min_face(tri, u) == tri.facet_vertex_sets[i]
-
-
-def test_min_face_zero_vector_gives_whole_polytope():
-    tri = make_polytope([(0, 0), (2, 0), (0, 3)])
-    zero = (0,) * tri.dim
-    assert min_face(tri, zero) == frozenset(tri.vertex_ids)
 
 
 def test_octahedron_fan_needs_refinement():

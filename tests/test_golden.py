@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from newton_monodromy import cli, clear_caches
+from newton_monodromy import cli, clear_caches, fan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,6 +29,9 @@ CASES = {
     "quartic_surface": ["x^4 + y^4 + z^4 + x^2*y^2*z^2"],
     "septic_surface": ["x^7 + y^7 + z^7 + x^2*y^2*z^2"],
     "four_variables": ["x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4"],
+    # the compact facet (0,0,4), (0,4,0), (2,0,1), (2,1,0) is a
+    # quadrilateral, so the cone over it has a non-simplicial normal fan
+    "cone_over_a_quadrilateral": ["x^4 + x^2*y + x^2*z + y^4 + z^4"],
     # run from inside GOLDEN, so the payload's "source" is this file name
     "support_file": ["--support", "support_input.json"],
 }
@@ -66,6 +69,28 @@ def test_json_does_not_depend_on_memo_state(capsys, monkeypatch):
         for name in sorted(CASES):
             expected = (GOLDEN / f"{name}.json").read_text()
             assert _payload_text(capsys, CASES[name]) == expected, (label, name)
+
+
+def test_answer_builds_no_fan(capsys, monkeypatch):
+    """With the normal fan and its refinement made to raise, a cold CLI
+    run without --validate (their only caller left) still prints the
+    golden payload, validation aside: the spectra and every Hodge table
+    come from the face lattice alone."""
+    monkeypatch.chdir(GOLDEN)
+
+    def no_fan(*args):
+        raise AssertionError("the answer built a fan")
+
+    monkeypatch.setattr(fan, "normal_fan", no_fan)
+    monkeypatch.setattr(fan, "simplicial_refinement", no_fan)
+    for name in sorted(CASES):
+        clear_caches()
+        assert cli.main(CASES[name] + ["--json", "--emit-hodge-tables"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = json.loads((GOLDEN / f"{name}.json").read_text())
+        expected.pop("validation")
+        payload.pop("timing_ms")
+        assert payload == expected, name
 
 
 def test_json_matches_golden_without_numpy():

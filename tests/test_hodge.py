@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from types import MappingProxyType
 
 import pytest
@@ -426,8 +427,11 @@ def _ref_hodge_table(poly, char, memo):
         for sigma in sorted(cones, key=lambda c: (len(c), sorted(c))):
             if not sigma:
                 continue
+            # the face where the sum of sigma's rays is minimal
             u0 = tuple(sum(col) for col in zip(*sorted(sigma)))
-            sub = poly.face_polytope(fans.min_face(poly, u0))
+            vals = {i: sum(map(mul, u0, poly.cpoints[i])) for i in poly.vertex_ids}
+            low = min(vals.values())
+            sub = poly.face_polytope(frozenset(i for i, v in vals.items() if v == low))
             if sub.dim == 0:
                 continue
             j = (m - len(sigma)) - sub.dim
@@ -507,17 +511,29 @@ def _residue_keys(mapping, d):
         assert type(r) is int and 0 <= r < d, (k, d)
 
 
+# Inputs that reach cone polytopes with non-simplicial normal fans, where
+# the reference's stellar refinement and the chains of faces differ.
+NON_SIMPLICIAL_FAN_INPUTS = (
+    "x^4 + x^2*y + x^2*z + y^4 + z^4",
+    "x^5 + x*z^2 + y^5 + y*z^2 + z^4",
+    "x^3 + x*y*z + y^3 + y^2*z + z^5",
+    "x^5 + x^3*y + x^3*z + y^6 + y*w + z^4 + z*w + w^6",
+)
+
+
 def test_public_views_match_the_fraction_assembly():
     """On every pair jordan_blocks reaches on 40 battery supports, 10 more
-    in three and four variables and the golden inputs, hodge_table,
-    boundary_values and _row_sums, read as Fractions, equal the
-    Fraction-keyed assembly above.  They key every bucket by an int in
-    range(d'), the memoized ones are read-only, and two characters with
-    one restriction share one memo entry."""
+    in three and four variables, the golden inputs and four inputs with
+    non-simplicial normal fans, hodge_table, boundary_values and
+    _row_sums, read as Fractions, equal the Fraction-keyed assembly
+    above, whose strata come from the stellar refinement.  They key every
+    bucket by an int in range(d'), the memoized ones are read-only, and
+    two characters with one restriction share one memo entry."""
     supports = (
         list(random_supports(40))
         + list(random_supports(10, seed=7, dims=(3, 4)))
         + list(golden_supports())
+        + [parse_polynomial(text) for text in NON_SIMPLICIAL_FAN_INPUTS]
     )
     pairs = _reached_table_pairs(supports)
     memo = {}
@@ -552,6 +568,12 @@ def test_public_views_match_the_fraction_assembly():
             assert all(a is b for a, b in zip(first[1], memoized)), (poly, char)
     assert len(pairs) > 800
     assert {poly.dim for poly, _ in pairs} == {1, 2, 3, 4}
+    # Not vacuous: on these pairs the stellar refinement and the chains of
+    # faces are different fans.
+    non_simplicial = sum(
+        not all(map(fans.is_simplicial, fans.normal_fan(poly))) for poly, _ in pairs
+    )
+    assert non_simplicial >= 10
     # Not vacuous: many pairs reach an entry made under another character.
     assert len(pairs) - len(by_restriction) > 500
 

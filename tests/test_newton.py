@@ -119,6 +119,10 @@ def test_not_singular_at_origin_rejected():
 def test_malformed_support_rejected():
     with pytest.raises(InputError, match="negative exponent"):
         SupportSet(("x", "y"), ((2, -1), (0, 3)))
+    with pytest.raises(InputError, match=r"non-integer exponent .*\(0, 3\.5\)"):
+        SupportSet(("x", "y"), ((2, 0), (0, 3.5)))
+    with pytest.raises(InputError, match="non-integer exponent"):
+        SupportSet(("x", "y"), ((2, 0), (0, True)))
     with pytest.raises(InputError, match="arity"):
         SupportSet(("x", "y"), ((2, 0), (0, 3, 1)))
     with pytest.raises(InputError, match="at least two variables"):
