@@ -11,7 +11,13 @@ faces of a pulling triangulation: relint(kP) is the disjoint union of
 relint(k tau) over the simplices tau that lie in no facet of P, and
 each tau contributes the lattice points of its open fundamental
 parallelepiped, NVol(tau) of them (Beck-Robins, ch. 3).  No dilate is
-scanned.
+scanned.  The triangulation cones from vertex 0, the chart origin, so
+every such tau holds it, and _box_counts walks the group of tau's
+parallelepiped with the apex folded into a floor: a point's height is
+one more than the floor of the other coordinates' sum, and its bucket
+is a linear form in its group coordinates.  The group is walked in
+flat blocks of at most _BLOCK points, each built by additions and
+counted by one Counter.update.
 
 relint_counts is the engine's one lattice-point counter: the
 boundary rows of the Hodge tables (faces of every dimension, vertices
@@ -54,7 +60,7 @@ from fractions import Fraction
 from functools import cache, reduce, wraps
 from itertools import combinations, product
 from math import comb, gcd
-from operator import add
+from operator import mul
 from types import MappingProxyType
 
 from . import intlinalg as ila
@@ -177,16 +183,17 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[int, int]:
     Keys are bucket residues r mod d' = restricted(poly, char)[0], in
     ascending order; values are positive counts.  k = 0 returns an empty
     mapping.  The relative interior of a point is the point itself: its
-    chart is Z^0, and lattice_scan returns the one chart point ().
+    chart is Z^0, and lattice_scan returns the one chart point ().  Under
+    a trivial restriction (d' = 1) every point falls in bucket 0.
     """
     if k == 0:
         return {}
     d, w, o = restricted(poly, char)
+    rows = poly.lattice_scan(k, relint=True)[1]
+    if d == 1:
+        return {0: len(rows)} if rows else {}
     off = k * o
-    raw: dict[int, int] = {}
-    for y in poly.lattice_scan(k, relint=True)[1]:
-        r = (off + ila.dot(w, y)) % d
-        raw[r] = raw.get(r, 0) + 1
+    raw = Counter((off + sum(map(mul, w, y))) % d for y in rows)
     return dict(sorted(raw.items()))
 
 
@@ -200,11 +207,16 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     / (1-t)^{dim+1}.  Requires the character to vanish on every vertex,
     hence on each generator (v, 1) of a simplex's cone, so an interior
     simplex of dimension j adds (1-t)^(dim-j) t^height(b) to the bucket
-    of each point b of its open parallelepiped (_open_box).  Checks:
-    phi_1 equals the k = 1 walk of relint_counts in every bucket; the
-    total equals normalized_volume(poly), whose pyramids use another
-    apex; phi_{dim+1} is 1 in bucket 0 and 0 elsewhere (the Euler
-    characteristic of the interior, one point per interior simplex).
+    of each point b of its open parallelepiped.  _box_counts counts those
+    points per (height, bucket): every interior simplex starts at vertex
+    0, whose generator (0, ..., 0, 1) takes no coordinate of its own, and
+    the bucket is read off the character's linear form on the group of
+    the parallelepiped.  Checks: _box_counts refuses a simplex that
+    misses vertex 0; phi_1 equals the k = 1 walk of relint_counts in
+    every bucket; the total equals normalized_volume(poly), whose
+    pyramids use another apex; phi_{dim+1} is 1 in bucket 0 and 0
+    elsewhere (the Euler characteristic of the interior, one point per
+    interior simplex).
     The vertex check reads the restriction (d', w', o'): the value at
     the chart point y is (o' + w'.y)/d', so it runs on the first
     computation of each memo key with the outcome every polytope of the
@@ -223,9 +235,9 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     for simplex in _interior_simplices(poly):
         ys = [poly.cpoints[i] for i in simplex]
         codim = m + 1 - len(ys)
-        box = _open_box([y + (1,) for y in ys], [ila.dot(w, y) for y in ys])
-        for (height, value), n in Counter(box).items():
-            row = phi.setdefault(value % d, [0] * (m + 2))
+        box = _box_counts([y + (1,) for y in ys], [ila.dot(w, y) for y in ys], d)
+        for (height, r), n in box.items():
+            row = phi.setdefault(r, [0] * (m + 2))
             for i in range(codim + 1):
                 row[height + i] += (-1) ** i * comb(codim, i) * n
     out = {r: tuple(row) for r, row in sorted(phi.items())}
@@ -285,40 +297,98 @@ def _interior_simplices(poly) -> list[tuple[int, ...]]:
     return sorted(s for s in simplices if not any(f.issuperset(s) for f in facets))
 
 
-def _open_box(gens, weights):
-    """(height, phi) at each lattice point b of the open parallelepiped
-    {sum lam_i gens_i : 0 < lam_i <= 1}, where phi is the linear form with
-    phi(gens_i) = weights_i and the height is the last coordinate.
+_BLOCK = 1024
 
-    The points lie in the saturated lattice L of span(gens).  With M the
-    gens in a basis of L, the rows of row_hnf(M) are triangular, so the
-    vectors 0 <= x_i < diagonal_i (in that basis) meet every coset of
-    L / Z gens once, |det M| = NVol of the simplex of them in all.  The
-    coset of x has lam = x M^{-1}, brought into (0, 1] coordinatewise.
-    Every gens_i must have last coordinate 1.
+
+def _box_counts(gens, weights, d: int) -> dict[tuple[int, int], int]:
+    """{(height, residue): count} over the lattice points b of the open
+    parallelepiped {sum lam_i gens_i : 0 < lam_i <= 1} of a simplex's
+    cone, where the height is the last coordinate and the residue is
+    phi(b) mod d for the linear form with phi(gens_i) = weights_i.
+
+    gens_0 must be the apex (0, ..., 0, 1) and every other gens_i must
+    have last coordinate 1, or the kernel raises; every weight must
+    vanish mod d, as p_alpha's vertex check ensures.  Write
+    gens_i = (y_i, 1) for i >= 1.  The points lie in L x Z, L the
+    saturated lattice of span(y_i), and those of the box are one per
+    coset of L / Z y: with Y the y_i in a basis of L, the rows of
+    row_hnf(Y) are triangular, so the vectors 0 <= x_k < diagonal_k (in
+    that basis) meet every coset once, |det Y| = NVol of the simplex of
+    them in all.
+
+    Three facts make the walk additions.  The apex takes no lam of its
+    own: lam_0 tops the others up to the next integer, so with
+    L_i = lam_i * det in (0, det] the height is
+    floor(sum_{i>=1} L_i / det) + 1.  L_i is (x . col_i) mod det, or det,
+    col_i the i-th column of det * Y^-1.  And phi vanishes mod d on every
+    generator, so the residue is phi(x) mod d, one integer phi(e_k) per
+    axis: phi(e_k) = sum_i weights_i * col_i[k] / det, an exact division.
+    The group is walked in flat blocks of at most _BLOCK entries: axis k
+    takes chunks[k] consecutive values in a block (later axes slower; a
+    cut axis is the last one with more than one), each generator's
+    x . col_i over the block is built once, axis by axis, by additions,
+    and each block costs one list comprehension per generator and one
+    Counter.update, of the integer keys (height - 1) * d + residue.
     """
-    mat = gens
-    if len(gens) < len(gens[0]):
-        cols = list(zip(*ila.saturation_basis(gens, len(gens[0]))))
-        mat = [ila.solve_integer(cols, g) for g in gens]
+    (*origin, one), *rest = gens
+    if any(origin) or one != 1 or any(g[-1] != 1 for g in rest):
+        raise InternalConsistencyError(
+            f"simplex cone {gens} is not coned from the chart origin at height 1"
+        )
+    if not rest:
+        return {(1, 0): 1}
+    mat = ys = [g[:-1] for g in rest]
+    if len(ys) < len(ys[0]):
+        cols = list(zip(*ila.saturation_basis(ys, len(ys[0]))))
+        mat = [ila.solve_integer(cols, y) for y in ys]
     det, inv = ila.scaled_inverse_columns(mat)
+    if det < 0:
+        det, inv = -det, [tuple(-x for x in col) for col in inv]
     diag = [h[i] for i, h in enumerate(ila.row_hnf(mat))]
-    # lam * det = x . (row k of inv); % takes the sign of det, so each
-    # (a % det or det) / det lies in (0, 1].  The longest axis of x runs
-    # innermost, as one list per generator.
-    inner = diag.index(max(diag))
-    outer = [k for k in range(len(diag)) if k != inner]
-    span = range(diag[inner])
-    for x in product(*(range(diag[k]) for k in outer)):
-        heights = [0] * len(span)
-        values = [0] * len(span)
-        for col, wt in zip(inv, weights):
-            a = sum(xk * col[k] for xk, k in zip(x, outer))
-            s = col[inner]
-            lam = [(a + t * s) % det or det for t in span]
-            heights = list(map(add, heights, lam))
-            values = list(map(add, values, [wt * v for v in lam]))
-        yield from zip([h // det for h in heights], [v // det for v in values])
+    form = []
+    for k in range(len(diag)):
+        q, r = divmod(sum(wt * col[k] for wt, col in zip(weights[1:], inv)), det)
+        if r:
+            raise InternalConsistencyError(
+                f"weights {weights} are not integral on the lattice of {gens}"
+            )
+        form.append(q % d)
+
+    chunks, size = [], 1
+    for h in diag:
+        chunks.append(min(h, _BLOCK // size))
+        size *= chunks[-1]
+    # an axis cut short fills the block past half, so the axes after it
+    # take one value: the last chunk of the cut axis is a prefix
+    cut = next((k for k, (h, c) in enumerate(zip(diag, chunks)) if 1 < c < h), None)
+    below = size if cut is None else size // chunks[cut]
+
+    def block(steps):
+        out = [0]
+        for s, c in zip(steps, chunks):
+            slab = out
+            for _ in range(c - 1):
+                slab = [b + s for b in slab]
+                out += slab
+        return out
+
+    first, *more = [block(col) for col in inv]
+    if not any(form):
+        d = 1
+    values = block(form) if d > 1 else None
+    counts: Counter = Counter()
+    for x in product(*(range(0, h, c) for h, c in zip(diag, chunks))):
+        n = size if cut is None else below * min(chunks[cut], diag[cut] - x[cut])
+        a, *offs = [sum(map(mul, x, col)) for col in inv]
+        acc = [(a + b) % det or det for b in first[:n]]
+        for a, base in zip(offs, more):
+            acc = [s + ((a + b) % det or det) for s, b in zip(acc, base)]
+        if values is None:
+            counts.update([s // det for s in acc])
+        else:
+            v = sum(map(mul, x, form))
+            counts.update([s // det * d + (v + b) % d for s, b in zip(acc, values)])
+    return {(k // d + 1, k % d): n for k, n in counts.items()}
 
 
 def normalized_volume(poly) -> int:

@@ -37,6 +37,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from types import MappingProxyType
 
 from . import intlinalg as ila
@@ -279,16 +280,19 @@ class Shape:
         for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in lead_box)):
             lo, hi = last_lo, last_hi
             for ul, c, s in rows:
-                s += ila.dot(ul, lead)
+                s += sum(map(mul, ul, lead))
                 if c > 0:
-                    lo = max(lo, -(s // c))
+                    if (t := -(s // c)) > lo:
+                        lo = t
                 elif c < 0:
-                    hi = min(hi, s // -c)
+                    if (t := s // -c) < hi:
+                        hi = t
                 elif s < 0:
                     hi = lo - 1
                 if lo > hi:
                     break
-            out.extend(lead + (y,) for y in range(lo, hi + 1))
+            else:
+                out += [lead + (y,) for y in range(lo, hi + 1)]
         return out
 
     @cached_property

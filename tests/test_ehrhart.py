@@ -296,26 +296,28 @@ def test_p_alpha_catches_a_dropped_maximal_simplex(monkeypatch):
 
 
 def test_p_alpha_catches_a_facet_simplex_counted_as_interior(monkeypatch):
-    """The cusp edge from (0, 3) to (2, 0) is primitive: its one box point
-    has height 2, so counting it keeps phi_1 and the total and moves the
-    top coefficient."""
+    """The cusp edge from (0, 3) to (2, 0) lies in a facet.  Its one box
+    point has height 2, so counting it would keep phi_1 and the total and
+    move only the top coefficient; but the simplex misses vertex 0, and
+    the box kernel refuses a simplex off the chart origin first."""
     real = ehrhart._interior_simplices
     monkeypatch.setattr(
         ehrhart, "_interior_simplices", lambda poly: sorted(real(poly) + [(1, 2)])
     )
-    _fresh_p_alpha_raises(*_CUSP, "phi_3 is")
+    _fresh_p_alpha_raises(*_CUSP, "not coned from the chart origin")
 
 
 def test_p_alpha_catches_a_dropped_height_one_box_point(monkeypatch):
     """The cusp's one interior point (1, 1) is a box point of height 1."""
-    real = ehrhart._open_box
+    real = ehrhart._box_counts
 
-    def lossy(gens, weights):
-        points = list(real(gens, weights))
-        points.remove(next(p for p in points if p[0] == 1))
-        return points
+    def lossy(gens, weights, d):
+        counts = dict(real(gens, weights, d))
+        key = next(key for key in counts if key[0] == 1)
+        counts[key] -= 1
+        return counts
 
-    monkeypatch.setattr(ehrhart, "_open_box", lossy)
+    monkeypatch.setattr(ehrhart, "_box_counts", lossy)
     _fresh_p_alpha_raises(*_CUSP, "phi_1")
 
 

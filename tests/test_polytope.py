@@ -153,9 +153,9 @@ def _random_polytopes(seed=7):
                 yield p
 
 
-def test_lattice_scan_paths_agree():
+def test_lattice_scan_equals_a_box_filter():
     """The fibre walk returns exactly the rows of a plain box filter, in
-    the same order, on boxes small and large."""
+    the same order, on boxes small and large, tagged "py"."""
     kinds = set()
     for p in _random_polytopes():
         for k in (1, 2, 3):
@@ -168,7 +168,7 @@ def test_lattice_scan_paths_agree():
     assert _scan_rows(tet, 1, relint=True) == [(1, 1, 1), (1, 1, 2)]
 
 
-def test_lattice_scan_huge_coordinates_fall_back_to_python():
+def test_lattice_scan_is_exact_with_huge_normals():
     """A sliver with a facet normal of size 2^45: the exact walk lists
     its few points, with no fixed-width arithmetic to overflow."""
     n = 2 ** 45
