@@ -11,9 +11,8 @@ and integer solves (forward substitution through the pivot rows).
 
 The engine solves over Z only: polytope charts invert their Hermite
 basis by forward substitution, so solve_rational has no caller in the
-engine, and frac_rank serves only fan.cone_dim, for cones of three or
-more generators: the rank of one or two generators takes no
-elimination.
+engine, and frac_rank serves only fan.cone_dim, the cone dimensions of
+the tests' stellar reference.
 
 Conventions: a "matrix" is a sequence of equal-length rows.  Functions
 return tuples so results are hashable and safely shareable.

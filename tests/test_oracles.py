@@ -12,7 +12,11 @@ import pytest
 from newton_monodromy import monodromy, oracles
 from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
+from newton_monodromy.polytope import make_polytope
+
+from _battery import golden_supports
 from newton_monodromy.oracles import (
+    _chains_form_a_sphere,
     brieskorn_pham_exponents,
     brieskorn_pham_spectrum,
     kouchnirenko_cost,
@@ -327,6 +331,93 @@ def test_brieskorn_pham_exponents():
     assert brieskorn_pham_exponents(
         _np([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
     ) == [2, 2, 2, 2]
+
+
+SEGMENT = [(0, 0), (2, 2)]
+TRIANGLE = [(0, 0), (2, 0), (0, 3)]
+SQUARE = [(0, 0), (2, 0), (0, 2), (2, 2)]
+OCTAHEDRON = [
+    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
+]
+
+
+def _lattice(points):
+    poly = make_polytope(points)
+    return dict(poly.face_lattice), poly.dim
+
+
+def _first_edge(lat):
+    return min((f for f, d in lat.items() if d == 1), key=sorted)
+
+
+def _diagonal(lat):
+    """The first pair of vertices that is not an edge."""
+    vertices = sorted(v for f, d in lat.items() if d == 0 for v in f)
+    pairs = map(frozenset, combinations(vertices, 2))
+    return next(p for p in pairs if lat.get(p) != 1)
+
+
+def test_chains_form_a_sphere_on_polytopes():
+    """The octahedron's normal fan is not simplicial, its chains of faces
+    are; the golden corpus reaches cones over quadrilaterals too."""
+    for points in (SEGMENT, TRIANGLE, SQUARE, OCTAHEDRON):
+        assert _chains_form_a_sphere(*_lattice(points)), points
+    polys = {
+        poly
+        for support in golden_supports()
+        for f in newton_polyhedron(support).faces
+        for poly in ([f.delta, f.poly] if f.dim >= 1 else [f.delta])
+    }
+    assert {poly.dim for poly in polys} == {1, 2, 3, 4}
+    for poly in polys:
+        assert _chains_form_a_sphere(poly.face_lattice, poly.dim), poly
+
+
+def test_chains_form_a_sphere_fails_on_a_wrong_lattice():
+    # a triangle with one edge dropped is a path, no circle
+    lat, m = _lattice(TRIANGLE)
+    del lat[_first_edge(lat)]
+    assert not _chains_form_a_sphere(lat, m)
+    # a square with a diagonal edge added
+    lat, m = _lattice(SQUARE)
+    lat[_diagonal(lat)] = 1
+    assert not _chains_form_a_sphere(lat, m)
+    # an edge of a triangle labelled a vertex: the chains still count a
+    # circle, the face dimensions do not
+    lat, m = _lattice(TRIANGLE)
+    lat[_first_edge(lat)] = 0
+    assert not _chains_form_a_sphere(lat, m)
+    # an edge of the octahedron moved onto a diagonal through its centre,
+    # which lies in no facet: the face dimensions still count a sphere,
+    # the chains do not
+    lat, m = _lattice(OCTAHEDRON)
+    diagonal = _diagonal(lat)
+    del lat[_first_edge(lat)]
+    lat[diagonal] = 1
+    assert sum((-1) ** d for d in lat.values() if d < m) == 2
+    assert not _chains_form_a_sphere(lat, m)
+
+
+def test_validate_reports_a_wrong_face_lattice(monkeypatch):
+    """A face lattice missing a facet reaches the fan-refinement check,
+    which fails with the polytope named; the report is still whole."""
+    real = oracles._chains_form_a_sphere
+
+    def facet_dropped(lattice, m):
+        lattice = dict(lattice)
+        facet = min((f for f, d in lattice.items() if d == m - 1), key=sorted)
+        del lattice[facet]
+        return real(lattice, m)
+
+    monkeypatch.setattr(oracles, "_chains_form_a_sphere", facet_dropped)
+    report = validate(_np([(2, 0), (0, 3)]))
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["fan-refinement"].status == "fail"
+    assert "chains of faces are no sphere on" in by_name["fan-refinement"].detail
+    assert "fan-refinement: fail" in report.summary()
+    assert not report.ok
+    assert all(c.status != "fail" for c in report.checks if c.name != "fan-refinement")
 
 
 def test_validate_cusp_all_green():
