@@ -65,6 +65,7 @@ from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
+from .polytope import Chart
 
 
 @dataclass(frozen=True)
@@ -339,8 +340,8 @@ def _box_counts(gens, weights, d: int) -> dict[tuple[int, int], int]:
         return {(1, 0): 1}
     mat = ys = [g[:-1] for g in rest]
     if len(ys) < len(ys[0]):
-        cols = list(zip(*ila.saturation_basis(ys, len(ys[0]))))
-        mat = [ila.solve_integer(cols, y) for y in ys]
+        chart = Chart((0,) * len(ys[0]), ila.saturation_basis(ys, len(ys[0])))
+        mat = [chart.to_chart(y) for y in ys]
     det, inv = ila.scaled_inverse_columns(mat)
     if det < 0:
         det, inv = -det, [tuple(-x for x in col) for col in inv]

@@ -469,22 +469,27 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     run("face-data", chk_faces)
 
-    # 2. every table builds (with its own internal assertions); the
-    # checks read the tables keyed by residues r mod d', as the engine does
+    # 2-5. each distinct table once, with a compact face reaching it for
+    # failure messages: cones by (shape, restriction), faces of dim >= 1
+    # by shape; residues r are mod the table's own d', as in the engine
+    cones, polys = {}, {}
+    for f in np_.faces:
+        cones.setdefault((f.delta.shape, restricted(f.delta, f.char)), f)
+        if f.dim >= 1:
+            polys.setdefault(f.poly.shape, f)
+    tables = [(f.delta, f.char, f) for f in cones.values()]
+    tables += [(f.poly, trivial, f) for f in polys.values()]
+
     def chk_tables():
-        for f in np_.faces:
-            hodge_table(f.delta, f.char)
-            if f.dim >= 1:
-                hodge_table(f.poly, trivial)
+        for poly, char, _ in tables:
+            hodge_table(poly, char)
         return ""
 
-    tables_ok = run("hodge-tables-build", chk_tables)
-    if not tables_ok:
+    if not run("hodge-tables-build", chk_tables):
         return report
 
-    # 3-5. visible recheck of the per-table identities
     def chk_boundary():
-        for f in np_.faces:
+        for f in cones.values():
             table = hodge_table(f.delta, f.char)
             bv, targets, _ = boundary_values(f.delta, f.char)
             for k, v in bv.items():
@@ -510,18 +515,13 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     run("boundary-and-row-sums", chk_boundary)
 
     def chk_conjugation():
-        for f in np_.faces:
-            d = restricted(f.delta, f.char)[0]
-            for table in (
-                hodge_table(f.delta, f.char),
-                hodge_table(f.poly, trivial) if f.dim >= 1 else {},
-            ):
-                # the trivial character's one bucket is 0 under every modulus
-                for (p, q, a), v in table.items():
-                    if table.get((q, p, -a % d), 0) != v:
-                        raise InternalConsistencyError(
-                            f"conjugation at {(p, q, a)} on face {f.points}"
-                        )
+        for poly, char, f in tables:
+            d, table = restricted(poly, char)[0], hodge_table(poly, char)
+            for (p, q, a), v in table.items():
+                if table.get((q, p, -a % d), 0) != v:
+                    raise InternalConsistencyError(
+                        f"conjugation at {(p, q, a)} on face {f.points}"
+                    )
         return ""
 
     run("conjugation-symmetry", chk_conjugation)
@@ -586,14 +586,13 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     run("global-unipotent-identity", chk_global)
 
     # 6. the chains of faces, the simplicial refinement of the normal fan
-    # that every table is stratified by, on every cone polytope
+    # that every table is stratified by, once per shape
     def chk_fans():
-        for f in np_.faces:
-            for poly in ([f.delta, f.poly] if f.dim >= 1 else [f.delta]):
-                if not _chains_form_a_sphere(poly.face_lattice, poly.dim):
-                    raise InternalConsistencyError(
-                        f"chains of faces are no sphere on {poly.points}"
-                    )
+        for poly in {poly.shape: poly for poly, _, _ in tables}.values():
+            if not _chains_form_a_sphere(poly.face_lattice, poly.dim):
+                raise InternalConsistencyError(
+                    f"chains of faces are no sphere on {poly.points}"
+                )
         return ""
 
     run("fan-refinement", chk_fans)

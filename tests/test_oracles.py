@@ -606,6 +606,47 @@ def test_validate_assembles_the_motivic_table_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_validate_reads_each_table_key_and_shape_once(monkeypatch):
+    """x1^3 + ... + x8^3 + x1*...*x8 has 255 compact faces, but their
+    cones have few (shape, restriction) keys and the cones and faces few
+    shapes.  After a warm answer, validate rebuilds the boundary values
+    once per cone key and counts the chains once per shape, and the
+    report keeps its statuses."""
+    names = tuple(f"x{i}" for i in range(1, 9))
+    points = tuple(sorted(_fermat(8, 3) + [(1,) * 8]))
+    np_ = newton_polyhedron(SupportSet(names, points))
+    assert len(np_.faces) == 255
+    jordan_blocks(np_)
+    cone_keys = {
+        (f.delta.shape, oracles.restricted(f.delta, f.char)) for f in np_.faces
+    }
+    shapes = {f.delta.shape for f in np_.faces}
+    shapes |= {f.poly.shape for f in np_.faces if f.dim >= 1}
+
+    real_bv, real_chains = oracles.boundary_values, oracles._chains_form_a_sphere
+    bv_keys, lattices = [], []
+
+    def counted_bv(poly, char):
+        bv_keys.append((poly.shape, oracles.restricted(poly, char)))
+        return real_bv(poly, char)
+
+    def counted_chains(lattice, m):
+        lattices.append(lattice)
+        return real_chains(lattice, m)
+
+    monkeypatch.setattr(oracles, "boundary_values", counted_bv)
+    monkeypatch.setattr(oracles, "_chains_form_a_sphere", counted_chains)
+    report = validate(np_)
+    assert set(bv_keys) == cone_keys and len(bv_keys) == len(cone_keys)
+    assert sorted(map(id, lattices)) == sorted(id(s.face_lattice) for s in shapes)
+    skipped = {
+        "quasi-homogeneous-semisimple", "kouchnirenko-mu", "brieskorn-pham-spectrum"
+    }
+    assert [(c.name, c.status) for c in report.checks] == [
+        (name, "skip" if name in skipped else "pass") for name in CHECK_NAMES
+    ]
+
+
 def test_validation_report_summary_format():
     report = validate(_np([(2, 0), (0, 3)]))
     lines = report.summary().splitlines()
