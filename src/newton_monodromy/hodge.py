@@ -127,27 +127,36 @@ def boundary_values(poly, char: Character):
     return bv, targets, alphas
 
 
+def _chains(lattice, m: int) -> dict:
+    """{F: {k: number of chains F_0 > ... > F_k = F}} over the proper
+    faces F of an m-polytope's face lattice {face: dim}, the cones of the
+    barycentric subdivision of its normal fan.  Faces are visited by
+    descending vertex count, so F's chains extend those of the faces above."""
+    chains: dict = {}
+    for face in sorted((f for f, d in lattice.items() if d < m), key=len, reverse=True):
+        ends = {0: 1}
+        for above, counts in chains.items():
+            if face < above:
+                for k, c in counts.items():
+                    ends[k + 1] = ends.get(k + 1, 0) + c
+        chains[face] = ends
+    return chains
+
+
 def _strata_sum(poly, char: Character, m: int) -> dict:
     """Sum over torus orbits of the boundary strata of the closure.
 
     The closure lives in the toric variety of the barycentric subdivision
-    of the normal fan, whose nonzero cones are the chains F_0 > ... > F_k
-    of proper faces.  A chain's orbit meets the closure in the
-    hypersurface of F_k, empty for a vertex, times a torus of dimension
-    j = m - k - 1 - dim F_k.  Faces are visited by descending vertex
-    count, so the chains ending at a face are counted from those above it.
+    of the normal fan, one orbit per chain F_0 > ... > F_k of proper faces
+    (_chains).  The orbit meets the closure in the hypersurface of F_k,
+    empty for a vertex, times a torus of dimension j = m - k - 1 - dim F_k.
     """
     d = restricted(poly, char)[0]
     lat = poly.face_lattice
-    chains: dict = {}  # face -> {k: chains F_0 > ... > F_k = face}
     S: dict = {}
-    for face in sorted((f for f in lat if 0 < lat[f] < m), key=len, reverse=True):
-        ends = Counter({0: 1})
-        for above, counts in chains.items():
-            if face < above:
-                for k, c in counts.items():
-                    ends[k + 1] += c
-        chains[face] = ends
+    for face, ends in _chains(lat, m).items():
+        if not lat[face]:
+            continue
         sub = poly.face_polytope(face)
         table, step = hodge_table(sub, char), residue_step(d, sub, char)
         for k, c in ends.items():

@@ -133,9 +133,10 @@ class NewtonPolyhedron:
 def _face_character(poly: Polytope, delta: Polytope):
     """Distance and grading character of a compact face.
 
-    Solves for the linear form on delta's lattice that vanishes at the
-    origin, is constant on the face, and is primitive; the constant is
-    the lattice distance.  The form is then expressed in ambient
+    delta = conv({0} union face) is a pyramid with its apex 0 at its chart
+    origin, so exactly one facet u.y + b >= 0 of delta misses the apex,
+    the base: -u is the face's primitive height form on delta's lattice
+    and b its lattice distance.  The form is lifted to ambient
     coordinates, which is possible because the chart lattice is
     saturated.  Memoized per (face polytope, cone) in ehrhart._MEMO, so
     a face that many Newton polyhedra share is solved once.
@@ -148,19 +149,13 @@ def _face_character(poly: Polytope, delta: Polytope):
 
 
 def _solve_face_character(poly: Polytope, delta: Polytope):
-    rows = [delta.chart.to_chart(v) + (-1,) for v in poly.vertices]
-    ker = ila.kernel_basis(rows, delta.dim + 1)
-    if len(ker) != 1:
+    far = [(u, b) for u, b in delta.cfacets if b]
+    if len(far) != 1:
         raise InternalConsistencyError(
-            "face hyperplane is not unique in the cone lattice"
+            f"cone over {poly.points} has {len(far)} facets missing the apex, not 1"
         )
-    gen = ker[0]
-    w, c = gen[:-1], gen[-1]
-    if c < 0:
-        w, c = tuple(-x for x in w), -c
-    if c == 0:
-        raise InternalConsistencyError("face hyperplane passes through 0")
-    u = ila.solve_integer(list(delta.chart.basis), w)
+    [(u, c)] = far
+    u = ila.solve_integer(list(delta.chart.basis), tuple(-x for x in u))
     if u is None:
         raise InternalConsistencyError(
             "face form does not extend to the ambient lattice"

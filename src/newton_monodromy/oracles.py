@@ -36,8 +36,9 @@ from math import comb, gcd, lcm
 
 from .ehrhart import Character, p_alpha, restricted
 from .errors import InputError, InternalConsistencyError
-from .hodge import _merge, _row_sums, boundary_values, hodge_table
+from .hodge import _chains, _merge, _row_sums, boundary_values, hodge_table
 from .monodromy import (
+    _degree_sums,
     _prime_face_counts,
     _read_blocks,
     fastpath_top,
@@ -401,30 +402,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _trivial_part(table):
-    out = {}
-    for (p, q, a), v in table.items():
-        if a == 0:
-            out[(p, q, a)] = out.get((p, q, a), 0) + v
-    return out
-
-
 def _chains_form_a_sphere(lattice, m: int) -> bool:
     """Whether the proper faces of an m-polytope's lattice {face: dim}
     have the Euler counts of the sphere S^(m-1).
 
-    The chains F_0 > ... > F_k of proper faces are the nonzero cones,
-    of dimension k + 1, of the barycentric subdivision of the normal
-    fan; signed[F] sums (-1)^k over the chains ending at F.  Their total
-    is 1 + (-1)^(m-1), as for any complete fan in R^m, and the
+    The chains F_0 > ... > F_k of proper faces, as hodge._chains counts
+    them for the strata sum, are the cones of dimension k + 1 of the
+    barycentric subdivision of the normal fan; summed with sign (-1)^k
+    they give 1 + (-1)^(m-1), as any complete fan in R^m does, and the
     alternating count of the proper faces is 1 - (-1)^m (Euler-Poincare).
     """
-    proper = sorted((f for f, d in lattice.items() if d < m), key=len, reverse=True)
-    signed: dict = {}
-    for face in proper:
-        signed[face] = 1 - sum(s for g, s in signed.items() if face < g)
-    faces = sum((-1) ** lattice[f] for f in proper)
-    return sum(signed.values()) == 1 + (-1) ** (m - 1) and faces == 1 - (-1) ** m
+    chains = _chains(lattice, m)
+    signed = sum((-1) ** k * c for ends in chains.values() for k, c in ends.items())
+    faces = sum((-1) ** lattice[f] for f in chains)
+    return signed == 1 + (-1) ** (m - 1) and faces == 1 - (-1) ** m
 
 
 def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> ValidationReport:
@@ -543,22 +534,21 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     run("ehrhart-shift-identity", chk_shift)
 
+    def unipotent_part(f):
+        """The eigenvalue-1 entries of f's cone table plus, for dim >= 1,
+        f's own table (its one bucket is 0), zeros dropped."""
+        part = {k: v for k, v in hodge_table(f.delta, f.char).items() if k[2] == 0}
+        if f.dim >= 1:
+            _merge(part, hodge_table(f.poly, trivial))
+        return {k: v for k, v in part.items() if v}
+
     def chk_pyramid():
         for f in np_.faces:
-            lhs: dict = {}
-            for (p, q, a), v in hodge_table(f.delta, f.char).items():
-                if a == 0:
-                    lhs[(p, q)] = lhs.get((p, q), 0) + v
-            if f.dim >= 1:
-                for (p, q, a), v in hodge_table(f.poly, trivial).items():
-                    if a == 0:
-                        lhs[(p, q)] = lhs.get((p, q), 0) + v
+            lhs = unipotent_part(f)
             rhs = {
-                (p, p): (-1) ** (f.dim + p) * comb(f.dim, p)
+                (p, p, 0): (-1) ** (f.dim + p) * comb(f.dim, p)
                 for p in range(f.dim + 1)
             }
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs:
                 raise InternalConsistencyError(
                     f"pyramid identity fails on face {f.points}: {lhs} != {rhs}"
@@ -570,11 +560,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_global():
         acc: dict = {}
         for f in np_.faces:
-            part = _trivial_part(hodge_table(f.delta, f.char))
-            if f.dim >= 1:
-                for k, v in _trivial_part(hodge_table(f.poly, trivial)).items():
-                    part[k] = part.get(k, 0) + v
-            _merge(acc, part, twist=f.twist + 1)
+            _merge(acc, unipotent_part(f), twist=f.twist + 1)
         acc = {k: v for k, v in acc.items() if v}
         want = {(0, 0, 0): 1, (n, n, 0): -1}
         if acc != want:
@@ -707,13 +693,10 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
             if f.delta.primeness == "neither":
                 continue
             d = restricted(f.delta, f.char)[0]
-            diag: dict = {}
-            for (p, q, a), v in hodge_table(f.delta, f.char).items():
-                if a:
-                    diag[(a, p + q)] = diag.get((a, p + q), 0) + v
+            diag = _degree_sums(hodge_table(f.delta, f.char))
             rows = _row_sums(f.delta, f.char)
             zeros = (0,) * f.delta.dim
-            for a in sorted({a for a, _ in diag} | set(rows)):
+            for a in sorted({a for a, _ in diag if a} | set(rows)):
                 pred = rows.get(a, zeros)
                 for r in range(f.delta.dim):
                     if diag.get((a, r), 0) != pred[r]:

@@ -590,6 +590,20 @@ def test_stratum_modulus_must_divide_the_polytope_modulus():
         ehrhart.residue_step(5, tri, char)
 
 
+def test_chains_of_faces_of_a_square_and_a_triangle():
+    """A square's edges end one chain each, its vertices one alone and
+    two through the edges on them; the chains of a triangle likewise.
+    The polytope itself is no proper face and ends no chain."""
+    square, triangle = [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0), (0, 3)]
+    for points, edges in ((square, 4), (triangle, 3)):
+        poly = make_polytope(points)
+        chains = hodge._chains(poly.face_lattice, poly.dim)
+        lat = poly.face_lattice
+        assert set(chains) == {f for f, d in lat.items() if d < 2}
+        assert [chains[f] for f in chains if lat[f] == 1] == [{0: 1}] * edges
+        assert [chains[f] for f in chains if lat[f] == 0] == [{0: 1, 1: 2}] * edges
+
+
 def test_duality_step_reads_the_conjugate_bucket():
     """The duality step fills e^{p,q}_a below the middle from the closure's
     e^{m-1-p,m-1-q} at the conjugate bucket -a.  It matters only where

@@ -270,3 +270,31 @@ def test_engine_reaches_its_public_bucket_functions(monkeypatch):
         run(_np(SEPTIC_SURFACE))
         assert set(calls) == {name for _, name in published}, (run.__name__, calls)
     clear_caches()
+
+
+def test_answer_and_validate_read_one_chain_count(monkeypatch):
+    """The strata sum of the answer and validate's fan-refinement check
+    count the chains of faces through the one hodge._chains.  A counting
+    wrapper bound over every binding of it sees calls from a cold
+    jordan_blocks on the septic surface, and from validate after it,
+    when every table is already memoized."""
+    real = hodge._chains
+    calls = Counter()
+
+    def counting(lattice, m):
+        calls[m] += 1
+        return real(lattice, m)
+
+    for name, m in sorted(sys.modules.items()):
+        if m is not None and name.split(".")[0] == "newton_monodromy":
+            for attr, value in list(vars(m).items()):
+                if value is real:
+                    monkeypatch.setattr(m, attr, counting)
+    clear_caches()
+    np_ = _np(SEPTIC_SURFACE)
+    jordan_blocks(np_)
+    assert calls, "jordan_blocks"
+    calls.clear()
+    assert validate(np_).ok
+    assert calls, "validate"
+    clear_caches()

@@ -5,9 +5,15 @@ from random import Random
 
 import pytest
 
+from newton_monodromy import intlinalg as ila
 from newton_monodromy.ehrhart import Character
-from newton_monodromy.errors import InputError, NotConvenientError
-from newton_monodromy.newton import SupportSet, newton_polyhedron
+from newton_monodromy.errors import (
+    InputError,
+    InternalConsistencyError,
+    NotConvenientError,
+)
+from newton_monodromy.newton import SupportSet, _face_character, newton_polyhedron
+from newton_monodromy.polytope import make_polytope
 
 from _battery import golden_supports, random_supports
 
@@ -56,6 +62,40 @@ def test_face_character_is_trivial_on_the_face():
         for p in f.points:
             assert f.char.value(p) == F(0)
         assert f.char.modulus == f.distance
+
+
+def _kernel_face_character(poly, delta):
+    """Reference: the primitive form on delta's lattice that vanishes at 0
+    and is constant on the face, solved as the one-dimensional kernel of
+    the face's vertices in delta's chart, then lifted to Z^n."""
+    rows = [delta.chart.to_chart(v) + (-1,) for v in poly.vertices]
+    (gen,) = ila.kernel_basis(rows, delta.dim + 1)
+    w, c = gen[:-1], gen[-1]
+    if c < 0:
+        w, c = tuple(-x for x in w), -c
+    assert c > 0
+    return c, Character(c, ila.solve_integer(list(delta.chart.basis), w))
+
+
+def test_face_character_is_the_kernel_solve():
+    """The far facet of each cone gives the form the kernel solve gives,
+    on every compact face of the golden corpus and the random battery."""
+    faces = 0
+    for support in [*golden_supports(), *random_supports(40)]:
+        for f in newton_polyhedron(support).faces:
+            assert (f.distance, f.char) == _kernel_face_character(f.poly, f.delta)
+            faces += 1
+    assert faces > 250
+
+
+def test_face_character_needs_a_pyramid():
+    """The unit square has two facets missing 0, so it is no cone over
+    the segment (1,0)-(0,1), though a kernel solve finds the form x + y."""
+    segment = make_polytope([(1, 0), (0, 1)])
+    square = make_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert _kernel_face_character(segment, square) == (1, Character(1, (1, 1)))
+    with pytest.raises(InternalConsistencyError, match="2 facets missing the apex"):
+        _face_character(segment, square)
 
 
 def test_two_edge_boundary():

@@ -398,6 +398,25 @@ def test_chains_form_a_sphere_fails_on_a_wrong_lattice():
     assert not _chains_form_a_sphere(lat, m)
 
 
+def test_fan_refinement_checks_the_strata_sums_chain_counts(monkeypatch):
+    """fan-refinement sums the chain counts that hodge._chains hands the
+    strata sum, so a miscount there fails it even on a right lattice: one
+    chain edge > vertex too many, ending at a vertex of each polytope."""
+    real = oracles._chains
+
+    def one_chain_too_many(lattice, m):
+        chains = real(lattice, m)
+        vertex = min((f for f, d in lattice.items() if d == 0), key=sorted)
+        chains[vertex][1] = chains[vertex].get(1, 0) + 1
+        return chains
+
+    monkeypatch.setattr(oracles, "_chains", one_chain_too_many)
+    report = validate(_np([(2, 0), (0, 3)]))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["fan-refinement"].status == "fail"
+    assert all(c.status != "fail" for c in report.checks if c.name != "fan-refinement")
+
+
 def test_validate_reports_a_wrong_face_lattice(monkeypatch):
     """A face lattice missing a facet reaches the fan-refinement check,
     which fails with the polytope named; the report is still whole."""
