@@ -6,18 +6,19 @@ a polytope are bucketed by character value; once the character kills
 every vertex, the generating series of each bucket is a polynomial of
 degree at most dim+1 over (1-t)^(dim+1) (equivariant Ehrhart theory,
 Stapledon 2011), and those coefficient vectors (called phi here) drive
-the whole Hodge recursion downstream.  They are read off the open
-faces of a pulling triangulation: relint(kP) is the disjoint union of
-relint(k tau) over the simplices tau that lie in no facet of P, and
-each tau contributes the lattice points of its open fundamental
-parallelepiped, NVol(tau) of them (Beck-Robins, ch. 3).  No dilate is
-scanned.  The triangulation cones from vertex 0, the chart origin, so
-every such tau holds it, and _box_counts walks the group of tau's
-parallelepiped with the apex folded into a floor: a point's height is
-one more than the floor of the other coordinates' sum, and its bucket
-is a linear form in its group coordinates.  The group is walked in
-flat blocks of at most _BLOCK points, each built by additions and
-counted by one Counter.update.
+the whole Hodge recursion downstream.  They are read off the top
+(full-dimensional) simplices tau of a pulling triangulation, made
+half-open (Koeppe-Verdoolaege 2008) so that their cones partition the
+interior of the cone over P; each tau contributes the lattice points
+of its half-open fundamental parallelepiped, NVol(tau) of them
+(Beck-Robins, ch. 3).  No dilate is scanned.  The triangulation cones
+from vertex 0, the chart origin, so every tau holds it, and
+_box_counts walks the group of tau's parallelepiped with the apex
+folded into a floor: a point's height is one more than the floor of
+the other coordinates' sum, and its bucket is a linear form in its
+group coordinates.  The group is walked in flat blocks of at most
+_BLOCK points, each built by additions and counted by one
+Counter.update.
 
 relint_counts is the engine's one lattice-point counter: the
 boundary rows of the Hodge tables (faces of every dimension, vertices
@@ -58,14 +59,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce, wraps
-from itertools import combinations, product
-from math import comb, gcd
-from operator import mul
+from itertools import product
+from math import gcd
+from operator import index, mul
 from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
-from .polytope import Chart
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,17 @@ class Character:
 
     Instances normalize themselves: coefficients are reduced mod the
     modulus and the common gcd with the modulus is divided out, so equal
-    characters compare and hash equal.
+    characters compare and hash equal.  A non-integer raises TypeError.
     """
 
     modulus: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        d = int(self.modulus)
+        d = index(self.modulus)
         if d < 1:
             raise ValueError("character modulus must be positive")
-        cs = tuple(int(c) % d for c in self.coeffs)
+        cs = tuple(index(c) % d for c in self.coeffs)
         g = reduce(gcd, cs, d)
         if g > 1:
             d //= g
@@ -206,18 +206,15 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     relint_counts, where
     sum_k |relint(k*poly)|_r t^k = (phi_0 + ... + phi_{dim+1} t^{dim+1})
     / (1-t)^{dim+1}.  Requires the character to vanish on every vertex,
-    hence on each generator (v, 1) of a simplex's cone, so an interior
-    simplex of dimension j adds (1-t)^(dim-j) t^height(b) to the bucket
-    of each point b of its open parallelepiped.  _box_counts counts those
-    points per (height, bucket): every interior simplex starts at vertex
-    0, whose generator (0, ..., 0, 1) takes no coordinate of its own, and
-    the bucket is read off the character's linear form on the group of
-    the parallelepiped.  Checks: _box_counts refuses a simplex that
-    misses vertex 0; phi_1 equals the k = 1 walk of relint_counts in
+    hence on each generator (v, 1) of a simplex's cone, so each top
+    simplex adds t^height(b) to the bucket of each point b of its
+    half-open parallelepiped, as counted by _box_counts.  Checks:
+    _box_counts refuses a simplex that misses vertex 0 or is not
+    full-dimensional; phi_1 equals the k = 1 walk of relint_counts in
     every bucket; the total equals normalized_volume(poly), whose
     pyramids use another apex; phi_{dim+1} is 1 in bucket 0 and 0
-    elsewhere (the Euler characteristic of the interior, one point per
-    interior simplex).
+    elsewhere (the Euler characteristic of the interior: one simplex has
+    every facet open).
     The vertex check reads the restriction (d', w', o'): the value at
     the chart point y is (o' + w'.y)/d', so it runs on the first
     computation of each memo key with the outcome every polytope of the
@@ -232,15 +229,13 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
             )
     # so o = 0: the chart origin is a vertex
     m = poly.dim
+    c = [sum(xs) for xs in zip(*(poly.cpoints[i] for i in poly.vertex_ids))]
     phi: dict[int, list[int]] = {}
-    for simplex in _interior_simplices(poly):
+    for simplex in _top_simplices(poly):
         ys = [poly.cpoints[i] for i in simplex]
-        codim = m + 1 - len(ys)
-        box = _box_counts([y + (1,) for y in ys], [ila.dot(w, y) for y in ys], d)
+        box = _box_counts([y + (1,) for y in ys], [ila.dot(w, y) for y in ys], d, c)
         for (height, r), n in box.items():
-            row = phi.setdefault(r, [0] * (m + 2))
-            for i in range(codim + 1):
-                row[height + i] += (-1) ** i * comb(codim, i) * n
+            phi.setdefault(r, [0] * (m + 2))[height] += n
     out = {r: tuple(row) for r, row in sorted(phi.items())}
 
     first = {r: tup[1] for r, tup in out.items() if tup[1]}
@@ -263,15 +258,14 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     return out
 
 
-def _interior_simplices(poly) -> list[tuple[int, ...]]:
-    """The simplices of the pulling triangulation that lie in no facet.
+def _top_simplices(poly) -> list[tuple[int, ...]]:
+    """The full-dimensional simplices of the pulling triangulation.
 
     Each face is coned from its lowest vertex id over the triangulations
     of its facets that miss that vertex.  The order is global, so the
-    simplices in a face of the polytope triangulate that face, and the
-    relative interiors of all simplices partition the polytope.  A
-    simplex lies in a facet exactly when its vertices do.  Simplices are
-    ascending tuples of vertex ids.
+    simplices in a face of the polytope triangulate that face.  Simplices
+    are ascending tuples of vertex ids, so each starts at the lowest
+    vertex id, vertex 0.
     """
     lattice = poly.face_lattice
 
@@ -288,42 +282,39 @@ def _interior_simplices(poly) -> list[tuple[int, ...]]:
             for s in pulling(g)
         ]
 
-    simplices = {
-        s
-        for top in pulling(frozenset(poly.vertex_ids))
-        for size in range(1, len(top) + 1)
-        for s in combinations(top, size)
-    }
-    facets = poly.facet_vertex_sets
-    return sorted(s for s in simplices if not any(f.issuperset(s) for f in facets))
+    return sorted(pulling(frozenset(poly.vertex_ids)))
 
 
 _BLOCK = 1024
 
 
-def _box_counts(gens, weights, d: int) -> dict[tuple[int, int], int]:
-    """{(height, residue): count} over the lattice points b of the open
-    parallelepiped {sum lam_i gens_i : 0 < lam_i <= 1} of a simplex's
-    cone, where the height is the last coordinate and the residue is
-    phi(b) mod d for the linear form with phi(gens_i) = weights_i.
+def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
+    """{(height, residue): count} over the lattice points b of the
+    half-open parallelepiped {sum lam_i gens_i} of a full-dimensional
+    simplex's cone, lam_i in (0, 1] if facet i (opposite gens_i) is open
+    and in [0, 1) if closed; the height is b's last coordinate, the
+    residue phi(b) mod d for the linear form with phi(gens_i) = weights_i.
 
-    gens_0 must be the apex (0, ..., 0, 1) and every other gens_i must
-    have last coordinate 1, or the kernel raises; every weight must
-    vanish mod d, as p_alpha's vertex check ensures.  Write
-    gens_i = (y_i, 1) for i >= 1.  The points lie in L x Z, L the
-    saturated lattice of span(y_i), and those of the box are one per
-    coset of L / Z y: with Y the y_i in a basis of L, the rows of
-    row_hnf(Y) are triangular, so the vectors 0 <= x_k < diagonal_k (in
-    that basis) meet every coset once, |det Y| = NVol of the simplex of
-    them in all.
+    gens_0 must be the apex (0, ..., 0, 1), every other gens_i must
+    have last coordinate 1, and there must be one per coordinate, or the
+    kernel raises; every weight must vanish mod d, as p_alpha's vertex
+    check ensures.  Write gens_i = (y_i, 1) for i >= 1 and Y for the
+    matrix of rows y_i.  The rows of row_hnf(Y) are triangular, so the
+    vectors 0 <= x_k < diagonal_k meet every coset of Z^m / Z y once,
+    |det Y| = NVol of the simplex of them in all.  The sides are those of
+    q = (eps * toward + eps^2 e_1 + ... + eps^m e_m, 1) for a small
+    eps > 0: facet i is open iff lam_i(q) > 0, so for i >= 1 iff the
+    first nonzero of (toward . col_i, col_i) is positive (col_i below),
+    and the apex's facet always is.
 
     Three facts make the walk additions.  The apex takes no lam of its
     own: lam_0 tops the others up to the next integer, so with
-    L_i = lam_i * det in (0, det] the height is
-    floor(sum_{i>=1} L_i / det) + 1.  L_i is (x . col_i) mod det, or det,
-    col_i the i-th column of det * Y^-1.  And phi vanishes mod d on every
-    generator, so the residue is phi(x) mod d, one integer phi(e_k) per
-    axis: phi(e_k) = sum_i weights_i * col_i[k] / det, an exact division.
+    L_i = lam_i * det the height is floor(sum_{i>=1} L_i / det) + 1.
+    L_i is (x . col_i) mod det, or top_i (det if facet i is open, else
+    0) in place of 0, col_i the i-th column of det * Y^-1, det > 0.
+    And phi vanishes mod d on every generator, so the residue is
+    phi(x) mod d, one integer phi(e_k) per axis:
+    phi(e_k) = sum_i weights_i * col_i[k] / det, an exact division.
     The group is walked in flat blocks of at most _BLOCK entries: axis k
     takes chunks[k] consecutive values in a block (later axes slower; a
     cut axis is the last one with more than one), each generator's
@@ -336,16 +327,15 @@ def _box_counts(gens, weights, d: int) -> dict[tuple[int, int], int]:
         raise InternalConsistencyError(
             f"simplex cone {gens} is not coned from the chart origin at height 1"
         )
+    if len(rest) != len(origin):
+        raise InternalConsistencyError(f"simplex cone {gens} is not full-dimensional")
     if not rest:
         return {(1, 0): 1}
-    mat = ys = [g[:-1] for g in rest]
-    if len(ys) < len(ys[0]):
-        chart = Chart((0,) * len(ys[0]), ila.saturation_basis(ys, len(ys[0])))
-        mat = [chart.to_chart(y) for y in ys]
-    det, inv = ila.scaled_inverse_columns(mat)
+    ys = [g[:-1] for g in rest]
+    det, inv = ila.scaled_inverse_columns(ys)
     if det < 0:
         det, inv = -det, [tuple(-x for x in col) for col in inv]
-    diag = [h[i] for i, h in enumerate(ila.row_hnf(mat))]
+    diag = [h[i] for i, h in enumerate(ila.row_hnf(ys))]
     form = []
     for k in range(len(diag)):
         q, r = divmod(sum(wt * col[k] for wt, col in zip(weights[1:], inv)), det)
@@ -354,6 +344,8 @@ def _box_counts(gens, weights, d: int) -> dict[tuple[int, int], int]:
                 f"weights {weights} are not integral on the lattice of {gens}"
             )
         form.append(q % d)
+    sides = [next(x for x in (ila.dot(toward, col), *col) if x) > 0 for col in inv]
+    first_top, *tops = [det if side else 0 for side in sides]
 
     chunks, size = [], 1
     for h in diag:
@@ -381,9 +373,9 @@ def _box_counts(gens, weights, d: int) -> dict[tuple[int, int], int]:
     for x in product(*(range(0, h, c) for h, c in zip(diag, chunks))):
         n = size if cut is None else below * min(chunks[cut], diag[cut] - x[cut])
         a, *offs = [sum(map(mul, x, col)) for col in inv]
-        acc = [(a + b) % det or det for b in first[:n]]
-        for a, base in zip(offs, more):
-            acc = [s + ((a + b) % det or det) for s, b in zip(acc, base)]
+        acc = [(a + b) % det or first_top for b in first[:n]]
+        for a, base, top in zip(offs, more, tops):
+            acc = [s + ((a + b) % det or top) for s, b in zip(acc, base)]
         if values is None:
             counts.update([s // det for s in acc])
         else:

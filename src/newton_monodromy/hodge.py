@@ -62,7 +62,9 @@ def _clean(table: dict) -> dict:
 
 
 def lefschetz_twist(table: dict, k: int) -> dict:
-    """Multiply a table by (1 - L)^k; L shifts (p, q) by (1, 1)."""
+    """Multiply a table by (1 - L)^k, k >= 0; L shifts (p, q) by (1, 1)."""
+    if k < 0:
+        raise ValueError(f"twist exponent {k} is negative")
     out: dict = {}
     _merge(out, table, twist=k)
     return _clean(out)

@@ -339,8 +339,11 @@ def brieskorn_pham_spectrum(exponents) -> dict[Fraction, int]:
     The sums are kept as integer residues mod L = lcm(a_i) and the
     variables are folded in one at a time, so no exponent tuple is
     walked: each fold touches every residue reached so far a_i - 1
-    times."""
-    exps = [int(a) for a in exponents]
+    times.  No exponents, or a non-integral one, raises."""
+    exps = list(exponents)
+    if not exps or any(a != int(a) for a in exps):
+        raise ValueError(f"exponents {exps} are not a nonempty list of integers")
+    exps = [int(a) for a in exps]
     if any(a < 2 for a in exps):
         raise ValueError("exponents must be >= 2")
     L = lcm(*exps)

@@ -33,6 +33,17 @@ def test_character_normalization():
     assert Character(4, (2, 2)) == Character(2, (1, 1))
 
 
+def test_character_rejects_non_integers():
+    """A non-integral modulus or coefficient raises instead of being
+    truncated: 2.5 is not read as 2, nor 1/2 as 0."""
+    with pytest.raises(TypeError):
+        Character(2.5, (1, 1))
+    with pytest.raises(TypeError):
+        Character(2, (1.5, 1))
+    with pytest.raises(TypeError):
+        Character(4, (F(1, 2), 1))
+
+
 def test_character_is_idempotent_under_renormalization():
     c = Character(6, (4, 2))
     assert Character(c.modulus, c.coeffs) == c
@@ -187,7 +198,7 @@ def _reached_pairs(supports):
 
 
 def test_p_alpha_matches_the_dilate_scan():
-    """The open-face sums equal the numerators of the dilate scan on every
+    """The half-open box sums equal the numerators of the dilate scan on every
     pair that jordan_blocks reaches on 40 battery supports, 45 more in
     three and four variables, the golden inputs, two Fermat surfaces, a
     Fermat quartic threefold and a support with a non-simplicial compact
@@ -233,15 +244,62 @@ def _non_simplices(seed=3):
 
 
 def test_p_alpha_matches_the_dilate_scan_on_non_simplices():
-    """Where the pulling triangulation has several maximal simplices and
-    interior simplices of every dimension, the open-face sums still equal
-    the numerators of the dilate scan."""
+    """Where the pulling triangulation has several top simplices, some
+    with closed facets, the half-open box sums still equal the
+    numerators of the dilate scan.  A box holds a point of the top
+    height dim + 1, the sum of the generators, exactly when every facet
+    of its simplex is open."""
     clear_caches()
-    codims = set()
-    for poly, char in _non_simplices():
-        codims |= {poly.dim + 1 - len(s) for s in ehrhart._interior_simplices(poly)}
-        assert p_alpha(poly, char) == _dilate_scan_p_alpha(poly, char), (poly, char)
-    assert codims == {0, 1, 2, 3}
+    closed = 0
+    real = ehrhart._box_counts
+
+    def record(gens, weights, d, toward):
+        nonlocal closed
+        out = real(gens, weights, d, toward)
+        closed += max(h for h, _ in out) < len(gens)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ehrhart, "_box_counts", record)
+        for poly, char in _non_simplices():
+            assert p_alpha(poly, char) == _dilate_scan_p_alpha(poly, char), (poly, char)
+    assert closed
+
+
+_NON_SIMPLE_4_FACE = (
+    "x1^7 + x2^7 + x3^7 + x4^7 + x5^7 + x1^2*x2*x3*x4*x5 + x1*x2^2*x3*x4*x5"
+)
+
+
+def test_p_alpha_walks_one_full_dimensional_box_per_top_simplex():
+    """On every non-simplex that the answer reaches on the golden inputs
+    and the cone over a non-simple 4-face, each kernel call of a fresh
+    p_alpha walks a full-dimensional simplex, and the box points add up
+    to normalized_volume(poly): the half-open boxes partition the
+    interior with no lower-dimensional simplex and no correction term."""
+    supports = [*golden_supports(), parse_polynomial(_NON_SIMPLE_4_FACE)]
+    pairs = [
+        (poly, char)
+        for poly, char in _reached_pairs(supports)
+        if len(poly.vertex_ids) > poly.dim + 1
+    ]
+    assert {poly.dim for poly, _ in pairs} >= {2, 3, 5}
+    real = ehrhart._box_counts
+    for poly, char in pairs:
+        calls = []
+
+        def record(gens, *args):
+            out = real(gens, *args)
+            calls.append((len(gens) == len(gens[0]), sum(out.values())))
+            return out
+
+        clear_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ehrhart, "_box_counts", record)
+            ehrhart.p_alpha(poly, char)
+        assert len(calls) > 1 and all(full for full, _ in calls), poly
+        assert sum(n for _, n in calls) == normalized_volume(poly), poly
+    clear_caches()
 
 
 _CUSP = ([(0, 0), (2, 0), (0, 3)], Character(6, (3, 2)))
@@ -284,41 +342,71 @@ def test_p_alpha_catches_a_point_dropped_from_the_walk(monkeypatch, points, char
 def test_p_alpha_catches_a_dropped_maximal_simplex(monkeypatch):
     """The square [0, 2]^2 is cut into two triangles with no interior
     points of their own; losing one keeps phi_1 and breaks the total."""
-    real = ehrhart._interior_simplices
+    real = ehrhart._top_simplices
     # vertex ids 0..3 are (0, 0), (0, 2), (2, 0), (2, 2); (0, 3) is the diagonal
-    assert real(make_polytope(_SQUARE[0])) == [(0, 1, 3), (0, 2, 3), (0, 3)]
+    assert real(make_polytope(_SQUARE[0])) == [(0, 1, 3), (0, 2, 3)]
     monkeypatch.setattr(
         ehrhart,
-        "_interior_simplices",
+        "_top_simplices",
         lambda poly: [s for s in real(poly) if s != (0, 2, 3)],
     )
     _fresh_p_alpha_raises(*_SQUARE, "normalized volume")
 
 
 def test_p_alpha_catches_a_facet_simplex_counted_as_interior(monkeypatch):
-    """The cusp edge from (0, 3) to (2, 0) lies in a facet.  Its one box
-    point has height 2, so counting it would keep phi_1 and the total and
-    move only the top coefficient; but the simplex misses vertex 0, and
-    the box kernel refuses a simplex off the chart origin first."""
-    real = ehrhart._interior_simplices
-    monkeypatch.setattr(
-        ehrhart, "_interior_simplices", lambda poly: sorted(real(poly) + [(1, 2)])
-    )
-    _fresh_p_alpha_raises(*_CUSP, "not coned from the chart origin")
+    """The cusp edge from (0, 3) to (2, 0) lies in a facet, and the edge
+    from (0, 0) to (2, 0) too.  Handed to the walk as top simplices, the
+    box kernel refuses the first, which misses vertex 0, and the second,
+    which is not full-dimensional."""
+    real = ehrhart._top_simplices
+    for extra, check in (
+        ((1, 2), "not coned from the chart origin"),
+        ((0, 2), "not full-dimensional"),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(ehrhart, "_top_simplices", lambda poly: [*real(poly), extra])
+            _fresh_p_alpha_raises(*_CUSP, check)
 
 
 def test_p_alpha_catches_a_dropped_height_one_box_point(monkeypatch):
     """The cusp's one interior point (1, 1) is a box point of height 1."""
     real = ehrhart._box_counts
 
-    def lossy(gens, weights, d):
-        counts = dict(real(gens, weights, d))
+    def lossy(gens, weights, d, toward):
+        counts = dict(real(gens, weights, d, toward))
         key = next(key for key in counts if key[0] == 1)
         counts[key] -= 1
         return counts
 
     monkeypatch.setattr(ehrhart, "_box_counts", lossy)
     _fresh_p_alpha_raises(*_CUSP, "phi_1")
+
+
+@pytest.mark.parametrize("flipped", [(0, 1, 3), (0, 2, 3)])
+def test_p_alpha_catches_a_flipped_facet_side(monkeypatch, flipped):
+    """The square's two triangles share the diagonal from (0, 0) to
+    (2, 2), whose midpoint (1, 1) is the square's one interior point:
+    one triangle has the diagonal open and counts it, the other has it
+    closed.  Flipping that side in either triangle alone counts (1, 1)
+    twice or not at all, which breaks phi_1.  The boundary edges are
+    open, so a triangle's diagonal is open iff its box holds the sum of
+    its generators, at height 3; and toward = s y_1 + y_2 gives the
+    facet opposite y_1, the diagonal, the side of s and the boundary
+    edge opposite y_2 the open side, since its products with the
+    columns of det * Y^-1 are s det and det."""
+    real = ehrhart._box_counts
+    y1, y2 = (make_polytope(_SQUARE[0]).cpoints[i] for i in flipped[1:])
+
+    def flip(gens, weights, d, toward):
+        out = real(gens, weights, d, toward)
+        if [g[:-1] for g in gens[1:]] != [y1, y2]:
+            return out
+        s = -1 if any(h == 3 for h, _ in out) else 1
+        toward = [s * a + b for a, b in zip(y1, y2)]
+        return real(gens, weights, d, toward)
+
+    monkeypatch.setattr(ehrhart, "_box_counts", flip)
+    _fresh_p_alpha_raises(*_SQUARE, "phi_1")
 
 
 def test_p_alpha_checks_the_total_against_the_volume(monkeypatch):

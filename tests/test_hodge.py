@@ -43,6 +43,13 @@ def test_twist_and_torus_factor_expansions():
         (1, 1, F(0)): -2,
         (0, 0, F(0)): 1,
     }
+
+
+def test_lefschetz_twist_rejects_a_negative_exponent():
+    """(1 - L)^-1 is no finite table; it is not the empty one."""
+    unit = {(0, 0, F(0)): 1}
+    with pytest.raises(ValueError, match="negative"):
+        lefschetz_twist(unit, -1)
     # _merge folds the twist into the residue-stepped merge: the same as
     # lefschetz_twist followed by a plain merge of the twisted table
     cusp = hodge_table(make_polytope([(0, 0), (2, 0), (0, 3)]), Character(6, (3, 2)))

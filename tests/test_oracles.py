@@ -298,6 +298,15 @@ def test_brieskorn_pham_spectrum_small_cases():
         brieskorn_pham_spectrum((1, 3))
 
 
+def test_brieskorn_pham_spectrum_rejects_non_integers_and_no_exponents():
+    """2.5 is not truncated to 2, and no exponents is not the spectrum
+    {0: 1} of the empty product."""
+    for bad in ([2.5, 3], [F(7, 2), 3], []):
+        with pytest.raises(ValueError, match="nonempty list of integers"):
+            brieskorn_pham_spectrum(bad)
+    assert brieskorn_pham_spectrum([2.0, F(3)]) == brieskorn_pham_spectrum((2, 3))
+
+
 def test_brieskorn_pham_spectrum_total_is_product():
     for a in range(2, 6):
         for b in range(2, 6):
