@@ -8,11 +8,17 @@ subsets, with normals from a fraction-free integer elimination of its
 own, finds both the lower facets and the facets of each pyramid, and
 volumes come from integer finite differences of lattice counts, so
 agreement with the engine is meaningful evidence rather than the same
-bug twice.  The lattice counts fix one coordinate at a time, each within
-the bounds its inequalities leave once every later coordinate takes its
-most favourable box value.  Those bounds are necessary conditions, so
-no lattice point is lost, and the last coordinate, with nothing left to
-relax, gets an exact interval, so the counts are exact.
+bug twice.  The differences are taken over the dilates -ceil(k/2) ..
+floor(k/2) of a k-dimensional pyramid: by Ehrhart-Macdonald reciprocity
+the count at -s is (-1)^k times the number of lattice points interior
+to the s-th dilate, so no dilate beyond ceil(k/2) is counted.  A flat
+pyramid has volume 0 without any count.  The lattice counts fix one
+coordinate at a time, each within the bounds its inequalities leave
+once every later coordinate takes its most favourable box value.  Those
+bounds are necessary conditions, so no lattice point is lost, and the
+last coordinate, with nothing left to relax, gets an exact interval, so
+the counts are exact.  kouchnirenko_cost, kept as it was, still prices
+the dilates 1..k, so it overstates the walk even more than before.
 kouchnirenko_mu, the Milnor number, is their total: the classical
 alternating sum of normalized under-volumes.  validate's kouchnirenko-mu
 check compares both the Milnor number and every multiplicity with the
@@ -100,20 +106,29 @@ def _supporting_hyperplanes(pts, k):
     """{u: b} over the primitive u for which u.p >= b on every point of
     pts, with equality on k points spanning a hyperplane: brute force
     over the k-subsets of pts, each one's normal from
-    _nullspace_generator, tried in both orientations."""
+    _nullspace_generator.  Each hyperplane is tested once: one pass over
+    pts gives the least and the greatest value of the normal, and the
+    normal is kept if the subset attains the least, its negative if the
+    subset attains the greatest."""
     found = {}
+    seen = set()
     for subset in combinations(pts, k):
         base = subset[0]
         diffs = [tuple(x - y for x, y in zip(p, base)) for p in subset[1:]]
         nrm = _nullspace_generator(diffs, k)
         if nrm is None:
             continue
-        for u in (nrm, tuple(-x for x in nrm)):
-            if u in found:
-                continue
-            b = _dot(u, base)
-            if all(_dot(u, p) >= b for p in pts):
-                found[u] = b
+        b = _dot(nrm, base)
+        if (nrm, b) in seen:
+            continue
+        neg = tuple(-x for x in nrm)
+        seen.add((nrm, b))
+        seen.add((neg, -b))
+        values = [_dot(nrm, p) for p in pts]
+        if min(values) == b:
+            found[nrm] = b
+        if max(values) == b:
+            found[neg] = -b
     return found
 
 
@@ -128,15 +143,36 @@ def _lower_facets(pts, k):
 
 
 def _pyramid_normalized_volume(tight, k):
-    """k! times the volume of conv({0} union tight), by finite differences
-    of lattice counts of the dilates 0..k.  Integer arithmetic only."""
+    """k! times the volume of P = conv({0} union tight), the k-th finite
+    difference of its Ehrhart polynomial L over the window of dilates
+    -ceil(k/2) .. floor(k/2).  Integer arithmetic only.
+
+    L(0) = 1 and L(t) for t > 0 counts the lattice points of tP.  By
+    Ehrhart-Macdonald reciprocity L(-s) is (-1)^k times the number of
+    lattice points interior to sP, those with u.x > s*b on every facet
+    u.x >= b; the normals are integral, so that is u.x >= s*b + 1.  The
+    largest dilate counted is ceil(k/2).  A pyramid that is not
+    full-dimensional has volume 0, and reciprocity does not hold for it:
+    no hyperplane supports it, or one does with both orientations."""
     verts = [(0,) * k] + [tuple(p) for p in tight]
-    ineq_list = sorted(_supporting_hyperplanes(verts, k).items())
+    found = _supporting_hyperplanes(verts, k)
+    if not found or any(
+        found.get(tuple(-x for x in u)) == -b for u, b in found.items()
+    ):
+        return 0
+    ineq_list = sorted(found.items())
     maxc = [max(v[j] for v in verts) for j in range(k)]
-    counts = [1]
-    for t in range(1, k + 1):
-        counts.append(_fibre_count(ineq_list, [t * m for m in maxc], t))
-    return sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
+    t0 = -((k + 1) // 2)
+
+    def count(t):
+        if t > 0:
+            return _fibre_count(ineq_list, [t * m for m in maxc], t)
+        if t < 0:
+            inner = [(u, -t * b + 1) for u, b in ineq_list]
+            return (-1) ** k * _fibre_count(inner, [-t * m for m in maxc], 1)
+        return 1
+
+    return sum((-1) ** (k - i) * comb(k, i) * count(t0 + i) for i in range(k + 1))
 
 
 def _fibre_count(ineqs, top, t):
@@ -271,14 +307,16 @@ def kouchnirenko_mu(points, n=None) -> int:
 def kouchnirenko_cost(points, n) -> int:
     """Rough operation count of kouchnirenko_mu, used to decide whether
     the oracle is affordable inside validate: per coordinate subset, the
-    fibres the lattice counts walk over all dilates, times a bound on
-    the number of inequalities each fibre is cut by.
+    fibres the lattice counts walk over the dilates 1..k, times a bound
+    on the number of inequalities each fibre is cut by.  The support is
+    checked, and n inferred when None, as in kouchnirenko_mu.
 
     It estimates an unpruned walk over the whole box of the leading
-    coordinates, so it overstates what the pruned walk of _fibre_count
-    costs.  It is kept as it is, so that validate skips and runs the same
-    checks as before the walk was pruned."""
-    pts = sorted({tuple(p) for p in points})
+    coordinates and over dilates up to k, so it overstates what
+    _fibre_count's pruned walk over dilates up to ceil(k/2) costs.  It
+    is kept as it is, so that validate skips and runs the same checks as
+    before the walk was pruned and halved."""
+    pts, n = _oracle_support(points, n)
     total = 0
     for size, sub in _coordinate_sections(pts, n):
         if not sub:

@@ -14,7 +14,7 @@ from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.polytope import make_polytope
 
-from _battery import golden_supports
+from _battery import golden_supports, random_supports
 from newton_monodromy.oracles import (
     _chains_form_a_sphere,
     brieskorn_pham_exponents,
@@ -268,6 +268,140 @@ def test_fibre_count_matches_box_filter_on_any_inequalities():
             ineqs, top, t
         ), (ineqs, top, t)
     assert oracles._fibre_count([((0, 1, 1), 1)], [3, 0, 0], 1) == 0
+
+
+def _forward_difference_volume(tight, k):
+    """Reference: the normalized volume of conv({0} union tight) as the
+    k-th forward difference of the lattice counts of the dilates 0..k."""
+    verts = [(0,) * k] + [tuple(p) for p in tight]
+    ineq_list = sorted(oracles._supporting_hyperplanes(verts, k).items())
+    maxc = [max(v[j] for v in verts) for j in range(k)]
+    counts = [1]
+    for t in range(1, k + 1):
+        counts.append(oracles._fibre_count(ineq_list, [t * m for m in maxc], t))
+    return sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
+
+
+def test_interior_fibre_counts_match_strict_box_filter():
+    """Offsets s*b + 1 count the points with u.x > s*b on every facet,
+    the interior of the dilate sP that reciprocity reads L(-s) from."""
+    for k, tight in _random_tight_sets():
+        ineqs, maxc = _pyramid_inequalities(tight, k)
+        for s in range(1, (k + 1) // 2 + 1):
+            top = [s * m for m in maxc]
+            want = sum(
+                all(sum(a * y for a, y in zip(u, x)) > s * b for u, b in ineqs)
+                for x in product(*(range(m + 1) for m in top))
+            )
+            inner = [(u, s * b + 1) for u, b in ineqs]
+            assert oracles._fibre_count(inner, top, 1) == want, (k, tight, s)
+
+
+def test_reciprocity_volume_matches_forward_differences():
+    """The window around 0 gives the forward difference's volume, 0 on
+    the flat clouds too, and on every lower facet of random supports."""
+    flat = 0
+    for k, tight in _random_tight_sets():
+        want = _forward_difference_volume(tight, k)
+        assert oracles._pyramid_normalized_volume(tight, k) == want, (k, tight)
+        flat += want == 0
+    assert flat >= 1
+    facets = 0
+    for support in random_supports(40):
+        pts = sorted(support.points)
+        for size, sub in oracles._coordinate_sections(pts, len(pts[0])):
+            for _u, _m, tight in oracles._lower_facets(sub, size):
+                got = oracles._pyramid_normalized_volume(tight, size)
+                assert got == _forward_difference_volume(tight, size) > 0, tight
+                facets += 1
+    assert facets >= 100
+
+
+@pytest.mark.parametrize(
+    "points",
+    [_fermat(3, 20), _fermat(4, 5) + [(1, 1, 1, 1)]],
+    ids=["x^20+y^20+z^20", "x^5+y^5+z^5+w^5+xyzw"],
+)
+def test_pyramid_walk_stops_at_half_the_dilates(monkeypatch, points):
+    """No box handed to the fibre counter is larger than ceil(k/2) times
+    the pyramid's largest coordinates."""
+    fibre_count = oracles._fibre_count
+    volume = oracles._pyramid_normalized_volume
+    bound = []
+    boxes = []
+
+    def bounded_volume(tight, k):
+        maxc = [max(p[j] for p in tight) for j in range(k)]
+        bound[:] = [(k + 1) // 2 * m for m in maxc]
+        return volume(tight, k)
+
+    def counted(ineqs, top, t):
+        boxes.append(list(top))
+        assert all(x <= m for x, m in zip(top, bound)), (top, bound)
+        return fibre_count(ineqs, top, t)
+
+    monkeypatch.setattr(oracles, "_pyramid_normalized_volume", bounded_volume)
+    monkeypatch.setattr(oracles, "_fibre_count", counted)
+    assert kouchnirenko_mu(points) == {3: 19**3, 4: 131}[len(points[0])]
+    assert boxes
+
+
+def _two_orientation_hyperplanes(pts, k):
+    """Reference: every k-subset's normal tried in both orientations,
+    each against every point."""
+    found = {}
+    for subset in combinations(pts, k):
+        base = subset[0]
+        diffs = [tuple(x - y for x, y in zip(p, base)) for p in subset[1:]]
+        nrm = oracles._nullspace_generator(diffs, k)
+        if nrm is None:
+            continue
+        for u in (nrm, tuple(-x for x in nrm)):
+            if u in found:
+                continue
+            b = sum(a * x for a, x in zip(u, base))
+            if all(sum(a * x for a, x in zip(u, p)) >= b for p in pts):
+                found[u] = b
+    return found
+
+
+def test_supporting_hyperplanes_match_two_orientation_search():
+    """One test per hyperplane finds what testing each orientation of
+    every subset's normal found, on full-dimensional, coplanar and
+    collinear clouds."""
+    rng = Random(23)
+    kinds = set()
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        kind = rng.choice(["cloud", "coplanar", "collinear"])
+        if kind == "cloud":
+            pts = {tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(k + 3)}
+        elif kind == "coplanar":
+            u = [rng.randint(-2, 3) for _ in range(k)]
+            level = rng.randint(0, 6)
+            box = product(range(5), repeat=k)
+            plane = [p for p in box if sum(a * x for a, x in zip(u, p)) == level]
+            pts = set(rng.sample(plane, min(len(plane), k + 2)))
+        else:
+            a = [rng.randint(0, 3) for _ in range(k)]
+            d = [rng.randint(-2, 2) for _ in range(k)]
+            steps = range(rng.randint(1, 4))
+            pts = {tuple(x + j * y for x, y in zip(a, d)) for j in steps}
+        pts = sorted(pts)
+        want = _two_orientation_hyperplanes(pts, k)
+        assert oracles._supporting_hyperplanes(pts, k) == want, (k, pts)
+        kinds.add((kind, bool(want)))
+    assert {("cloud", True), ("coplanar", True), ("collinear", False)} <= kinds
+
+
+def test_kouchnirenko_cost_infers_the_dimension():
+    points = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)]
+    assert kouchnirenko_cost(points, None) == kouchnirenko_cost(points, 3)
+
+
+def test_kouchnirenko_cost_rejects_non_integer_exponents():
+    with pytest.raises(ValueError, match="bad support point"):
+        kouchnirenko_cost([(2.5, 0), (0, 3)], 2)
 
 
 def test_kouchnirenko_cost_scales_with_input():
