@@ -3,26 +3,31 @@
 varchenko_multiplicities computes the eigenvalue multiplicities of the
 monodromy of a convenient nondegenerate singularity from Varchenko's
 zeta function.  It deliberately shares no geometry code with the
-engine: one brute-force supporting-hyperplane search over point
-subsets, with normals from a fraction-free integer elimination of its
-own, finds both the lower facets and the facets of each pyramid, and
-volumes come from integer finite differences of lattice counts, so
-agreement with the engine is meaningful evidence rather than the same
-bug twice.  The differences are taken over the dilates -ceil(k/2) ..
-floor(k/2) of a k-dimensional pyramid: by Ehrhart-Macdonald reciprocity
-the count at -s is (-1)^k times the number of lattice points interior
-to the s-th dilate, so no dilate beyond ceil(k/2) is counted.  A flat
-pyramid has volume 0 without any count.  The lattice counts fix one
-coordinate at a time, each within the bounds its inequalities leave
-once every later coordinate takes its most favourable box value.  Those
-bounds are necessary conditions, so no lattice point is lost, and the
-last coordinate, with nothing left to relax, gets an exact interval, so
-the counts are exact.  kouchnirenko_cost, kept as it was, still prices
-the dilates 1..k, so it overstates the walk even more than before.
-kouchnirenko_mu, the Milnor number, is their total: the classical
-alternating sum of normalized under-volumes.  validate's kouchnirenko-mu
-check compares both the Milnor number and every multiplicity with the
-engine.
+engine, so agreement with the engine is meaningful evidence rather than
+the same bug twice.  One brute-force supporting-hyperplane search over
+point subsets, with normals from a fraction-free integer elimination of
+its own, finds the lower facets; it runs over the undominated points
+only, since a point above another coordinatewise is neither tight nor
+in the way on a facet with positive normal.  The pyramid conv(0 u gamma)
+over a facet gamma of exactly k points is a simplex, and its normalized
+volume is |det| of those points, from a fraction-free (Bareiss)
+determinant, also of its own.  Only a pyramid over a larger facet is
+counted: the same search finds its facets, and its volume is the k-th
+finite difference of its lattice counts over the dilates -ceil(k/2) ..
+floor(k/2).  By Ehrhart-Macdonald reciprocity the count at -s is (-1)^k
+times the number of lattice points interior to the s-th dilate, so no
+dilate beyond ceil(k/2) is counted.  A flat pyramid has volume 0
+without any count.  The lattice counts fix one coordinate at a time,
+each within the bounds its inequalities leave once every later
+coordinate takes its most favourable box value.  Those bounds are
+necessary conditions, so no lattice point is lost, and the last
+coordinate, with nothing left to relax, gets an exact interval, so the
+counts are exact.  kouchnirenko_cost, kept as it was, still prices a
+lattice count of every pyramid over the dilates 1..k, so it overstates
+the work even more than before.  kouchnirenko_mu, the Milnor number, is
+their total: the classical alternating sum of normalized under-volumes.
+validate's kouchnirenko-mu check compares both the Milnor number and
+every multiplicity with the engine.
 
 brieskorn_pham_spectrum computes the classical eigenvalue multiset of
 x1^a1 + ... + xn^an directly from the exponents, as residues mod the
@@ -134,18 +139,59 @@ def _supporting_hyperplanes(pts, k):
 
 def _lower_facets(pts, k):
     """Facets of the under-boundary: maximal tight sets of supporting
-    hyperplanes with strictly positive normal."""
+    hyperplanes with strictly positive normal.
+
+    The search runs over the undominated points only: a point p with
+    p >= q coordinatewise for another point q of pts is dropped first.
+    That changes no facet.  For u > 0 and u.q >= b, u.p >= u.q >= b, so
+    a dropped point never breaks support; and u.p > u.q >= b, so it is
+    never tight either."""
+    low = [
+        p
+        for p in pts
+        if not any(q != p and all(x >= y for x, y in zip(p, q)) for q in pts)
+    ]
     return [
-        (u, b, tuple(sorted(p for p in pts if _dot(u, p) == b)))
-        for u, b in sorted(_supporting_hyperplanes(pts, k).items())
+        (u, b, tuple(sorted(p for p in low if _dot(u, p) == b)))
+        for u, b in sorted(_supporting_hyperplanes(low, k).items())
         if all(x > 0 for x in u)
     ]
 
 
+def _det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each step cross-multiplies with the pivot row and
+    divides by the previous pivot, a division that is always exact, so
+    every entry stays an integer and the last pivot is the determinant,
+    up to the sign of the row swaps."""
+    mat = [list(r) for r in rows]
+    k = len(mat)
+    sign, prev = 1, 1
+    for c in range(k):
+        pr = next((i for i in range(c, k) if mat[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            sign = -sign
+        prow = mat[c]
+        pv = prow[c]
+        for i in range(c + 1, k):
+            f = mat[i][c]
+            mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], prow)]
+        prev = pv
+    return sign * prev
+
+
 def _pyramid_normalized_volume(tight, k):
-    """k! times the volume of P = conv({0} union tight), the k-th finite
-    difference of its Ehrhart polynomial L over the window of dilates
-    -ceil(k/2) .. floor(k/2).  Integer arithmetic only.
+    """k! times the volume of P = conv({0} union tight).  Integer
+    arithmetic only.
+
+    With exactly k points P is a simplex, possibly flat, and its
+    normalized volume is |det| of the k points: no hyperplane search and
+    no lattice count.  A larger tight set gets the k-th finite
+    difference of P's Ehrhart polynomial L over the window of dilates
+    -ceil(k/2) .. floor(k/2).
 
     L(0) = 1 and L(t) for t > 0 counts the lattice points of tP.  By
     Ehrhart-Macdonald reciprocity L(-s) is (-1)^k times the number of
@@ -154,6 +200,8 @@ def _pyramid_normalized_volume(tight, k):
     largest dilate counted is ceil(k/2).  A pyramid that is not
     full-dimensional has volume 0, and reciprocity does not hold for it:
     no hyperplane supports it, or one does with both orientations."""
+    if len(tight) == k:
+        return abs(_det(tight))
     verts = [(0,) * k] + [tuple(p) for p in tight]
     found = _supporting_hyperplanes(verts, k)
     if not found or any(
@@ -257,12 +305,21 @@ def _fibre_count(ineqs, top, t):
     return walk(0, rems)
 
 
+def _integral(x) -> bool:
+    """Whether x has an integer value; an infinite or NaN float has none."""
+    try:
+        return x == int(x)
+    except (OverflowError, ValueError):
+        return False
+
+
 def _oracle_support(points, n):
     """The support as sorted distinct integer points, and n, checked: a
-    non-integral coordinate raises instead of being truncated."""
+    non-integral or infinite coordinate raises ValueError instead of
+    being truncated."""
     pts = set()
     for p in points:
-        if any(x != int(x) for x in p):
+        if not all(_integral(x) for x in p):
             raise ValueError(f"bad support point {tuple(p)}")
         pts.add(tuple(int(x) for x in p))
     pts = sorted(pts)
@@ -312,10 +369,13 @@ def kouchnirenko_cost(points, n) -> int:
     checked, and n inferred when None, as in kouchnirenko_mu.
 
     It estimates an unpruned walk over the whole box of the leading
-    coordinates and over dilates up to k, so it overstates what
-    _fibre_count's pruned walk over dilates up to ceil(k/2) costs.  It
-    is kept as it is, so that validate skips and runs the same checks as
-    before the walk was pruned and halved."""
+    coordinates and over dilates up to k for every pyramid, so it
+    overstates the work by far: a simplex pyramid, the common case, is
+    one determinant, and only a pyramid over a facet of more than k
+    points gets _fibre_count's pruned walk over dilates up to ceil(k/2).
+    It is kept as it is, so that validate skips and runs the same checks
+    as before the walk was pruned and halved and the simplices were read
+    off determinants."""
     pts, n = _oracle_support(points, n)
     total = 0
     for size, sub in _coordinate_sections(pts, n):
@@ -377,9 +437,10 @@ def brieskorn_pham_spectrum(exponents) -> dict[Fraction, int]:
     The sums are kept as integer residues mod L = lcm(a_i) and the
     variables are folded in one at a time, so no exponent tuple is
     walked: each fold touches every residue reached so far a_i - 1
-    times.  No exponents, or a non-integral one, raises."""
+    times.  No exponents, or a non-integral or infinite one, raises
+    ValueError."""
     exps = list(exponents)
-    if not exps or any(a != int(a) for a in exps):
+    if not exps or not all(_integral(a) for a in exps):
         raise ValueError(f"exponents {exps} are not a nonempty list of integers")
     exps = [int(a) for a in exps]
     if any(a < 2 for a in exps):

@@ -181,6 +181,42 @@ def test_integer_nullspace_matches_fraction_elimination():
     assert seen[True] >= 50 and seen[False] >= 200
 
 
+def _fraction_det(rows):
+    """Reference: the determinant by Fraction Gaussian elimination."""
+    mat = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for c in range(len(mat)):
+        pr = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return det
+
+
+def test_det_matches_fraction_elimination():
+    """The Bareiss determinant equals the Fraction one on the nullspace
+    test's matrices for k = 1..5, each made square by one more random
+    row: full rank ones, and singular ones from a combined or zero row."""
+    rng = Random(29)
+    singular = regular = 0
+    for k, rows in _random_matrices():
+        if k > 5:
+            continue
+        square = rows + [[rng.randint(-4, 4) for _ in range(k)]]
+        want = _fraction_det(square)
+        got = oracles._det(square)
+        assert type(got) is int and got == want, square
+        singular += want == 0
+        regular += want != 0
+    assert singular >= 50 and regular >= 150
+
+
 def _pyramid_inequalities(tight, k):
     """The facet inequalities u.x >= b of conv({0} union tight), by brute
     force over vertex subsets, and the pyramid's largest coordinates."""
@@ -317,14 +353,43 @@ def test_reciprocity_volume_matches_forward_differences():
     assert facets >= 100
 
 
+def test_random_tight_sets_reach_both_volume_paths():
+    """At every k some tight set has exactly k points, a simplex read off
+    one determinant, and some has more, a pyramid whose lattice points
+    are counted."""
+    sizes = {}
+    for k, tight in _random_tight_sets():
+        sizes.setdefault(k, set()).add(len(tight) == k)
+    assert sizes == {k: {True, False} for k in (1, 2, 3, 4, 5)}
+
+
+def test_simplex_pyramids_need_no_lattice_count(monkeypatch):
+    """Every lower facet of x^20 + y^20 + z^20, in every coordinate
+    section, has exactly k points, so no lattice point is counted."""
+    calls = []
+    fibre_count = oracles._fibre_count
+
+    def counted(ineqs, top, t):
+        calls.append(top)
+        return fibre_count(ineqs, top, t)
+
+    monkeypatch.setattr(oracles, "_fibre_count", counted)
+    assert kouchnirenko_mu(_fermat(3, 20)) == 19**3
+    assert calls == []
+
+
 @pytest.mark.parametrize(
-    "points",
-    [_fermat(3, 20), _fermat(4, 5) + [(1, 1, 1, 1)]],
-    ids=["x^20+y^20+z^20", "x^5+y^5+z^5+w^5+xyzw"],
+    "points,mu",
+    [
+        (_fermat(3, 20) + [(10, 10, 0)], 19**3),
+        (_fermat(4, 6) + [(3, 3, 0, 0)], 625),
+    ],
+    ids=["x^20+y^20+z^20+x^10*y^10", "x^6+y^6+z^6+w^6+x^3*y^3"],
 )
-def test_pyramid_walk_stops_at_half_the_dilates(monkeypatch, points):
+def test_pyramid_walk_stops_at_half_the_dilates(monkeypatch, points, mu):
     """No box handed to the fibre counter is larger than ceil(k/2) times
-    the pyramid's largest coordinates."""
+    the pyramid's largest coordinates.  The mixed monomial puts an extra
+    point on a lower facet, so that pyramid is no simplex and is walked."""
     fibre_count = oracles._fibre_count
     volume = oracles._pyramid_normalized_volume
     bound = []
@@ -342,7 +407,7 @@ def test_pyramid_walk_stops_at_half_the_dilates(monkeypatch, points):
 
     monkeypatch.setattr(oracles, "_pyramid_normalized_volume", bounded_volume)
     monkeypatch.setattr(oracles, "_fibre_count", counted)
-    assert kouchnirenko_mu(points) == {3: 19**3, 4: 131}[len(points[0])]
+    assert kouchnirenko_mu(points) == mu
     assert boxes
 
 
@@ -394,6 +459,37 @@ def test_supporting_hyperplanes_match_two_orientation_search():
     assert {("cloud", True), ("coplanar", True), ("collinear", False)} <= kinds
 
 
+def _unfiltered_lower_facets(pts, k):
+    """Reference: the lower facets searched over every point of pts."""
+    return [
+        (u, b, tuple(sorted(p for p in pts if sum(a * x for a, x in zip(u, p)) == b)))
+        for u, b in sorted(oracles._supporting_hyperplanes(pts, k).items())
+        if all(x > 0 for x in u)
+    ]
+
+
+def test_lower_facets_match_unfiltered_search():
+    """Dropping the dominated points before the search changes no lower
+    facet: on random supports, on repeated axis powers and on points
+    above a pure power, in every coordinate section."""
+    supports = [sorted(s.points) for s in random_supports(40)]
+    supports += [
+        [(2, 0), (5, 0), (0, 3), (0, 4), (1, 1)],
+        [(2, 0), (3, 1), (2, 2), (0, 3), (1, 5)],
+        [(3, 0, 0), (6, 0, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (1, 1, 1)],
+        [(3, 0, 0), (3, 1, 0), (4, 0, 2), (0, 4, 0), (0, 0, 5), (2, 2, 2)],
+    ]
+    dropped = 0
+    for pts in supports:
+        for size, sub in oracles._coordinate_sections(pts, len(pts[0])):
+            want = _unfiltered_lower_facets(sub, size)
+            assert want and oracles._lower_facets(sub, size) == want, sub
+            dropped += any(
+                q != p and all(x >= y for x, y in zip(p, q)) for p in sub for q in sub
+            )
+    assert dropped >= 10
+
+
 def test_kouchnirenko_cost_infers_the_dimension():
     points = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)]
     assert kouchnirenko_cost(points, None) == kouchnirenko_cost(points, 3)
@@ -402,6 +498,16 @@ def test_kouchnirenko_cost_infers_the_dimension():
 def test_kouchnirenko_cost_rejects_non_integer_exponents():
     with pytest.raises(ValueError, match="bad support point"):
         kouchnirenko_cost([(2.5, 0), (0, 3)], 2)
+
+
+def test_kouchnirenko_mu_rejects_an_infinite_exponent():
+    with pytest.raises(ValueError, match=r"bad support point \(inf, 0\)"):
+        kouchnirenko_mu([(float("inf"), 0), (0, 2)])
+
+
+def test_kouchnirenko_cost_rejects_an_infinite_exponent():
+    with pytest.raises(ValueError, match=r"bad support point \(inf, 0\)"):
+        kouchnirenko_cost([(float("inf"), 0), (0, 2)], None)
 
 
 def test_kouchnirenko_cost_scales_with_input():
@@ -439,6 +545,11 @@ def test_brieskorn_pham_spectrum_rejects_non_integers_and_no_exponents():
         with pytest.raises(ValueError, match="nonempty list of integers"):
             brieskorn_pham_spectrum(bad)
     assert brieskorn_pham_spectrum([2.0, F(3)]) == brieskorn_pham_spectrum((2, 3))
+
+
+def test_brieskorn_pham_spectrum_rejects_an_infinite_exponent():
+    with pytest.raises(ValueError, match=r"exponents \[2, inf\]"):
+        brieskorn_pham_spectrum([2, float("inf")])
 
 
 def test_brieskorn_pham_spectrum_total_is_product():
