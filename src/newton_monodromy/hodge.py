@@ -20,8 +20,13 @@ each bucket in one pass: the low range p+q < dim-1 reads the closed-form
 high range through duality, and each row's middle entry is what its
 target leaves.  A segment (dimension 1) takes the same path; its strata
 are all vertices, so the strata sum is empty and its one entry per
-bucket is the row target.  Every table is cross-checked before it is cached:
-the boundary formulas must be reproduced, conjugation symmetry
+bucket is the row target.  The extreme rows, the high range and the row
+targets (boundary_values) are kept sparse, nonzero entries only (the
+high range is then just the a = 0 diagonal), and memoized once per
+(shape, restriction) in ehrhart._MEMO as read-only mappings, so the
+table and validate's boundary check read one entry.  Every table is
+cross-checked before it is cached: it must agree with the boundary rows
+at every boundary position, conjugation symmetry
 e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
 the signed normalized volume.
 
@@ -39,6 +44,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from . import ehrhart
 from .ehrhart import Character, memoized, residue_step, restricted
@@ -70,14 +76,39 @@ def lefschetz_twist(table: dict, k: int) -> dict:
     return _clean(out)
 
 
+def read_eigenvalue(ev) -> Fraction:
+    """An eigenvalue (or bucket) argument as an exact Fraction.
+
+    Accepts an int, a Fraction, or a string that Fraction reads ('1/10',
+    '0.1').  A float is refused: Fraction(0.1) is not 1/10, so a float
+    would silently name another eigenvalue."""
+    if isinstance(ev, Fraction):
+        return ev
+    if isinstance(ev, int):
+        return Fraction(ev)
+    if isinstance(ev, str):
+        try:
+            return Fraction(ev)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(
+        f"eigenvalue {ev!r} is not exact: pass a Fraction or a string 'a/b'"
+    )
+
+
 def boundary_values(poly, char: Character):
-    """Directly computable table entries and row-sum targets.
+    """Directly computable table entries and row-sum targets, sparse.
 
     Returns (bv, targets, alphas), every bucket a residue r mod d':
-      bv[(p, q, r)]    entries of the extreme rows p = 0 / q = 0 and
-                       of the whole high range p + q > dim - 1;
-      targets[(p, r)]  the value of sum_q e^{p,q}_r;
+      bv[(p, q, r)]    the nonzero entries of the extreme rows p = 0 /
+                       q = 0 and of the whole high range p + q > dim - 1
+                       (there only the r = 0 diagonal p = q is nonzero);
+      targets[(p, r)]  the nonzero values of sum_q e^{p,q}_r;
       alphas           every bucket seen, closed under conjugation.
+    An absent key stands for 0.  The triple is memoized once per
+    (shape, restriction) in ehrhart._MEMO, bv and targets as read-only
+    mappings and alphas as a frozenset, so hodge_table and validate's
+    boundary check share one entry and clear_caches drops it.
 
     The extreme rows count lattice points by character bucket with
     ehrhart.relint_counts, summed over the faces of each dimension:
@@ -85,6 +116,20 @@ def boundary_values(poly, char: Character):
     row 0 the points of the 1-skeleton, i.e. the vertices (dimension 0)
     plus the edge interiors (dimension 1).
     """
+    key = ("boundary_values", poly.shape, restricted(poly, char))
+    hit = ehrhart._MEMO.get(key)
+    if hit is None:
+        bv, targets, alphas = _boundary_rows(poly, char)
+        hit = ehrhart._MEMO[key] = (
+            MappingProxyType(bv),
+            MappingProxyType(targets),
+            frozenset(alphas),
+        )
+    return hit
+
+
+def _boundary_rows(poly, char: Character):
+    """The triple of boundary_values, built: zero entries are not stored."""
     m = poly.dim
     d = restricted(poly, char)[0]
     sign = (-1) ** (m - 1)
@@ -103,20 +148,14 @@ def boundary_values(poly, char: Character):
 
     bv = {}
     for a in alphas:
-        if a == 0:
-            bv[(0, 0, a)] = sign * (skel.get(0, 0) - 1)
-        else:
-            bv[(0, 0, a)] = sign * skel.get(-a % d, 0)
+        c = -a % d
+        bv[(0, 0, a)] = sign * (skel[0] - 1) if a == 0 else sign * skel[c]
         for p in range(1, m):
-            bv[(p, 0, a)] = sign * lsum[p + 1].get(a, 0)
-            bv[(0, p, a)] = sign * lsum[p + 1].get(-a % d, 0)
-        for p in range(m):
-            for q in range(m):
-                if p + q > m - 1:
-                    if p == q and a == 0:
-                        bv[(p, q, a)] = (-1) ** (m + p + 1) * comb(m, p + 1)
-                    else:
-                        bv[(p, q, a)] = 0
+            bv[(p, 0, a)] = sign * lsum[p + 1][a]
+            bv[(0, p, a)] = sign * lsum[p + 1][c]
+    # the high range p + q > m - 1 vanishes off the a = 0 diagonal
+    for p in range((m + 1) // 2, m):
+        bv[(p, p, 0)] = (-1) ** (m + p + 1) * comb(m, p + 1)
 
     targets = {}
     for a in alphas:
@@ -126,7 +165,24 @@ def boundary_values(poly, char: Character):
             if a == 0:
                 t += (-1) ** (p + m + 1) * comb(m, p + 1)
             targets[(p, a)] = t
-    return bv, targets, alphas
+    return _clean(bv), _clean(targets), alphas
+
+
+def _boundary_mismatch(table, bv, alphas, m):
+    """The first key at which table contradicts the sparse boundary rows,
+    or None.  Every entry of bv is compared, and so is every entry of
+    table at a boundary position (p = 0, q = 0 or p + q > m - 1) in a
+    bucket of alphas, against bv's value there or 0: together, every
+    boundary position of every bucket in alphas, as a dense bv would
+    list them."""
+    for k, v in bv.items():
+        if table.get(k, 0) != v:
+            return k
+    for k, v in table.items():
+        p, q, a = k
+        if (not p or not q or p + q >= m) and a in alphas and v != bv.get(k, 0):
+            return k
+    return None
 
 
 def _chains(lattice, m: int) -> dict:
@@ -181,9 +237,9 @@ def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     if m < 1:
         raise InternalConsistencyError("hypersurface table needs dim >= 1")
     d = restricted(poly, char)[0]
-    bv, targets, alphas = boundary_values(poly, char)
+    bv, targets, seen = boundary_values(poly, char)
     S = _strata_sum(poly, char, m)
-    alphas = set(alphas) | {a for (_, _, a) in S}
+    alphas = seen | {a for (_, _, a) in S}
     alphas |= {-a % d for a in alphas}
     table = {}
     for a in alphas:
@@ -205,18 +261,17 @@ def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
                 table[(p, q, a)] = v
                 row += v
             table[(p, mid, a)] = targets.get((p, a), 0) - row
-    _post_checks(poly, d, table, bv, m)
+    _post_checks(poly, d, table, bv, seen, m)
     return _clean(table)
 
 
-def _post_checks(poly, d, table, bv, m):
-    for k, v in bv.items():
-        got = table.get(k, 0)
-        if got != v:
-            raise InternalConsistencyError(
-                f"assembled table contradicts boundary value at {k} mod {d}: "
-                f"{got} != {v}"
-            )
+def _post_checks(poly, d, table, bv, alphas, m):
+    k = _boundary_mismatch(table, bv, alphas, m)
+    if k is not None:
+        raise InternalConsistencyError(
+            f"assembled table contradicts boundary value at {k} mod {d}: "
+            f"{table.get(k, 0)} != {bv.get(k, 0)}"
+        )
     for (p, q, a), v in table.items():
         if table.get((q, p, -a % d), 0) != v:
             raise InternalConsistencyError(
@@ -277,11 +332,12 @@ def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, i
     table, obtained by inclusion-exclusion over the face lattice without
     building the table itself.  Valid for every nontrivial bucket alpha
     when the polytope is pseudo-prime (in particular when it is prime);
-    both conditions are enforced, and alpha must lie in (0, 1).  A bucket
-    no face carries has all sums zero."""
+    both conditions are enforced, and alpha must lie in (0, 1), given as
+    read_eigenvalue reads it.  A bucket no face carries has all sums zero."""
     if poly.primeness == "neither":
         raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
-    if not 0 < alpha < 1:
+    alpha = read_eigenvalue(alpha)
+    if not 0 < alpha.numerator < alpha.denominator:
         raise InputError("anti-diagonal formula needs a nontrivial bucket in (0, 1)")
     r = ehrhart.residue(alpha, restricted(poly, char)[0])
     rows = _row_sums(poly, char).get(r, (0,) * poly.dim)

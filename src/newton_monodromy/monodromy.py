@@ -21,12 +21,20 @@ per eigenvalue, for the keys of the JordanSpectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .ehrhart import Character, relint_counts, residue, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
-from .hodge import _clean, _merge, hodge_table, pseudo_prime_row_sums
+from .hodge import (
+    _clean,
+    _merge,
+    _row_sums,
+    hodge_table,
+    pseudo_prime_row_sums,
+    read_eigenvalue,
+)
 from .newton import NewtonPolyhedron
 
 
@@ -66,6 +74,9 @@ class JordanSpectrum:
         return sorted(self.multiplicities, key=lambda a: (a.denominator, a.numerator))
 
     def block_sizes(self, eigenvalue: Fraction) -> dict[int, int]:
+        """{size: count} of the blocks at one eigenvalue, given as an
+        int, a Fraction or a string 'a/b' (hodge.read_eigenvalue)."""
+        eigenvalue = read_eigenvalue(eigenvalue)
         return {
             size: cnt
             for (ev, size), cnt in sorted(self.blocks.items())
@@ -191,25 +202,50 @@ def fastpath_top(np_: NewtonPolyhedron, ev: Fraction) -> tuple[int, int]:
 
     Returns (number of size-n blocks, number of size-(n-1) blocks) for
     eigenvalue exp(2*pi*i*ev), reading only interior vertices and
-    interior-touching edges of the Newton polyhedron.
+    interior-touching edges of the Newton polyhedron.  ev is an int, a
+    Fraction or a string 'a/b' (hodge.read_eigenvalue).
     """
-    ev = Fraction(ev)
+    ev = read_eigenvalue(ev)
     if not 0 < ev < 1:
         raise InputError("fastpath_top needs an eigenvalue bucket in (0, 1)")
-    b = ev.denominator
-    size_n = 0
-    for face in np_.faces_of_dim(0):
-        if face.interior_touching and face.distance % b == 0:
-            size_n += 1
-    size_n1 = 0
-    for face in np_.faces_of_dim(1):
-        if face.interior_touching and face.distance % b == 0:
-            d = restricted(face.delta, face.char)[0]
-            r = residue(ev, d)
-            if r is not None:
-                counts = relint_counts(face.delta, face.char, 1)
-                size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
-    return size_n, size_n1
+    return _fastpath_top_reader(np_)(ev)
+
+
+def _fastpath_top_reader(np_: NewtonPolyhedron):
+    """fastpath_top for one polyhedron and any number of eigenvalues.
+
+    Reads, in one walk, the distance of every interior-touching vertex
+    and, for every interior-touching edge, its distance, the modulus d'
+    of its cone's restricted character and its cone's relint_counts,
+    and returns top(ev) -> (size-n count, size-(n-1) count) for an
+    eigenvalue bucket ev in (0, 1) given as a Fraction.  A size-n block
+    is an interior vertex whose distance ev's denominator divides; the
+    size-(n-1) blocks are the interior points of such edges in the
+    buckets ev and -ev of the edge's cone.
+    """
+    vertices = [f.distance for f in np_.faces_of_dim(0) if f.interior_touching]
+    edges = [
+        (
+            f.distance,
+            restricted(f.delta, f.char)[0],
+            relint_counts(f.delta, f.char, 1),
+        )
+        for f in np_.faces_of_dim(1)
+        if f.interior_touching
+    ]
+
+    def top(ev: Fraction) -> tuple[int, int]:
+        b = ev.denominator
+        size_n = sum(1 for dist in vertices if dist % b == 0)
+        size_n1 = 0
+        for dist, d, counts in edges:
+            if dist % b == 0:
+                r = residue(ev, d)
+                if r is not None:
+                    size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
+        return size_n, size_n1
+
+    return top
 
 
 def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
@@ -236,23 +272,33 @@ def fastpath_unipotent(np_: NewtonPolyhedron) -> tuple[int, int]:
 def prime_face_blocks(np_: NewtonPolyhedron, ev: Fraction, k: int) -> int:
     """Number of Jordan blocks of size >= k for eigenvalue != 1, by the
     closed combinatorial formula available when every compact face is
-    prime in its intrinsic lattice.
+    prime in its intrinsic lattice.  ev is an int, a Fraction or a
+    string 'a/b' (hodge.read_eigenvalue).
 
     Raises InputError naming the first non-prime face otherwise.
     """
-    ev = Fraction(ev)
+    ev = read_eigenvalue(ev)
     if not 0 < ev < 1:
         raise InputError("prime_face_blocks needs an eigenvalue bucket in (0, 1)")
     if k < 1:
         raise InputError("block size threshold must be >= 1")
-    return _prime_face_counts(np_, ev).get(k, 0)
+    return _prime_face_counts(np_).get(ev, {}).get(k, 0)
 
 
-def _prime_face_counts(np_: NewtonPolyhedron, ev: Fraction) -> dict[int, int]:
-    """{k: the closed formula's count of blocks of size >= k} for
-    k = 1..n+1 at the eigenvalue bucket ev in (0, 1), from one walk over
-    the compact faces.  Larger k count nothing: there the binomial index
-    d exceeds every face's twist |axes| - dim - 1 <= n - 1 - dim.
+def _prime_face_counts(np_: NewtonPolyhedron) -> dict[Fraction, dict[int, int]]:
+    """{ev: {k: the closed formula's count of blocks of size >= k}} for
+    k = 1..n+1 and every eigenvalue bucket ev in (0, 1) that some compact
+    face's cone carries, i.e. that keys the cone's _row_sums, from one
+    walk over the compact faces.  An eigenvalue no face carries has
+    every count 0.  Larger k count nothing: there the binomial index d
+    exceeds every face's twist |axes| - dim - 1 <= n - 1 - dim.
+
+    Each face adds its row sums s_r, r = 0..dim, times the weights of
+    _formula_weights for its dimension and twist.  The buckets a face
+    carries are the keys of its cone's _row_sums, and each bucket's row
+    sums are read once, through pseudo_prime_row_sums.  Buckets are
+    collected as residues mod the lcm of the cones' moduli, as in
+    motivic_milnor_table, and turned into Fractions once at the end.
 
     Raises InputError naming the first non-prime face.
     """
@@ -263,18 +309,45 @@ def _prime_face_counts(np_: NewtonPolyhedron, ev: Fraction) -> dict[int, int]:
                 f"compact face {face.points} is not prime; "
                 "the closed formula does not apply"
             )
-    # terms[kk]: the signed sum over faces for one size, kk = 1..n+2
-    terms = [0] * (n + 3)
-    for face in np_.faces:
-        rows = pseudo_prime_row_sums(face.delta, face.char, ev)
-        for kk in range(1, n + 3):
-            base = n - 2 + kk
-            for r in range(face.dim + 1):
-                if (base - r) % 2 != 0:
-                    continue
-                d = (base - r) // 2
-                if d < 0:
-                    continue
-                terms[kk] += (-1) ** d * comb(face.twist, d) * rows[r]
+    moduli = [restricted(face.delta, face.char)[0] for face in np_.faces]
+    modulus = lcm(*moduli)
+    counts: dict = {}  # residue mod modulus -> [_, size >= 1, ..., size >= n+1]
+    for face, d in zip(np_.faces, moduli):
+        weights = _formula_weights(n, face.dim, face.twist)
+        step = modulus // d
+        for a in _row_sums(face.delta, face.char):
+            rows = pseudo_prime_row_sums(face.delta, face.char, Fraction(a, d))
+            acc = counts.setdefault(a * step, [0] * (n + 2))
+            for r, terms in enumerate(weights):
+                if s := rows[r]:
+                    for k, c in terms:
+                        acc[k] += c * s
+    return {
+        Fraction(a, modulus): dict(enumerate(acc[1:], 1))
+        for a, acc in sorted(counts.items())
+    }
+
+
+@cache
+def _formula_weights(n: int, dim: int, twist: int) -> tuple:
+    """The closed formula's weights for a face of this dimension and
+    twist in n variables: for each row r = 0..dim, the pairs (k, c) with
+    c != 0 such that the face adds c * s_r to the count of blocks of
+    size >= k, k = 1..n+1.  That count is sgn * (T_k + T_(k+1)), with
+    sgn = (-1)^(n-1) and T_kk the sum over faces and rows of
+    (-1)^j C(twist, j) s_r, j = (n - 2 + kk - r) / 2 when that is a
+    whole number >= 0."""
     sgn = (-1) ** (n - 1)
-    return {k: sgn * (terms[k] + terms[k + 1]) for k in range(1, n + 2)}
+
+    def term(kk, r):
+        j, odd = divmod(n - 2 + kk - r, 2)
+        return 0 if odd or j < 0 else (-1) ** j * comb(twist, j)
+
+    return tuple(
+        tuple(
+            (k, c)
+            for k in range(1, n + 2)
+            if (c := sgn * (term(k, r) + term(k + 1, r)))
+        )
+        for r in range(dim + 1)
+    )

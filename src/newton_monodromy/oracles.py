@@ -47,12 +47,19 @@ from math import comb, gcd, lcm
 
 from .ehrhart import Character, p_alpha, restricted
 from .errors import InputError, InternalConsistencyError
-from .hodge import _chains, _merge, _row_sums, boundary_values, hodge_table
+from .hodge import (
+    _boundary_mismatch,
+    _chains,
+    _merge,
+    _row_sums,
+    boundary_values,
+    hodge_table,
+)
 from .monodromy import (
     _degree_sums,
+    _fastpath_top_reader,
     _prime_face_counts,
     _read_blocks,
-    fastpath_top,
     fastpath_unipotent,
     motivic_milnor_table,
 )
@@ -584,12 +591,12 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     def chk_boundary():
         for f in cones.values():
             table = hodge_table(f.delta, f.char)
-            bv, targets, _ = boundary_values(f.delta, f.char)
-            for k, v in bv.items():
-                if table.get(k, 0) != v:
-                    raise InternalConsistencyError(
-                        f"boundary entry {k} on face {f.points}"
-                    )
+            bv, targets, alphas = boundary_values(f.delta, f.char)
+            k = _boundary_mismatch(table, bv, alphas, f.delta.dim)
+            if k is not None:
+                raise InternalConsistencyError(
+                    f"boundary entry {k} on face {f.points}"
+                )
             sums: dict = {}
             for (p, _, a), v in table.items():
                 sums[(p, a)] = sums.get((p, a), 0) + v
@@ -813,7 +820,9 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     run("pseudo-prime-row-sums", chk_pseudo_prime)
 
-    # 9. closed formula on fully prime polyhedra
+    # 9. closed formula on fully prime polyhedra, at every eigenvalue of
+    # the spectrum and at every one a face carries but the spectrum lacks,
+    # where it must count no block
     def chk_prime_formula():
         if any(f.poly.primeness != "prime" for f in np_.faces):
             return "skip", "some compact face is not prime"
@@ -822,16 +831,21 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
         for (e, size), cnt in spectrum.blocks.items():
             if e in sizes:
                 sizes[e][size] = cnt
-        for ev in evs:
-            counts = _prime_face_counts(np_, ev)
+        formula = _prime_face_counts(np_)
+        none = dict.fromkeys(range(1, n + 2), 0)
+        # the spectrum's eigenvalues, then, ascending, those only faces carry
+        pairs = [(ev, formula.pop(ev, none), sizes[ev]) for ev in evs]
+        pairs += [(ev, counts, {}) for ev, counts in formula.items()]
+        for ev, counts, blocks in pairs:
+            want = sum(blocks.values())  # blocks of size >= k
             for k in range(1, n + 2):
-                want = sum(c for size, c in sizes[ev].items() if size >= k)
                 got = counts[k]
                 if got != want:
                     raise InternalConsistencyError(
                         f"closed formula at eigenvalue {ev}, size >= {k}: "
                         f"{got} != {want}"
                     )
+                want -= blocks.get(k, 0)
         return f"{len(evs)} eigenvalues checked"
 
     run("prime-face-closed-formula", chk_prime_formula)
@@ -847,8 +861,9 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
                             if gcd(a, b) == 1:
                                 cands.add(Fraction(a, b))
         cands |= {a for a in spectrum.multiplicities if a != _ZERO}
+        top = _fastpath_top_reader(np_)
         for ev in sorted(cands, key=lambda a: (a.denominator, a.numerator)):
-            got = fastpath_top(np_, ev)
+            got = top(ev)
             want = (
                 spectrum.blocks.get((ev, n), 0),
                 spectrum.blocks.get((ev, n - 1), 0) if n >= 2 else 0,

@@ -1,5 +1,6 @@
 """Hodge-Deligne tables of nondegenerate torus hypersurfaces."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -7,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from newton_monodromy import clear_caches, ehrhart, fan as fans, hodge, monodromy
+from newton_monodromy import clear_caches, ehrhart, fan as fans, hodge, monodromy, oracles
 from newton_monodromy.ehrhart import Character, p_alpha, relint_counts, restricted
 from newton_monodromy.errors import InputError, InternalConsistencyError
 from newton_monodromy.hodge import (
@@ -19,7 +20,8 @@ from newton_monodromy.hodge import (
 )
 from newton_monodromy.monodromy import jordan_blocks, prime_face_blocks
 from newton_monodromy.frontend import parse_polynomial
-from newton_monodromy.newton import newton_polyhedron
+from newton_monodromy.newton import SupportSet, newton_polyhedron
+from newton_monodromy.oracles import validate
 from newton_monodromy.polytope import make_polytope
 
 from _battery import edge_points, golden_supports, random_supports
@@ -316,7 +318,7 @@ def test_boundary_row_zero_matches_skeleton_walk():
                     want = sign * (skel.get(a, 0) - 1)
                 else:
                     want = sign * skel.get(-a % 1, 0)
-                assert bv[(0, 0, a)] == want, (support.points, poly, char, a)
+                assert bv.get((0, 0, a), 0) == want, (support.points, poly, char, a)
             checked += 1
     assert checked > 400
 
@@ -549,8 +551,11 @@ def test_public_views_match_the_fraction_assembly():
         d = restricted(poly, char)[0]
         want = _ref_hodge_table(poly, char, memo)
         assert read_buckets(hodge_table, poly, char) == want, (poly, char)
-        assert _as_fraction_boundary_values(poly, char) == _ref_boundary_values(
-            poly, char
+        ref_bv, ref_targets, ref_alphas = _ref_boundary_values(poly, char)
+        assert _as_fraction_boundary_values(poly, char) == (
+            {k: v for k, v in ref_bv.items() if v},
+            {k: v for k, v in ref_targets.items() if v},
+            ref_alphas,
         )
         assert read_buckets(_row_sums, poly, char) == _ref_row_sums(poly, char), (
             poly,
@@ -655,3 +660,116 @@ def test_duality_step_reads_the_conjugate_bucket():
     assert [table.get((1, 2, a), 0) for a in range(d)] == [15, 155, 137, 113, 86, 59, 35]
     assert [table.get((2, 1, a), 0) for a in range(d)] == [15, 35, 59, 86, 113, 137, 155]
     clear_caches()
+
+
+# The boundary rows are sparse and memoized once per (shape, restriction).
+
+SEPTIC_SURFACE = ((0, 0, 7), (0, 7, 0), (2, 2, 2), (7, 0, 0))
+
+
+def _septic():
+    return newton_polyhedron(SupportSet(("x", "y", "z"), SEPTIC_SURFACE))
+
+
+def test_boundary_rows_are_built_once_per_key(monkeypatch):
+    """A counting wrapper over the builder behind boundary_values sees one
+    computation per (shape, restriction) across a cold jordan_blocks and
+    validate on the septic surface, and none in validate after the warm
+    answer."""
+    real = hodge._boundary_rows
+    built = Counter()
+
+    def counting(poly, char):
+        built[poly.shape, restricted(poly, char)] += 1
+        return real(poly, char)
+
+    monkeypatch.setattr(hodge, "_boundary_rows", counting)
+    clear_caches()
+    np_ = _septic()
+    jordan_blocks(np_)
+    after_answer = sum(built.values())
+    assert validate(np_).ok
+    assert sum(built.values()) == after_answer > 10
+    assert set(built.values()) == {1}
+    cones = {(f.delta.shape, restricted(f.delta, f.char)) for f in np_.faces}
+    assert cones <= set(built)
+    clear_caches()
+
+
+def test_boundary_rows_memo_is_read_only_and_cleared():
+    clear_caches()
+    delta = make_polytope([(0, 0), (2, 0), (0, 3)])
+    char = Character(6, (3, 2))
+    bv, targets, alphas = first = boundary_values(delta, char)
+    assert boundary_values(delta, char) is first
+    assert isinstance(bv, MappingProxyType) and isinstance(targets, MappingProxyType)
+    assert isinstance(alphas, frozenset)
+    assert 0 not in bv.values() and 0 not in targets.values()
+    with pytest.raises(TypeError):
+        bv[(0, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        targets[(0, 0)] = 1
+    key = ("boundary_values", delta.shape, restricted(delta, char))
+    assert ehrhart._MEMO[key] is first
+    clear_caches()
+    assert key not in ehrhart._MEMO
+    again = make_polytope([(0, 0), (2, 0), (0, 3)])
+    assert boundary_values(again, char) is not first
+    assert boundary_values(again, char) == first
+    clear_caches()
+
+
+def _hidden_extreme_entry(np_):
+    """A cone of np_, a key (1, 0, a) of an extreme row with a in the
+    boundary buckets but absent from the sparse bv, and the cone's table
+    with +1 there and -1 at (1, 1, a), so every row sum still holds."""
+    for f in np_.faces:
+        if f.delta.dim != 3:
+            continue
+        bv, _, alphas = boundary_values(f.delta, f.char)
+        for a in sorted(alphas):
+            if (1, 0, a) not in bv:
+                table = dict(hodge_table(f.delta, f.char))
+                table[(1, 0, a)] = table.get((1, 0, a), 0) + 1
+                table[(1, 1, a)] = table.get((1, 1, a), 0) - 1
+                return f, (1, 0, a), table
+    raise AssertionError("no zero extreme entry in a boundary bucket")
+
+
+def test_a_nonzero_entry_where_bv_is_absent_fails_both_boundary_checks(monkeypatch):
+    """An extreme-row entry made nonzero where the sparse bv holds none,
+    in a bucket of alphas, with its row sum kept, fails _post_checks and
+    validate's boundary-and-row-sums: bv's own entries all still agree,
+    so only the walk over the table's boundary positions sees it."""
+    clear_caches()
+    np_ = _septic()
+    f, key, table = _hidden_extreme_entry(np_)
+    bv, _, alphas = boundary_values(f.delta, f.char)
+    d = restricted(f.delta, f.char)[0]
+    assert all(table.get(k, 0) == v for k, v in bv.items())
+    with pytest.raises(InternalConsistencyError, match="contradicts boundary value"):
+        hodge._post_checks(f.delta, d, table, bv, alphas, f.delta.dim)
+
+    real = oracles.hodge_table
+    target = (f.delta.shape, restricted(f.delta, f.char))
+
+    def patched(poly, char):
+        if (poly.shape, restricted(poly, char)) == target:
+            return MappingProxyType(table)
+        return real(poly, char)
+
+    monkeypatch.setattr(oracles, "hodge_table", patched)
+    by_name = {c.name: c for c in validate(np_).checks}
+    assert by_name["boundary-and-row-sums"].status == "fail"
+    assert by_name["boundary-and-row-sums"].detail.startswith(f"boundary entry {key}")
+    clear_caches()
+
+
+def test_pseudo_prime_row_sums_reads_buckets_exactly():
+    delta = make_polytope([(0, 0), (2, 0), (0, 3)])
+    char = Character(6, (3, 2))
+    assert pseudo_prime_row_sums(delta, char, "1/6") == pseudo_prime_row_sums(
+        delta, char, F(1, 6)
+    )
+    with pytest.raises(InputError, match="pass a Fraction or a string 'a/b'"):
+        pseudo_prime_row_sums(delta, char, 0.5)

@@ -3,10 +3,11 @@
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from newton_monodromy import clear_caches, ehrhart, hodge
+from newton_monodromy import clear_caches, ehrhart, hodge, monodromy
 from newton_monodromy.errors import InputError
 from newton_monodromy.monodromy import (
     fastpath_top,
@@ -298,3 +299,111 @@ def test_answer_and_validate_read_one_chain_count(monkeypatch):
     assert validate(np_).ok
     assert calls, "validate"
     clear_caches()
+
+
+# Exact eigenvalue arguments: Fraction(0.1) is not 1/10, so a float is
+# refused everywhere an eigenvalue is read, and a string 'a/b' is read
+# exactly.
+
+TWO_SQUARES = ((0, 5), (2, 2), (5, 0))  # x^5 + x^2*y^2 + y^5
+
+
+def test_fastpath_top_reads_eigenvalues_exactly():
+    np_ = _np(TWO_SQUARES)
+    assert fastpath_top(np_, F(1, 10)) == (0, 2)
+    assert fastpath_top(np_, "1/10") == (0, 2)
+    with pytest.raises(InputError, match="pass a Fraction or a string 'a/b'"):
+        fastpath_top(np_, 0.1)
+
+
+def test_prime_face_blocks_reads_eigenvalues_exactly():
+    np_ = _np(TWO_SQUARES)
+    assert prime_face_blocks(np_, F(1, 10), 1) == 2
+    assert prime_face_blocks(np_, "1/10", 1) == 2
+    with pytest.raises(InputError, match="pass a Fraction or a string 'a/b'"):
+        prime_face_blocks(np_, 0.1, 1)
+
+
+def test_block_sizes_reads_eigenvalues_exactly():
+    spectrum = jordan_blocks(_np(TWO_SQUARES))
+    assert spectrum.block_sizes(F(1, 10)) == {1: 2}
+    assert spectrum.block_sizes("1/10") == {1: 2}
+    assert spectrum.block_sizes("1/2") == spectrum.block_sizes(F(1, 2)) != {}
+    for bad in (0.1, None, (1, 10)):
+        with pytest.raises(InputError, match="pass a Fraction or a string 'a/b'"):
+            spectrum.block_sizes(bad)
+
+
+# Per-eigenvalue references for the one-walk readers: the closed formula
+# and the largest-block shortcut, one walk over the faces per eigenvalue.
+
+
+def _ref_prime_face_counts(np_, ev):
+    n = np_.n
+    terms = [0] * (n + 3)
+    for face in np_.faces:
+        rows = hodge.pseudo_prime_row_sums(face.delta, face.char, ev)
+        for kk in range(1, n + 3):
+            for r in range(face.dim + 1):
+                if (n - 2 + kk - r) % 2 == 0 and n - 2 + kk - r >= 0:
+                    d = (n - 2 + kk - r) // 2
+                    terms[kk] += (-1) ** d * comb(face.twist, d) * rows[r]
+    sgn = (-1) ** (n - 1)
+    return {k: sgn * (terms[k] + terms[k + 1]) for k in range(1, n + 2)}
+
+
+def _ref_fastpath_top(np_, ev):
+    b = ev.denominator
+    size_n = sum(
+        1
+        for f in np_.faces_of_dim(0)
+        if f.interior_touching and f.distance % b == 0
+    )
+    size_n1 = 0
+    for f in np_.faces_of_dim(1):
+        if f.interior_touching and f.distance % b == 0:
+            d = ehrhart.restricted(f.delta, f.char)[0]
+            r = ehrhart.residue(ev, d)
+            if r is not None:
+                counts = ehrhart.relint_counts(f.delta, f.char, 1)
+                size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
+    return size_n, size_n1
+
+
+def _carried_eigenvalues(np_):
+    """Every eigenvalue != 1 some compact face's cone carries, whether
+    the spectrum has it or not, plus those of the shortcut's distances."""
+    evs = set()
+    for f in np_.faces:
+        d = ehrhart.restricted(f.delta, f.char)[0]
+        evs |= {F(r, d) for r in ehrhart.p_alpha(f.delta, f.char) if r}
+        if f.interior_touching and f.dim <= 1:
+            evs |= {F(a, f.distance) for a in range(1, f.distance)}
+    return evs
+
+
+def test_one_walk_readers_match_the_per_eigenvalue_references():
+    """_prime_face_counts and the fastpath-top reader, one walk each,
+    give the per-eigenvalue references' counts at every eigenvalue a
+    face carries, those the spectrum lacks included, on 40 battery
+    supports and the golden inputs."""
+    prime_pairs = top_pairs = absent = 0
+    for support in list(random_supports(40)) + list(golden_supports()):
+        np_ = newton_polyhedron(support)
+        spectrum = jordan_blocks(np_)
+        evs = _carried_eigenvalues(np_)
+        top = monodromy._fastpath_top_reader(np_)
+        for ev in evs:
+            assert top(ev) == _ref_fastpath_top(np_, ev), (support.points, ev)
+            top_pairs += 1
+        if any(f.poly.primeness != "prime" for f in np_.faces):
+            continue
+        formula = monodromy._prime_face_counts(np_)
+        assert set(formula) <= evs
+        zeros = dict.fromkeys(range(1, np_.n + 2), 0)
+        for ev in evs:
+            want = _ref_prime_face_counts(np_, ev)
+            assert formula.get(ev, zeros) == want, (support.points, ev)
+            prime_pairs += 1
+            absent += ev in formula and ev not in spectrum.multiplicities
+    assert prime_pairs >= 250 and top_pairs >= 500 and absent >= 100

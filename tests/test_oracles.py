@@ -779,11 +779,11 @@ def test_validate_catches_an_off_closed_formula_count(monkeypatch):
     size, fails prime-face-closed-formula and nothing before it."""
     real = oracles._prime_face_counts
 
-    def off(np_, ev):
-        counts = dict(real(np_, ev))
-        if ev == F(3, 10):
-            counts[2] += 1
-        return counts
+    def off(np_):
+        formula = dict(real(np_))
+        counts = formula[F(3, 10)] = dict(formula[F(3, 10)])
+        counts[2] += 1
+        return formula
 
     monkeypatch.setattr(oracles, "_prime_face_counts", off)
     report = validate(_np([(5, 0), (2, 2), (0, 5)]))
@@ -791,6 +791,36 @@ def test_validate_catches_an_off_closed_formula_count(monkeypatch):
     assert by_name["block-counts-sane"].status == "pass"
     assert by_name["prime-face-closed-formula"].status == "fail"
     assert "eigenvalue 3/10, size >= 2" in by_name["prime-face-closed-formula"].detail
+    assert not report.ok
+
+
+def test_validate_catches_a_dropped_eigenvalue_by_the_closed_formula(monkeypatch):
+    """An eigenvalue other than 1 dropped from the spectrum, with its
+    multiplicity and its blocks, is still carried by a face's cone, and
+    the closed formula counts blocks there, so prime-face-closed-formula
+    fails: it checks every eigenvalue the faces carry, not only the
+    spectrum's."""
+    real = oracles._read_blocks
+    dropped = []
+
+    def dropping(mt):
+        spec = real(mt)
+        ev = next(a for a in spec.sorted_eigenvalues() if a != 0)
+        dropped.append(ev)
+        mults = {a: m for a, m in spec.multiplicities.items() if a != ev}
+        blocks = {key: c for key, c in spec.blocks.items() if key[0] != ev}
+        mu = sum(mults.values())
+        return replace(spec, mu=mu, blocks=blocks, multiplicities=mults)
+
+    monkeypatch.setattr(oracles, "_read_blocks", dropping)
+    report = validate(_np([(5, 0), (2, 2), (0, 5)]))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["block-counts-sane"].status == "pass"
+    assert by_name["prime-face-closed-formula"].status == "fail"
+    (ev,) = dropped
+    assert f"closed formula at eigenvalue {ev}, size >= 1" in (
+        by_name["prime-face-closed-formula"].detail
+    )
     assert not report.ok
 
 
