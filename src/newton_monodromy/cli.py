@@ -164,14 +164,12 @@ def run(args) -> tuple[dict, int]:
         evs = spectrum.sorted_eigenvalues()
         if ev is not None:
             evs = [a for a in evs if a == ev]
+        grouped = spectrum.blocks_by_eigenvalue()
         payload["eigenvalues"] = [
             {
                 "eigenvalue": _bucket(a),
                 "multiplicity": spectrum.multiplicities[a],
-                "blocks": {
-                    str(size): cnt
-                    for size, cnt in sorted(spectrum.block_sizes(a).items())
-                },
+                "blocks": {str(size): cnt for size, cnt in grouped[a].items()},
             }
             for a in evs
         ]

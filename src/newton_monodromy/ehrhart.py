@@ -265,8 +265,11 @@ def _top_simplices(poly) -> list[tuple[int, ...]]:
     of its facets that miss that vertex.  The order is global, so the
     simplices in a face of the polytope triangulate that face.  Simplices
     are ascending tuples of vertex ids, so each starts at the lowest
-    vertex id, vertex 0.
+    vertex id, vertex 0.  A simplex is its own triangulation, which the
+    recursion would reach through every one of its faces.
     """
+    if poly.shape.simplex:
+        return [poly.vertex_ids]
     lattice = poly.face_lattice
 
     @cache

@@ -8,6 +8,10 @@ keeps every entry an integer minor of the input.  Over Z there is one
 Hermite reduction by extended gcds: it gives Hermite normal forms, and
 on [A^T | I] it gives integer kernels (the transforms of the zero rows)
 and integer solves (forward substitution through the pivot rows).
+The saturation of a span, the basis of every polytope chart, is the
+kernel of the kernel, but its rank, read off the first pass, settles
+the common cases at once: a point (rank 0), a segment (rank 1) and a
+full-dimensional polytope (rank n) need no second kernel.
 
 The engine solves over Z only: polytope charts invert their Hermite
 basis by forward substitution, so solve_rational has no caller in the
@@ -182,13 +186,29 @@ def kernel_basis(rows, n: int) -> tuple[tuple[int, ...], ...]:
 def saturation_basis(vectors, n: int) -> tuple[tuple[int, ...], ...]:
     """Basis of span_Q(vectors) intersected with Z^n (the saturation).
 
-    Computed as the kernel of the kernel; both kernels are saturated, so
-    the double kernel is exactly the saturation of the span.
+    The saturation is the kernel of the kernel; both kernels are
+    saturated, so the double kernel is exactly the saturation of the
+    span, returned as its row HNF.  The first Hermite pass on
+    [A^T | I] gives the rank r and, in the transforms of its zero rows,
+    a basis of the kernel (skipped for one vector, whose rank is 1).
+    Three ranks need nothing more: rank 0 has the empty basis, rank n
+    the identity (the kernel is 0), and rank 1 the primitive vector of
+    the span with its pivot made positive.  Any other rank takes the
+    kernel of those kernel rows, which needs no HNF of its own.
     """
     vecs = [v for v in vectors if any(v)]
-    if not vecs:
+    if len(vecs) > 1:
+        a, rank = _hermite_transposed(vecs, n)
+    else:
+        rank = len(vecs)
+    if rank == 0:
         return ()
-    return kernel_basis(kernel_basis(vecs, n), n)
+    if rank == 1:
+        p = primitive(vecs[0])
+        return (p if next(x for x in p if x) > 0 else tuple(-x for x in p),)
+    if rank == n:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return kernel_basis([row[len(vecs) :] for row in a[rank:]], n)
 
 
 def solve_rational(rows, rhs):

@@ -83,6 +83,15 @@ class JordanSpectrum:
             if ev == eigenvalue
         }
 
+    def blocks_by_eigenvalue(self) -> dict[Fraction, dict[int, int]]:
+        """{eigenvalue: {size: count}} for every eigenvalue with a block,
+        sizes ascending: block_sizes of each eigenvalue, from one sort of
+        the blocks."""
+        out: dict = {}
+        for (ev, size), cnt in sorted(self.blocks.items()):
+            out.setdefault(ev, {})[size] = cnt
+        return out
+
 
 def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     first: dict = {}

@@ -25,10 +25,23 @@ are intersection_closure of the facets' vertex sets under themselves,
 and a face's dimension is read off its chain of subfaces in the face
 lattice.  newton.newton_polyhedron finds the compact faces of a Newton
 polyhedron by the same closure, seeded with its compact facets.
+
+Most shapes the engine builds are simplices: the cones conv({0} u gamma)
+over simplicial faces gamma and all their faces.  A shape whose chart
+points number dim + 1 is one (its points span dim dimensions, so they
+are affinely independent), and it is read off its vertex set: its
+facets are the starting cone of cone_rays alone, the one scaled
+inverse of the rows (y, 1), each facet missing one vertex; every
+point is a vertex; its faces are the nonempty subsets of the points,
+a subset of k points having dimension k - 1; and it is its own top
+simplex.  Every other shape takes the general route above.
+
 No rank is computed and no rational system is solved here.  The
 eliminations left are integer ones: the Hermite reductions behind the
-chart basis, the starting simplicial cone of cone_rays, and the
-determinants of the unimodularity test behind primeness.
+chart basis (at most one pass when its rank is 0, 1 or the ambient
+dimension, three otherwise), the starting simplicial cone of
+cone_rays, and the determinants of the unimodularity test behind
+primeness.
 """
 
 from __future__ import annotations
@@ -54,10 +67,12 @@ def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
     one.  The ray a new row cuts from an adjacent pair is a positive
     combination of the two, so its zero set is their common one plus
     the new row.  The constraint rows must span R^dim (i.e. the cone is
-    pointed); all-zero rows are ignored.
+    pointed); all-zero rows are ignored.  Exactly dim rows are the
+    starting cone themselves: they span iff they are independent, which
+    the scaled inverse tests.
     """
     rows = [tuple(int(x) for x in a) for a in constraints if any(a)]
-    base_idx = ila.independent_rows(rows)
+    base_idx = range(dim) if len(rows) == dim else ila.independent_rows(rows)
     if len(base_idx) < dim:
         raise ValueError("cone is not pointed (constraints do not span)")
     base = [rows[i] for i in base_idx]
@@ -131,19 +146,24 @@ class Chart:
     each row's first nonzero entry, its pivot, is positive and lies right
     of the pivot of the row before.  to_chart inverts the chart by
     forward substitution through the rows, one integer division at each
-    pivot, and insists the preimage is an actual lattice point of the
-    sublattice: a remainder at a pivot stays in its column, which no
-    later row touches, so anything left over after the last row raises.
+    pivot, whose columns are found once per chart, and insists the
+    preimage is an actual lattice point of the sublattice: a remainder
+    at a pivot stays in its column, which no later row touches, so
+    anything left over after the last row raises.
     """
 
     origin: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row."""
+        return tuple(next(i for i, x in enumerate(b) if x) for b in self.basis)
+
     def to_chart(self, v) -> tuple[int, ...]:
         rest = ila.vec_sub(v, self.origin)
         y = []
-        for b in self.basis:
-            c = next(i for i, x in enumerate(b) if x)
+        for b, c in zip(self.basis, self.pivots):
             q = rest[c] // b[c]
             if q:
                 rest = tuple(x - q * u for x, u in zip(rest, b))
@@ -166,11 +186,16 @@ class Shape:
     share a shape.  Interned per cpoints in _SHAPES; a shape hashes by
     identity and holds no polytope, so the memo keys of ehrhart.memoized
     cost one pointer hash and keep no polytope alive.
+
+    simplex is True when the chart points are affinely independent,
+    dim + 1 of them; such a shape is read off its vertex set, as the
+    module docstring says, and any other takes the general route.
     """
 
     def __init__(self, cpoints: tuple[tuple[int, ...], ...]):
         self.cpoints = cpoints
         self.dim = len(cpoints[0])
+        self.simplex = len(cpoints) == self.dim + 1
 
     def __repr__(self):
         return f"Shape(dim={self.dim}, cpoints={list(self.cpoints)})"
@@ -203,10 +228,10 @@ class Shape:
         A point is a vertex when it lies on some facet and no other point
         lies on every facet through it: the facets through a point cut
         out the smallest face containing it, which is the hull of the
-        points on it.
+        points on it.  Every point of a simplex is a vertex.
         """
-        if self.dim == 0:
-            return (0,)
+        if self.simplex:
+            return tuple(range(len(self.cpoints)))
         facets = self.cfacets
         tight = [
             frozenset(j for j, (u, b) in enumerate(facets) if ila.dot(u, y) + b == 0)
@@ -236,9 +261,18 @@ class Shape:
         distinct vertex sets, so the representation is faithful.  A
         vertex has dimension 0 and any other face one more than the
         largest dimension of its proper faces, which the lattice holds.
+        The faces of a simplex are its nonempty vertex subsets, each of
+        dimension one less than its size.
         """
-        if self.dim == 0:
-            return MappingProxyType({frozenset({0}): 0})
+        if self.simplex:
+            ids = range(len(self.cpoints))
+            return MappingProxyType(
+                {
+                    frozenset(face): k - 1
+                    for k in range(1, len(ids) + 1)
+                    for face in itertools.combinations(ids, k)
+                }
+            )
         facet_sets = self.facet_vertex_sets
         faces = {frozenset(self.vertex_ids)}
         faces |= intersection_closure(facet_sets, facet_sets)

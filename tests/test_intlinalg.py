@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newton_monodromy.intlinalg import (
     det,
@@ -327,3 +329,42 @@ def test_hermite_routines_match_column_reduction_reference():
             solved += 1
             assert [dot(r, x) for r in a] == rhs
     assert solved > 500 and unsolvable > 200
+
+
+@st.composite
+def _spans(draw):
+    """(vectors, n): up to six integer combinations of k random vectors
+    of Z^n, k = 0..n, so every rank from 0 to n occurs, with repeated,
+    non-primitive and zero vectors and leading entries of either sign."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    entry = st.integers(-4, 4)
+    gens = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    coeffs = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=0, max_size=6)
+    )
+    vecs = [tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(n)) for cs in coeffs]
+    return vecs, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spans())
+@example(([], 3))
+@example(([(0, 0, 0), (0, 0, 0)], 3))
+@example(([(-2, 4, 6)], 3))
+@example(([(0, -3, 6), (0, 2, -4), (0, 0, 0)], 3))
+@example(([(5,)], 1))
+@example(([(-6,), (4,)], 1))
+@example(([(2, 0), (0, 2)], 2))
+@example(([(1, 2, 3), (-2, 1, 0), (0, 5, 6), (3, 1, 3)], 3))
+@example(([(2, 4, 0, 0), (0, 0, 3, 6)], 4))
+@example(([(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0)], 4))
+def test_saturation_basis_is_the_kernel_of_the_kernel(span):
+    """The shortcuts by rank (0, 1 and n) and the middle ranks' reuse of
+    the first pass's kernel rows give the very tuple of the double
+    kernel, the row HNF of the saturation."""
+    vecs, n = span
+    nonzero = [v for v in vecs if any(v)]
+    ref = kernel_basis(kernel_basis(nonzero, n), n) if nonzero else ()
+    assert saturation_basis(vecs, n) == ref
+    assert len(ref) == frac_rank(vecs)

@@ -334,6 +334,23 @@ def test_block_sizes_reads_eigenvalues_exactly():
             spectrum.block_sizes(bad)
 
 
+def test_blocks_by_eigenvalue_groups_block_sizes():
+    """One sort groups the blocks of every eigenvalue as block_sizes
+    reads them one eigenvalue at a time, sizes in the same order, on 40
+    battery supports and the golden inputs."""
+    clear_caches()
+    seen = 0
+    for support in [*random_supports(40), *golden_supports()]:
+        spectrum = jordan_blocks(newton_polyhedron(support))
+        grouped = spectrum.blocks_by_eigenvalue()
+        assert set(grouped) == set(spectrum.multiplicities)
+        for ev in spectrum.multiplicities:
+            assert list(grouped[ev].items()) == list(spectrum.block_sizes(ev).items())
+            seen += 1
+    clear_caches()
+    assert seen > 200
+
+
 # Per-eigenvalue references for the one-walk readers: the closed formula
 # and the largest-block shortcut, one walk over the faces per eigenvalue.
 

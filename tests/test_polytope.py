@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import types
 from fractions import Fraction
 from random import Random
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newton_monodromy import clear_caches, polytope
+from newton_monodromy import clear_caches, ehrhart, polytope
 from newton_monodromy import intlinalg as ila
 from newton_monodromy.ehrhart import Character, relint_counts
 from newton_monodromy.errors import InternalConsistencyError
@@ -371,6 +372,133 @@ def test_integer_geometry_matches_the_rank_based_one(points):
     assert _geometry(poly) == _rank_geometry(poly)
     for p in poly.points:
         assert poly.chart.to_chart(p) == _rank_to_chart(poly.chart, p)
+
+
+def _general_route(shape):
+    """A fresh shape of the same chart points made to take the general
+    route: facets by cone_rays, vertices by tight sets, faces by
+    intersection_closure, dimensions by the loop over subfaces and top
+    simplices by the pulling recursion."""
+    general = Shape(shape.cpoints)
+    general.simplex = False
+    poly = types.SimpleNamespace(
+        shape=general,
+        face_lattice=general.face_lattice,
+        vertex_ids=general.vertex_ids,
+    )
+    return general, poly
+
+
+def _assert_simplex_route_matches_the_general_one(shape):
+    """The simplex route's geometry of shape is the Boolean one, and, for
+    dim >= 1 (a point is always a simplex, so the general route does not
+    treat it), the general route's."""
+    assert shape.simplex
+    n = len(shape.cpoints)
+    simplex = types.SimpleNamespace(shape=shape, vertex_ids=shape.vertex_ids)
+    assert shape.vertex_ids == tuple(range(n))
+    assert all(len(f) == n - 1 for f in shape.facet_vertex_sets)
+    assert len(shape.face_lattice) == 2**n - 1
+    assert ehrhart._top_simplices(simplex) == [tuple(range(n))]
+    if not shape.dim:
+        assert shape.cfacets == () and dict(shape.face_lattice) == {frozenset({0}): 0}
+        return
+    general, poly = _general_route(shape)
+    rows = [y + (1,) for y in shape.cpoints]
+    # cone_rays skips independent_rows on exactly dim rows; it would
+    # have picked them all, and the rank-based double description agrees
+    assert ila.independent_rows(rows) == list(range(n))
+    rays = _rank_cone_rays(rows, n)
+    assert shape.cfacets == tuple(sorted((r[:-1], r[-1]) for r in rays))
+    assert shape.cfacets == general.cfacets
+    assert shape.vertex_ids == general.vertex_ids
+    assert shape.facet_vertex_sets == general.facet_vertex_sets
+    assert dict(shape.face_lattice) == dict(general.face_lattice)
+    assert ehrhart._top_simplices(simplex) == ehrhart._top_simplices(poly)
+
+
+def test_simplex_route_matches_the_general_one_on_the_engine_shapes():
+    """Every simplex shape that the answer reaches on one seeded battery
+    round (120 supports) and the golden inputs has the facets, vertices,
+    facet vertex sets, face lattice and top simplices of the general
+    route.  Most shapes are simplices; the others, which have more chart
+    points than dim + 1, take the general route."""
+    clear_caches()
+    for support in [*random_supports(120), *golden_supports()]:
+        np_ = newton_polyhedron(support)
+        fastpath_unipotent(np_)
+        jordan_blocks(np_)
+    shapes = list(polytope._SHAPES.values())
+    clear_caches()
+    simplices = [s for s in shapes if s.simplex]
+    assert len(simplices) > 0.8 * len(shapes)
+    assert {s.dim for s in simplices} == {0, 1, 2, 3, 4}
+    for shape in simplices:
+        _assert_simplex_route_matches_the_general_one(shape)
+    assert all(len(s.cpoints) > s.dim + 1 for s in shapes if not s.simplex)
+
+
+_REEVE = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)] for r in (1, 2, 3, 7)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        *_REEVE,
+        [(0, 0), (3, 6)],  # a segment of lattice length 3
+        [(1, 2, 3), (5, 2, 3)],
+        [(0, 0, 0), (2, 0, 2), (0, 2, 2)],  # a triangle in Z^3
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 3)],
+        [(0, 0, 0, 0), (3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4)],
+        [
+            (0, 0, 0, 0, 0),
+            (1, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0),
+            (0, 0, 1, 0, 0),
+            (0, 0, 0, 1, 0),
+            (1, 2, 3, 4, 5),
+        ],
+        [  # a 5-simplex in Z^6: a chart of middle rank
+            (0, 0, 0, 0, 0, 0),
+            (2, 1, 0, 0, 0, 0),
+            (0, 3, 1, 0, 0, 0),
+            (0, 0, 2, 1, 0, 0),
+            (0, 0, 0, 1, 2, 0),
+            (1, 1, 1, 1, 1, 1),
+        ],
+    ],
+)
+def test_simplex_route_matches_the_general_one(points):
+    poly = make_polytope(points)
+    assert poly.dim == len(points) - 1
+    _assert_simplex_route_matches_the_general_one(poly.shape)
+
+
+def test_simplex_route_covers_a_negative_orientation():
+    """The scaled inverse of the rows (y, 1) has a negative determinant
+    here, so the facets are its columns negated."""
+    shape = make_polytope([(0, 0), (0, 1), (1, 0)]).shape
+    assert ila.det([y + (1,) for y in shape.cpoints]) < 0
+    assert shape.cfacets == (((-1, -1), 1), ((0, 1), 0), ((1, 0), 0))
+    _assert_simplex_route_matches_the_general_one(shape)
+
+
+def test_non_simplices_take_the_general_route():
+    """A square and a triangle with a lattice point on an edge have more
+    chart points than dim + 1: the square's faces are no Boolean lattice
+    and the edge point of the triangle is no vertex."""
+    square = make_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert not square.shape.simplex
+    assert sorted(square.face_lattice.values()) == [0] * 4 + [1] * 4 + [2]
+    assert len(square.cfacets) == 4
+    assert ehrhart._top_simplices(square) == [(0, 1, 3), (0, 2, 3)]
+    triangle = make_polytope([(0, 0), (2, 0), (0, 2), (1, 0)])
+    assert not triangle.shape.simplex
+    assert triangle.vertices == ((0, 0), (0, 2), (2, 0))
+    assert len(triangle.face_lattice) == 7
+    assert all(len(f) == 2 for f in triangle.facet_vertex_sets)
+    for poly in (square, triangle):
+        assert _geometry(poly) == _rank_geometry(poly)
 
 
 def test_double_description_skips_rays_that_are_not_adjacent():
