@@ -185,7 +185,7 @@ def _boundary_mismatch(table, bv, alphas, m):
     return None
 
 
-def _chains(lattice, m: int) -> dict:
+def _count_chains(lattice, m: int) -> dict:
     """{F: {k: number of chains F_0 > ... > F_k = F}} over the proper
     faces F of an m-polytope's face lattice {face: dim}, the cones of the
     barycentric subdivision of its normal fan.  Faces are visited by
@@ -197,8 +197,19 @@ def _chains(lattice, m: int) -> dict:
             if face < above:
                 for k, c in counts.items():
                     ends[k + 1] = ends.get(k + 1, 0) + c
-        chains[face] = ends
+        chains[face] = MappingProxyType(ends)
     return chains
+
+
+def _chains(shape) -> Mapping:
+    """_count_chains of the shape's lattice, which is all it reads, once
+    per shape in ehrhart._MEMO as a read-only mapping."""
+    key = ("chains", shape)
+    hit = ehrhart._MEMO.get(key)
+    if hit is None:
+        chains = _count_chains(shape.face_lattice, shape.dim)
+        hit = ehrhart._MEMO[key] = MappingProxyType(chains)
+    return hit
 
 
 def _strata_sum(poly, char: Character, m: int) -> dict:
@@ -212,7 +223,7 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
     d = restricted(poly, char)[0]
     lat = poly.face_lattice
     S: dict = {}
-    for face, ends in _chains(lat, m).items():
+    for face, ends in _chains(poly.shape).items():
         if not lat[face]:
             continue
         sub = poly.face_polytope(face)

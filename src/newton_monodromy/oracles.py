@@ -4,13 +4,16 @@ varchenko_multiplicities computes the eigenvalue multiplicities of the
 monodromy of a convenient nondegenerate singularity from Varchenko's
 zeta function.  It deliberately shares no geometry code with the
 engine, so agreement with the engine is meaningful evidence rather than
-the same bug twice.  One brute-force supporting-hyperplane search over
-point subsets, with normals from a fraction-free integer elimination of
-its own, finds the lower facets; it runs over the undominated points
-only, since a point above another coordinatewise is neither tight nor
-in the way on a facet with positive normal.  The pyramid conv(0 u gamma)
-over a facet gamma of exactly k points is a simplex, and its normalized
-volume is |det| of those points, from a fraction-free (Bareiss)
+the same bug twice.  A first step checks the support and lists each
+coordinate section's undominated points (a point above another
+coordinatewise is neither tight nor in the way on a facet with positive
+normal); a second finds the lower facets by one brute-force
+supporting-hyperplane search over the k-subsets of each list, normals
+from a fraction-free integer elimination of its own.  The number of
+those subsets is the search's price: validate reads it between the
+steps and runs the second only within heavy_limit.  The pyramid
+conv(0 u gamma) over a facet gamma of exactly k points is a simplex,
+and its normalized volume is |det| of those points, from a fraction-free (Bareiss)
 determinant, also of its own.  Only a pyramid over a larger facet is
 counted: the same search finds its facets, and its volume is the k-th
 finite difference of its lattice counts over the dilates -ceil(k/2) ..
@@ -22,12 +25,12 @@ each within the bounds its inequalities leave once every later
 coordinate takes its most favourable box value.  Those bounds are
 necessary conditions, so no lattice point is lost, and the last
 coordinate, with nothing left to relax, gets an exact interval, so the
-counts are exact.  kouchnirenko_cost, kept as it was, still prices a
-lattice count of every pyramid over the dilates 1..k, so it overstates
-the work even more than before.  kouchnirenko_mu, the Milnor number, is
-their total: the classical alternating sum of normalized under-volumes.
-validate's kouchnirenko-mu check compares both the Milnor number and
-every multiplicity with the engine.
+counts are exact.  They are not priced: they visit a few times the
+pyramid's normalized volume, which the engine's own walk of the cone
+already visited.  kouchnirenko_mu, the Milnor number, is their total:
+the classical alternating sum of normalized under-volumes.  validate's
+kouchnirenko-mu check compares both the Milnor number and every
+multiplicity with the engine.
 
 brieskorn_pham_spectrum computes the classical eigenvalue multiset of
 x1^a1 + ... + xn^an directly from the exponents, as residues mod the
@@ -144,20 +147,23 @@ def _supporting_hyperplanes(pts, k):
     return found
 
 
-def _lower_facets(pts, k):
-    """Facets of the under-boundary: maximal tight sets of supporting
-    hyperplanes with strictly positive normal.
+def _undominated(pts):
+    """The points of pts above no other point of pts coordinatewise.
 
-    The search runs over the undominated points only: a point p with
-    p >= q coordinatewise for another point q of pts is dropped first.
-    That changes no facet.  For u > 0 and u.q >= b, u.p >= u.q >= b, so
-    a dropped point never breaks support; and u.p > u.q >= b, so it is
-    never tight either."""
-    low = [
+    Dropping the others changes no lower facet.  For u > 0, u.q >= b and
+    p >= q, u.p >= u.q >= b, so a dropped point never breaks support;
+    and u.p > u.q >= b, so it is never tight either."""
+    return [
         p
         for p in pts
         if not any(q != p and all(x >= y for x, y in zip(p, q)) for q in pts)
     ]
+
+
+def _lower_facets(low, k):
+    """Facets of the under-boundary of the points low, undominated
+    (_undominated): maximal tight sets of supporting hyperplanes with
+    strictly positive normal, searched over the k-subsets of low."""
     return [
         (u, b, tuple(sorted(p for p in low if _dot(u, p) == b)))
         for u, b in sorted(_supporting_hyperplanes(low, k).items())
@@ -368,35 +374,13 @@ def kouchnirenko_mu(points, n=None) -> int:
     return sum(varchenko_multiplicities(points, n).values())
 
 
-def kouchnirenko_cost(points, n) -> int:
-    """Rough operation count of kouchnirenko_mu, used to decide whether
-    the oracle is affordable inside validate: per coordinate subset, the
-    fibres the lattice counts walk over the dilates 1..k, times a bound
-    on the number of inequalities each fibre is cut by.  The support is
-    checked, and n inferred when None, as in kouchnirenko_mu.
-
-    It estimates an unpruned walk over the whole box of the leading
-    coordinates and over dilates up to k for every pyramid, so it
-    overstates the work by far: a simplex pyramid, the common case, is
-    one determinant, and only a pyramid over a facet of more than k
-    points gets _fibre_count's pruned walk over dilates up to ceil(k/2).
-    It is kept as it is, so that validate skips and runs the same checks
-    as before the walk was pruned and halved and the simplices were read
-    off determinants."""
+def _search_sections(points, n):
+    """(n, [(|I|, the section's undominated points)] per coordinate
+    subset I), the support checked and n inferred when None.  The search
+    over them eliminates sum C(len(points), |I|) subsets, its price."""
     pts, n = _oracle_support(points, n)
-    total = 0
-    for size, sub in _coordinate_sections(pts, n):
-        if not sub:
-            continue
-        maxc = [max(p[j] for p in sub) for j in range(size)]
-        fibres = 0
-        for t in range(1, size + 1):
-            piece = 1
-            for m in maxc[:-1]:
-                piece *= t * m + 1
-            fibres += piece
-        total += fibres * max(1, comb(len(sub) + 1, size))
-    return total
+    sections = _coordinate_sections(pts, n)
+    return n, [(size, _undominated(sub)) for size, sub in sections]
 
 
 def varchenko_multiplicities(points, n=None) -> dict[Fraction, int]:
@@ -411,10 +395,14 @@ def varchenko_multiplicities(points, n=None) -> dict[Fraction, int]:
     the sum of e over the factors with b | m, minus 1 for a/b = 0.
     Keys are eigenvalue buckets in [0, 1), zero multiplicities dropped.
     """
-    pts, n = _oracle_support(points, n)
+    return _section_multiplicities(*_search_sections(points, n))
+
+
+def _section_multiplicities(n, sections) -> dict[Fraction, int]:
+    """varchenko_multiplicities on the lists of _search_sections."""
     by_distance: dict[int, int] = {}
-    for size, sub in _coordinate_sections(pts, n):
-        for _u, m, tight in _lower_facets(sub, size):
+    for size, low in sections:
+        for _u, m, tight in _lower_facets(low, size):
             e, rest = divmod(_pyramid_normalized_volume(tight, size), m)
             if rest:
                 raise InternalConsistencyError(
@@ -511,9 +499,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _chains_form_a_sphere(lattice, m: int) -> bool:
-    """Whether the proper faces of an m-polytope's lattice {face: dim}
-    have the Euler counts of the sphere S^(m-1).
+def _chains_form_a_sphere(lattice, m: int, chains) -> bool:
+    """Whether the proper faces of an m-polytope's lattice {face: dim},
+    with the chain counts {F: {k: count}} of hodge._chains, have the
+    Euler counts of the sphere S^(m-1).
 
     The chains F_0 > ... > F_k of proper faces, as hodge._chains counts
     them for the strata sum, are the cones of dimension k + 1 of the
@@ -521,14 +510,14 @@ def _chains_form_a_sphere(lattice, m: int) -> bool:
     they give 1 + (-1)^(m-1), as any complete fan in R^m does, and the
     alternating count of the proper faces is 1 - (-1)^m (Euler-Poincare).
     """
-    chains = _chains(lattice, m)
     signed = sum((-1) ** k * c for ends in chains.values() for k, c in ends.items())
     faces = sum((-1) ** lattice[f] for f in chains)
     return signed == 1 + (-1) ** (m - 1) and faces == 1 - (-1) ** m
 
 
-def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> ValidationReport:
-    """Run every cross-check the engine supports on one polyhedron."""
+def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationReport:
+    """Run every cross-check the engine supports on one polyhedron;
+    kouchnirenko-mu is skipped when its search price exceeds heavy_limit."""
     report = ValidationReport()
     n = np_.n
     trivial = Character.trivial(n)
@@ -684,7 +673,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
     # that every table is stratified by, once per shape
     def chk_fans():
         for poly in {poly.shape: poly for poly, _, _ in tables}.values():
-            if not _chains_form_a_sphere(poly.face_lattice, poly.dim):
+            lattice, chains = poly.face_lattice, _chains(poly.shape)
+            if not _chains_form_a_sphere(lattice, poly.dim, chains):
                 raise InternalConsistencyError(
                     f"chains of faces are no sphere on {poly.points}"
                 )
@@ -906,10 +896,11 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 50_000_000) -> Validation
 
     # 11. oracles
     def chk_mu():
-        cost = kouchnirenko_cost(np_.support.points, n)
-        if cost > heavy_limit:
-            return "skip", f"estimated cost {cost} over limit"
-        mults = varchenko_multiplicities(np_.support.points, n)
+        _, sections = _search_sections(np_.support.points, n)
+        price = sum(comb(len(low), size) for size, low in sections)
+        if price > heavy_limit:
+            return "skip", f"search price {price} subsets over limit {heavy_limit}"
+        mults = _section_multiplicities(n, sections)
         mu = sum(mults.values())
         if mu != spectrum.mu:
             raise InternalConsistencyError(

@@ -335,25 +335,20 @@ class Shape:
 
         Checked in the intrinsic lattice: at each vertex there must be
         exactly dim incident edges whose primitive directions have
-        determinant +-1.
+        determinant +-1.  Each edge is walked once, its primitive
+        direction handed to one endpoint and its negative to the other.
         """
         d = self.dim
         if d <= 1:
             return True
-        edges = self.faces_of_dim(1)
-        for vid in self.vertex_ids:
-            dirs = []
-            for f in edges:
-                if vid in f:
-                    other = next(i for i in f if i != vid)
-                    dirs.append(
-                        ila.primitive(
-                            ila.vec_sub(self.cpoints[other], self.cpoints[vid])
-                        )
-                    )
-            if len(dirs) != d or abs(ila.det(dirs)) != 1:
-                return False
-        return True
+        dirs: dict[int, list] = {vid: [] for vid in self.vertex_ids}
+        for edge, fd in self.face_lattice.items():
+            if fd == 1:
+                a, b = edge
+                step = ila.primitive(ila.vec_sub(self.cpoints[b], self.cpoints[a]))
+                dirs[a].append(step)
+                dirs[b].append(tuple(-x for x in step))
+        return all(len(ds) == d and abs(ila.det(ds)) == 1 for ds in dirs.values())
 
     @cached_property
     def primeness(self) -> str:

@@ -609,7 +609,7 @@ def test_chains_of_faces_of_a_square_and_a_triangle():
     square, triangle = [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0), (0, 3)]
     for points, edges in ((square, 4), (triangle, 3)):
         poly = make_polytope(points)
-        chains = hodge._chains(poly.face_lattice, poly.dim)
+        chains = hodge._chains(poly.shape)
         lat = poly.face_lattice
         assert set(chains) == {f for f, d in lat.items() if d < 2}
         assert [chains[f] for f in chains if lat[f] == 1] == [{0: 1}] * edges

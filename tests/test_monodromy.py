@@ -275,29 +275,42 @@ def test_engine_reaches_its_public_bucket_functions(monkeypatch):
 
 def test_answer_and_validate_read_one_chain_count(monkeypatch):
     """The strata sum of the answer and validate's fan-refinement check
-    count the chains of faces through the one hodge._chains.  A counting
-    wrapper bound over every binding of it sees calls from a cold
-    jordan_blocks on the septic surface, and from validate after it,
-    when every table is already memoized."""
-    real = hodge._chains
-    calls = Counter()
+    read the chains of faces through the one hodge._chains, which counts
+    them once per shape.  Counting wrappers bound over every binding of
+    hodge._chains and of hodge._count_chains see reads from a cold
+    jordan_blocks on x1^3 + ... + x8^3 + x1*...*x8 and from validate
+    after it, and one count per shape read, all during the answer."""
+    real_read, real_count = hodge._chains, hodge._count_chains
+    reads, counts = [], Counter()
+
+    def reading(shape):
+        reads.append(shape)
+        return real_read(shape)
 
     def counting(lattice, m):
-        calls[m] += 1
-        return real(lattice, m)
+        counts[id(lattice)] += 1
+        return real_count(lattice, m)
 
-    for name, m in sorted(sys.modules.items()):
-        if m is not None and name.split(".")[0] == "newton_monodromy":
-            for attr, value in list(vars(m).items()):
-                if value is real:
-                    monkeypatch.setattr(m, attr, counting)
+    for name, mod in sorted(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "newton_monodromy":
+            for attr, value in list(vars(mod).items()):
+                if value is real_read:
+                    monkeypatch.setattr(mod, attr, reading)
+                elif value is real_count:
+                    monkeypatch.setattr(mod, attr, counting)
     clear_caches()
-    np_ = _np(SEPTIC_SURFACE)
+    names = tuple(f"x{i}" for i in range(1, 9))
+    cubes = [tuple(3 if i == j else 0 for j in range(8)) for i in range(8)]
+    np_ = newton_polyhedron(SupportSet(names, tuple(sorted(cubes + [(1,) * 8]))))
     jordan_blocks(np_)
-    assert calls, "jordan_blocks"
-    calls.clear()
+    answer_reads = len(reads)
+    assert answer_reads, "jordan_blocks"
+    answer_counts = dict(counts)
     assert validate(np_).ok
-    assert calls, "validate"
+    assert len(reads) > answer_reads, "validate"
+    assert counts == answer_counts
+    assert sorted(counts) == sorted({id(s.face_lattice) for s in reads})
+    assert set(counts.values()) == {1}
     clear_caches()
 
 

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 from newton_monodromy import monodromy, oracles
+from newton_monodromy.hodge import _count_chains
 from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.polytope import make_polytope
@@ -19,7 +20,6 @@ from newton_monodromy.oracles import (
     _chains_form_a_sphere,
     brieskorn_pham_exponents,
     brieskorn_pham_spectrum,
-    kouchnirenko_cost,
     kouchnirenko_mu,
     validate,
     varchenko_multiplicities,
@@ -53,7 +53,18 @@ CHECK_NAMES = [
 
 def _np(points):
     pts = tuple(sorted(tuple(p) for p in points))
-    return newton_polyhedron(SupportSet(tuple("xyzw"[: len(pts[0])]), pts))
+    n = len(pts[0])
+    names = "xyzw"[:n] if n <= 4 else [f"x{i}" for i in range(1, n + 1)]
+    return newton_polyhedron(SupportSet(tuple(names), pts))
+
+
+def _check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
+# two powers on the x- and on the z-axis, the higher one dominated
+REPEATED_AXIS_POWERS = [(3, 0, 0), (6, 0, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (1, 1, 1)]
 
 
 def test_kouchnirenko_values():
@@ -100,13 +111,21 @@ def test_kouchnirenko_mu_on_exponent_ladder(points, mu):
     assert kouchnirenko_mu(points) == mu
 
 
+def _price(points, n=None):
+    """The Varchenko oracle's search price on a support: the k-subsets of
+    each section's undominated points."""
+    _, sections = oracles._search_sections(points, n)
+    return sum(comb(len(low), size) for size, low in sections)
+
+
 def test_kouchnirenko_runs_within_default_limit_on_large_exponents():
-    """The cost counts fibres, so x^80 + y^80 + z^80 is no longer
-    skipped by validate's default limit."""
+    """The price counts the subsets the lower-facet search eliminates, not
+    lattice points, so x^80 + y^80 + z^80 is well within validate's
+    default limit."""
     points = _fermat(3, 80)
     limit = inspect.signature(validate).parameters["heavy_limit"].default
-    assert limit == 50_000_000
-    assert kouchnirenko_cost(points, 3) <= limit
+    assert limit == 100_000
+    assert _price(points) <= limit
     assert kouchnirenko_mu(points) == 79**3 == 493039
 
 
@@ -476,28 +495,26 @@ def test_lower_facets_match_unfiltered_search():
     supports += [
         [(2, 0), (5, 0), (0, 3), (0, 4), (1, 1)],
         [(2, 0), (3, 1), (2, 2), (0, 3), (1, 5)],
-        [(3, 0, 0), (6, 0, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (1, 1, 1)],
+        REPEATED_AXIS_POWERS,
         [(3, 0, 0), (3, 1, 0), (4, 0, 2), (0, 4, 0), (0, 0, 5), (2, 2, 2)],
     ]
     dropped = 0
     for pts in supports:
         for size, sub in oracles._coordinate_sections(pts, len(pts[0])):
             want = _unfiltered_lower_facets(sub, size)
-            assert want and oracles._lower_facets(sub, size) == want, sub
+            low = oracles._undominated(sub)
+            assert want and oracles._lower_facets(low, size) == want, sub
             dropped += any(
                 q != p and all(x >= y for x, y in zip(p, q)) for p in sub for q in sub
             )
     assert dropped >= 10
 
 
-def test_kouchnirenko_cost_infers_the_dimension():
+def test_varchenko_multiplicities_infers_the_dimension():
     points = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)]
-    assert kouchnirenko_cost(points, None) == kouchnirenko_cost(points, 3)
-
-
-def test_kouchnirenko_cost_rejects_non_integer_exponents():
-    with pytest.raises(ValueError, match="bad support point"):
-        kouchnirenko_cost([(2.5, 0), (0, 3)], 2)
+    assert varchenko_multiplicities(points, None) == varchenko_multiplicities(points, 3)
+    assert oracles._search_sections(points, None) == oracles._search_sections(points, 3)
+    assert _price(points) == _price(points, 3) == 10
 
 
 def test_kouchnirenko_mu_rejects_an_infinite_exponent():
@@ -505,16 +522,57 @@ def test_kouchnirenko_mu_rejects_an_infinite_exponent():
         kouchnirenko_mu([(float("inf"), 0), (0, 2)])
 
 
-def test_kouchnirenko_cost_rejects_an_infinite_exponent():
-    with pytest.raises(ValueError, match=r"bad support point \(inf, 0\)"):
-        kouchnirenko_cost([(float("inf"), 0), (0, 2)], None)
-
-
-def test_kouchnirenko_cost_scales_with_input():
-    small = kouchnirenko_cost([(2, 0), (0, 3)], 2)
-    big = kouchnirenko_cost([(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)], 3)
+def test_varchenko_price_grows_with_input():
+    """More variables and higher exponents mean more undominated points
+    in more sections, so more subsets to search."""
+    small = _price([(2, 0), (0, 3)])
+    big = _price([(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)])
     assert isinstance(small, int) and small > 0
     assert big > small
+    assert _price(_fermat(4, 5) + [(1, 1, 1, 1)]) > big
+    cubes = [_price(_fermat(n, 3) + [(1,) * n]) for n in (6, 7, 8)]
+    assert cubes == sorted(set(cubes))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 2)],
+        REPEATED_AXIS_POWERS,
+        _fermat(8, 3) + [(1,) * 8],
+    ],
+    ids=["x^4+y^4+z^4+x^2y^2z^2", "repeated-axis-powers", "cubes-8"],
+)
+def test_search_price_is_the_search_work(monkeypatch, points):
+    """Where every lower facet is a simplex, no pyramid is searched
+    again, so the oracle makes exactly as many eliminations as its price
+    says.  Just under the price validate skips the check without one
+    elimination and names the price and the limit; at the price it runs
+    the check and passes."""
+    price = _price(points)
+    sections = oracles._search_sections(points, None)[1]
+    for size, low in sections:
+        for _u, _b, tight in oracles._lower_facets(low, size):
+            assert len(tight) == size, tight
+    calls = []
+    real = oracles._nullspace_generator
+
+    def counted(rows, k):
+        calls.append(k)
+        return real(rows, k)
+
+    monkeypatch.setattr(oracles, "_nullspace_generator", counted)
+    varchenko_multiplicities(points)
+    assert len(calls) == price
+    np_ = _np(points)
+    jordan_blocks(np_)
+    calls.clear()
+    check = _check(validate(np_, heavy_limit=price - 1), "kouchnirenko-mu")
+    assert calls == []
+    assert check.status == "skip"
+    assert check.detail == f"search price {price} subsets over limit {price - 1}"
+    check = _check(validate(np_, heavy_limit=price), "kouchnirenko-mu")
+    assert check.status == "pass" and len(calls) == price
 
 
 def test_varchenko_multiplicities_values():
@@ -600,6 +658,11 @@ def _lattice(points):
     return dict(poly.face_lattice), poly.dim
 
 
+def _sphere(lat, m):
+    """_chains_form_a_sphere on a lattice and the chains counted on it."""
+    return _chains_form_a_sphere(lat, m, _count_chains(lat, m))
+
+
 def _first_edge(lat):
     return min((f for f, d in lat.items() if d == 1), key=sorted)
 
@@ -615,7 +678,7 @@ def test_chains_form_a_sphere_on_polytopes():
     """The octahedron's normal fan is not simplicial, its chains of faces
     are; the golden corpus reaches cones over quadrilaterals too."""
     for points in (SEGMENT, TRIANGLE, SQUARE, OCTAHEDRON):
-        assert _chains_form_a_sphere(*_lattice(points)), points
+        assert _sphere(*_lattice(points)), points
     polys = {
         poly
         for support in golden_supports()
@@ -624,23 +687,23 @@ def test_chains_form_a_sphere_on_polytopes():
     }
     assert {poly.dim for poly in polys} == {1, 2, 3, 4}
     for poly in polys:
-        assert _chains_form_a_sphere(poly.face_lattice, poly.dim), poly
+        assert _sphere(poly.face_lattice, poly.dim), poly
 
 
 def test_chains_form_a_sphere_fails_on_a_wrong_lattice():
     # a triangle with one edge dropped is a path, no circle
     lat, m = _lattice(TRIANGLE)
     del lat[_first_edge(lat)]
-    assert not _chains_form_a_sphere(lat, m)
+    assert not _sphere(lat, m)
     # a square with a diagonal edge added
     lat, m = _lattice(SQUARE)
     lat[_diagonal(lat)] = 1
-    assert not _chains_form_a_sphere(lat, m)
+    assert not _sphere(lat, m)
     # an edge of a triangle labelled a vertex: the chains still count a
     # circle, the face dimensions do not
     lat, m = _lattice(TRIANGLE)
     lat[_first_edge(lat)] = 0
-    assert not _chains_form_a_sphere(lat, m)
+    assert not _sphere(lat, m)
     # an edge of the octahedron moved onto a diagonal through its centre,
     # which lies in no facet: the face dimensions still count a sphere,
     # the chains do not
@@ -649,7 +712,7 @@ def test_chains_form_a_sphere_fails_on_a_wrong_lattice():
     del lat[_first_edge(lat)]
     lat[diagonal] = 1
     assert sum((-1) ** d for d in lat.values() if d < m) == 2
-    assert not _chains_form_a_sphere(lat, m)
+    assert not _sphere(lat, m)
 
 
 def test_fan_refinement_checks_the_strata_sums_chain_counts(monkeypatch):
@@ -658,9 +721,9 @@ def test_fan_refinement_checks_the_strata_sums_chain_counts(monkeypatch):
     chain edge > vertex too many, ending at a vertex of each polytope."""
     real = oracles._chains
 
-    def one_chain_too_many(lattice, m):
-        chains = real(lattice, m)
-        vertex = min((f for f, d in lattice.items() if d == 0), key=sorted)
+    def one_chain_too_many(shape):
+        chains = {face: dict(ends) for face, ends in real(shape).items()}
+        vertex = min((f for f, d in shape.face_lattice.items() if d == 0), key=sorted)
         chains[vertex][1] = chains[vertex].get(1, 0) + 1
         return chains
 
@@ -676,11 +739,11 @@ def test_validate_reports_a_wrong_face_lattice(monkeypatch):
     which fails with the polytope named; the report is still whole."""
     real = oracles._chains_form_a_sphere
 
-    def facet_dropped(lattice, m):
+    def facet_dropped(lattice, m, chains):
         lattice = dict(lattice)
         facet = min((f for f, d in lattice.items() if d == m - 1), key=sorted)
         del lattice[facet]
-        return real(lattice, m)
+        return real(lattice, m, _count_chains(lattice, m))
 
     monkeypatch.setattr(oracles, "_chains_form_a_sphere", facet_dropped)
     report = validate(_np([(2, 0), (0, 3)]))
@@ -715,6 +778,7 @@ def test_validate_two_edge_polygon():
 
 
 def test_validate_heavy_limit_skips_volume_oracle():
+    """Every search price exceeds a limit of 0."""
     report = validate(_np([(2, 0), (0, 3)]), heavy_limit=0)
     by_name = {c.name: c for c in report.checks}
     assert by_name["kouchnirenko-mu"].status == "skip"
@@ -913,12 +977,14 @@ def test_validate_reads_each_table_key_and_shape_once(monkeypatch):
     """x1^3 + ... + x8^3 + x1*...*x8 has 255 compact faces, but their
     cones have few (shape, restriction) keys and the cones and faces few
     shapes.  After a warm answer, validate rebuilds the boundary values
-    once per cone key and counts the chains once per shape, and the
-    report keeps its statuses."""
+    once per cone key and checks the chains once per shape.  The search
+    price of the Varchenko oracle, 263 subsets, is within the default
+    limit, so kouchnirenko-mu runs and passes."""
     names = tuple(f"x{i}" for i in range(1, 9))
     points = tuple(sorted(_fermat(8, 3) + [(1,) * 8]))
     np_ = newton_polyhedron(SupportSet(names, points))
     assert len(np_.faces) == 255
+    assert _price(points) == 263
     jordan_blocks(np_)
     cone_keys = {
         (f.delta.shape, oracles.restricted(f.delta, f.char)) for f in np_.faces
@@ -933,18 +999,16 @@ def test_validate_reads_each_table_key_and_shape_once(monkeypatch):
         bv_keys.append((poly.shape, oracles.restricted(poly, char)))
         return real_bv(poly, char)
 
-    def counted_chains(lattice, m):
+    def counted_chains(lattice, m, chains):
         lattices.append(lattice)
-        return real_chains(lattice, m)
+        return real_chains(lattice, m, chains)
 
     monkeypatch.setattr(oracles, "boundary_values", counted_bv)
     monkeypatch.setattr(oracles, "_chains_form_a_sphere", counted_chains)
     report = validate(np_)
     assert set(bv_keys) == cone_keys and len(bv_keys) == len(cone_keys)
     assert sorted(map(id, lattices)) == sorted(id(s.face_lattice) for s in shapes)
-    skipped = {
-        "quasi-homogeneous-semisimple", "kouchnirenko-mu", "brieskorn-pham-spectrum"
-    }
+    skipped = {"quasi-homogeneous-semisimple", "brieskorn-pham-spectrum"}
     assert [(c.name, c.status) for c in report.checks] == [
         (name, "skip" if name in skipped else "pass") for name in CHECK_NAMES
     ]
