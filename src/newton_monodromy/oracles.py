@@ -11,24 +11,18 @@ normal); a second finds the lower facets by one brute-force
 supporting-hyperplane search over the k-subsets of each list, normals
 from a fraction-free integer elimination of its own.  The number of
 those subsets is the search's price: validate reads it between the
-steps and runs the second only within heavy_limit.  The pyramid
-conv(0 u gamma) over a facet gamma of exactly k points is a simplex,
-and its normalized volume is |det| of those points, from a fraction-free (Bareiss)
-determinant, also of its own.  Only a pyramid over a larger facet is
-counted: the same search finds its facets, and its volume is the k-th
-finite difference of its lattice counts over the dilates -ceil(k/2) ..
-floor(k/2).  By Ehrhart-Macdonald reciprocity the count at -s is (-1)^k
-times the number of lattice points interior to the s-th dilate, so no
-dilate beyond ceil(k/2) is counted.  A flat pyramid has volume 0
-without any count.  The lattice counts fix one coordinate at a time,
-each within the bounds its inequalities leave once every later
-coordinate takes its most favourable box value.  Those bounds are
-necessary conditions, so no lattice point is lost, and the last
-coordinate, with nothing left to relax, gets an exact interval, so the
-counts are exact.  They are not priced: they visit a few times the
-pyramid's normalized volume, which the engine's own walk of the cone
-already visited.  kouchnirenko_mu, the Milnor number, is their total:
-the classical alternating sum of normalized under-volumes.  validate's
+steps and runs the second only within heavy_limit.  A facet gamma of
+more than k points is cut down to its vertices, the points that the
+facets through them, lower or coordinate, hold alone.  The pyramid
+conv(0 u gamma) over a facet of k vertices is a simplex, and its
+normalized volume is |det| of them, from a fraction-free (Bareiss)
+determinant, also of its own.  A pyramid over a facet of more vertices
+V is triangulated by lifting 0 and V to heights M^0, M^1, ...: the same
+search in dimension k + 1 finds the lower facets of the lift, each a
+simplex, and their determinants add up to the volume.  That search
+costs C(|V| + 1, k + 1) eliminations per such facet and is not priced.
+kouchnirenko_mu, the Milnor number, is the multiplicities' total: the
+classical alternating sum of normalized under-volumes.  validate's
 kouchnirenko-mu check compares both the Milnor number and every
 multiplicity with the engine.
 
@@ -46,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .ehrhart import Character, p_alpha, restricted
 from .errors import InputError, InternalConsistencyError
@@ -171,6 +165,30 @@ def _lower_facets(low, k):
     ]
 
 
+def _facet_vertices(low, k):
+    """(b, the facet's vertices) per lower facet u.x = b of the points
+    low, undominated (_undominated), in _lower_facets' order.
+
+    The facets of the Newton polyhedron of low are its lower facets and
+    the coordinate hyperplanes, and a point of it is a vertex exactly
+    when the facets through it meet in that point alone.  Any other point
+    lies on a face with at least one other vertex, and every vertex of a
+    compact face is undominated, so it suffices to compare the facets'
+    points of low.  A facet of exactly k points is a simplex, all of them
+    vertices."""
+    lower = _lower_facets(low, k)
+    faces = [set(tight) for _u, _b, tight in lower]
+    faces += [{p for p in low if not p[i]} for i in range(k)]
+    for _u, b, tight in lower:
+        if len(tight) > k:
+            tight = tuple(
+                p
+                for p in tight
+                if set.intersection(*(f for f in faces if p in f)) == {p}
+            )
+        yield b, tight
+
+
 def _det(rows):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination: each step cross-multiplies with the pivot row and
@@ -196,126 +214,44 @@ def _det(rows):
     return sign * prev
 
 
-def _pyramid_normalized_volume(tight, k):
-    """k! times the volume of P = conv({0} union tight).  Integer
-    arithmetic only.
-
-    With exactly k points P is a simplex, possibly flat, and its
-    normalized volume is |det| of the k points: no hyperplane search and
-    no lattice count.  A larger tight set gets the k-th finite
-    difference of P's Ehrhart polynomial L over the window of dilates
-    -ceil(k/2) .. floor(k/2).
-
-    L(0) = 1 and L(t) for t > 0 counts the lattice points of tP.  By
-    Ehrhart-Macdonald reciprocity L(-s) is (-1)^k times the number of
-    lattice points interior to sP, those with u.x > s*b on every facet
-    u.x >= b; the normals are integral, so that is u.x >= s*b + 1.  The
-    largest dilate counted is ceil(k/2).  A pyramid that is not
-    full-dimensional has volume 0, and reciprocity does not hold for it:
-    no hyperplane supports it, or one does with both orientations."""
-    if len(tight) == k:
-        return abs(_det(tight))
-    verts = [(0,) * k] + [tuple(p) for p in tight]
-    found = _supporting_hyperplanes(verts, k)
-    if not found or any(
-        found.get(tuple(-x for x in u)) == -b for u, b in found.items()
-    ):
-        return 0
-    ineq_list = sorted(found.items())
-    maxc = [max(v[j] for v in verts) for j in range(k)]
-    t0 = -((k + 1) // 2)
-
-    def count(t):
-        if t > 0:
-            return _fibre_count(ineq_list, [t * m for m in maxc], t)
-        if t < 0:
-            inner = [(u, -t * b + 1) for u, b in ineq_list]
-            return (-1) ** k * _fibre_count(inner, [-t * m for m in maxc], 1)
-        return 1
-
-    return sum((-1) ** (k - i) * comb(k, i) * count(t0 + i) for i in range(k + 1))
+def _simplex_volume(cell):
+    """k! times the volume of the k-simplex with the k + 1 vertices cell
+    in R^k: |det| of the edges from its first vertex."""
+    base, *rest = cell
+    return abs(_det([[x - y for x, y in zip(p, base)] for p in rest]))
 
 
-def _fibre_count(ineqs, top, t):
-    """Lattice points x of the box 0 <= x <= top with u.x >= t*b for every
-    (u, b) in ineqs.
+def _pyramid_normalized_volume(verts, k):
+    """k! times the volume of P = conv({0} union verts), verts distinct
+    nonzero points of N^k that span R^k; the oracle passes the vertices
+    of a lower facet.  Integer arithmetic only.
 
-    The coordinates are fixed one at a time.  At coordinate j each
-    inequality is relaxed by giving every later coordinate its most
-    favourable box value, which adds at most sum_{r>j} max(0, u_r) top_r
-    to u.x; what is left bounds x_j by floor or ceiling division.  The
-    bounds are necessary conditions, so no point of the dilate is lost,
-    and an empty range prunes the whole branch.  The last coordinate has
-    nothing left to relax, so its interval is exact and so is the count.
-    The last two coordinates are done together: along the second-to-last
-    the bound an inequality puts on the last coordinate follows an
-    arithmetic progression, so it is walked by one list comprehension
-    over the pruned range, and the exact last intervals are summed."""
-    k = len(top)
-    cuts = []
-    for u, _ in ineqs:
-        tail = [0] * k  # tail[j] = sum over r > j of max(0, u_r) * top_r
-        for j in range(k - 2, -1, -1):
-            tail[j] = tail[j + 1] + max(0, u[j + 1]) * top[j + 1]
-        cuts.append((u, tail))
-
-    def interval(j, rems):
-        """The range of x_j that the relaxed inequalities allow."""
-        lo, hi = 0, top[j]
-        for (u, tail), rem in zip(cuts, rems):
-            c, need = u[j], rem - tail[j]  # need c * x_j >= need
-            if c > 0:
-                lo = max(lo, -(-need // c))
-            elif c < 0:
-                hi = min(hi, need // c)
-            elif need > 0:
-                return 0, -1
-            if lo > hi:
-                break
-        return lo, hi
-
-    def last_two(rems):
-        lo, hi = interval(k - 2, rems)
-        if lo > hi:
-            return 0
-        xs = range(lo, hi + 1)
-        low, high = 0, top[-1]  # the bounds on x_last that do not move with x
-        steps = []
-        for (u, _), rem in zip(cuts, rems):
-            a, c = u[-2], u[-1]  # need c * x_last >= rem - a * x
-            if c == 0:
-                continue  # the range of x already meets a * x >= rem exactly
-            if a:
-                steps.append((a, c, rem))
-            elif c > 0:
-                low = max(low, -(-rem // c))
-            else:
-                high = min(high, rem // c)
-        if low > high:
-            return 0
-        los = [low] * len(xs)
-        his = [high] * len(xs)
-        for a, c, rem in steps:
-            if c > 0:
-                los = [max(y, -((a * x - rem) // c)) for y, x in zip(los, xs)]
-            else:
-                his = [min(y, (rem - a * x) // c) for y, x in zip(his, xs)]
-        return sum(max(0, y - x + 1) for x, y in zip(los, his))
-
-    def walk(j, rems):
-        if j == k - 2:
-            return last_two(rems)
-        lo, hi = interval(j, rems)
-        return sum(
-            walk(j + 1, [rem - u[j] * x for (u, _), rem in zip(cuts, rems)])
-            for x in range(lo, hi + 1)
-        )
-
-    rems = [t * b for _, b in ineqs]
-    if k == 1:
-        lo, hi = interval(0, rems)
-        return max(0, hi - lo + 1)
-    return walk(0, rems)
+    With exactly k points P is a simplex, and its normalized volume is
+    |det| of them.  More points are triangulated by lifting: 0 and the
+    points go to heights M^0, M^1, ... in R^(k+1), with M = (k+1)! C^k
+    + 1 and C the largest coordinate, and the lower facets of the lift
+    (last normal coordinate > 0), from _supporting_hyperplanes, project
+    to the simplices of a regular (placing) triangulation of P.  Each
+    lower facet holds exactly k + 1 lifted points: k + 2 points spanning
+    R^k have one affine dependence, its coefficients are (k+1)-minors of
+    points in [0, C]^k, so each is less than M in absolute value, and no
+    such combination of distinct powers of M vanishes.  A cell of any
+    other size raises InternalConsistencyError."""
+    if len(verts) == k:
+        return abs(_det(verts))
+    pts = [(0,) * k, *verts]
+    big = factorial(k + 1) * max(map(max, verts)) ** k + 1
+    lifted = [(*p, big**i) for i, p in enumerate(pts)]
+    total = 0
+    for u, b in _supporting_hyperplanes(lifted, k + 1).items():
+        if u[-1] > 0:
+            cell = [p[:k] for p in lifted if _dot(u, p) == b]
+            if len(cell) != k + 1:
+                raise InternalConsistencyError(
+                    f"lifted cell {cell} over {verts} is no simplex"
+                )
+            total += _simplex_volume(cell)
+    return total
 
 
 def _integral(x) -> bool:
@@ -402,11 +338,11 @@ def _section_multiplicities(n, sections) -> dict[Fraction, int]:
     """varchenko_multiplicities on the lists of _search_sections."""
     by_distance: dict[int, int] = {}
     for size, low in sections:
-        for _u, m, tight in _lower_facets(low, size):
-            e, rest = divmod(_pyramid_normalized_volume(tight, size), m)
+        for m, verts in _facet_vertices(low, size):
+            e, rest = divmod(_pyramid_normalized_volume(verts, size), m)
             if rest:
                 raise InternalConsistencyError(
-                    f"pyramid volume over {tight} is not a multiple of {m}"
+                    f"pyramid volume over {verts} is not a multiple of {m}"
                 )
             by_distance[m] = by_distance.get(m, 0) + (-1) ** (size - 1) * e
     # the bucket j/m is the residue j * (L / m) mod L, L the lcm of the m
@@ -904,7 +840,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
         mu = sum(mults.values())
         if mu != spectrum.mu:
             raise InternalConsistencyError(
-                f"engine mu {spectrum.mu} != lattice-volume mu {mu}"
+                f"engine mu {spectrum.mu} != Varchenko mu {mu}"
             )
         if spectrum.multiplicities != mults:
             raise InternalConsistencyError(

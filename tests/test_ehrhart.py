@@ -147,8 +147,8 @@ def test_normalized_volume():
 
 def test_normalized_volume_matches_pyramid_oracle():
     """On every facet of the battery's Newton polyhedra, the pyramid
-    recursion over the face lattice agrees with the oracle's finite
-    differences of lattice counts, which share no code with it."""
+    recursion over the face lattice agrees with the oracle's lifted
+    triangulation, which shares no code with it."""
     checked = 0
     for support in random_supports(60):
         n = len(support.variables)

@@ -263,171 +263,158 @@ def _box_filter_count(ineqs, top, t):
     )
 
 
+def _forward_difference_volume(tight, k):
+    """Reference: the normalized volume of conv({0} union tight) as the
+    k-th forward difference of its lattice counts over the dilates 0..k,
+    each count by the box filter."""
+    ineqs, maxc = _pyramid_inequalities(tight, k)
+    counts = [_box_filter_count(ineqs, [t * m for m in maxc], t) for t in range(k + 1)]
+    return sum((-1) ** (k - t) * comb(k, t) * c for t, c in enumerate(counts))
+
+
 def _random_tight_sets(seed=11):
     """Per k = 1..5: point sets on one hyperplane with a positive normal
     (as the oracle's facets are, often with more than k points), and
-    unconstrained clouds, whose pyramids have facets through the origin
-    with zero or negative last normal coordinates.  At k = 4 and 5 the
-    walk recurses above the two innermost coordinates."""
+    unconstrained clouds.  Only sets whose pyramid conv({0} union set) is
+    full-dimensional are kept: some k of their points have a nonzero
+    determinant."""
     rng = Random(seed)
     width = {1: 9, 2: 6, 3: 4, 4: 2, 5: 1}
     for k in (1, 2, 3, 4, 5):
         w = width[k]
         box = list(product(range(w + 1), repeat=k))
+        sets = []
         for _ in range(4 if k < 4 else 2):
             u = [rng.randint(1, 3) for _ in range(k)]
             level = sum(a * x for a, x in zip(u, rng.choice(box[1:])))
             plane = [p for p in box if sum(a * x for a, x in zip(u, p)) == level]
-            yield k, rng.sample(plane, rng.randint(min(k, len(plane)), len(plane)))
+            sets.append(rng.sample(plane, rng.randint(min(k, len(plane)), len(plane))))
         for _ in range(4 if k < 4 else 2):
-            yield k, rng.sample(box[1:], k + rng.randint(0, 3))
+            sets.append(rng.sample(box[1:], k + rng.randint(0, 3)))
+        for tight in sets:
+            if any(_fraction_det(rows) for rows in combinations(tight, k)):
+                yield k, tight
     yield 3, [(1, 2, 0), (1, 2, 3), (3, 1, 1), (0, 0, 2)]
-    # facet normals with a zero on a leading coordinate, and a range of
-    # x_1 that the relaxed inequalities leave empty
     yield 4, [(3, 1, 2, 0), (2, 1, 3, 1), (3, 1, 2, 3), (3, 1, 1, 2)]
+    # lifted with 0 to the heights 1, 2, 4, ... these would put three
+    # points on a line and four on a plane; the oracle's base is larger
+    yield 1, [(1,), (3,)]
+    yield 2, [(1, 0), (0, 1), (1, 2)]
 
 
-def test_fibre_counts_match_box_filter():
-    """The fibre counter gives the box filter's count on every dilate,
-    and so the same volumes.  The counts are compared one by one: an
-    error that shifts a facet changes counts but can leave the k-th
-    finite difference, the volume, as it was."""
-    seen = set()
-    for k, tight in _random_tight_sets():
-        ineqs, maxc = _pyramid_inequalities(tight, k)
-        counts = [1]
-        for t in range(1, k + 1):
-            top = [t * m for m in maxc]
-            counts.append(_box_filter_count(ineqs, top, t))
-            assert oracles._fibre_count(ineqs, top, t) == counts[t], (k, tight, t)
-        want = sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
-        assert oracles._pyramid_normalized_volume(tight, k) == want, (k, tight)
-        seen.add(k)
-    assert seen == {1, 2, 3, 4, 5}
+def _lower_facet_vertices(supports):
+    """(k, the facet's points, its vertices by _facet_vertices) per lower
+    facet of every coordinate section of the supports."""
+    for pts in supports:
+        for size, sub in oracles._coordinate_sections(pts, len(pts[0])):
+            low = oracles._undominated(sub)
+            facets = oracles._lower_facets(low, size)
+            verts = oracles._facet_vertices(low, size)
+            for (_u, b, tight), (m, v) in zip(facets, verts, strict=True):
+                assert m == b
+                yield size, tight, v
 
 
-def test_fibre_count_matches_box_filter_on_any_inequalities():
-    """The counter's contract holds for any inequalities, not just a
-    pyramid's: offsets of either sign, normals with zeros and negative
-    entries, and boxes the inequalities leave empty."""
-    rng = Random(17)
-    for _ in range(150):
-        k = rng.randint(1, 4)
-        top = [rng.randint(0, 4) for _ in range(k)]
-        ineqs = [
-            (tuple(rng.randint(-2, 2) for _ in range(k)), rng.randint(-3, 2))
-            for _ in range(rng.randint(1, 4))
-        ]
-        t = rng.randint(1, 2)
-        assert oracles._fibre_count(ineqs, top, t) == _box_filter_count(
-            ineqs, top, t
-        ), (ineqs, top, t)
-    assert oracles._fibre_count([((0, 1, 1), 1)], [3, 0, 0], 1) == 0
-
-
-def _forward_difference_volume(tight, k):
-    """Reference: the normalized volume of conv({0} union tight) as the
-    k-th forward difference of the lattice counts of the dilates 0..k."""
-    verts = [(0,) * k] + [tuple(p) for p in tight]
-    ineq_list = sorted(oracles._supporting_hyperplanes(verts, k).items())
-    maxc = [max(v[j] for v in verts) for j in range(k)]
-    counts = [1]
-    for t in range(1, k + 1):
-        counts.append(oracles._fibre_count(ineq_list, [t * m for m in maxc], t))
-    return sum((-1) ** (k - t) * comb(k, t) * counts[t] for t in range(k + 1))
-
-
-def test_interior_fibre_counts_match_strict_box_filter():
-    """Offsets s*b + 1 count the points with u.x > s*b on every facet,
-    the interior of the dilate sP that reciprocity reads L(-s) from."""
-    for k, tight in _random_tight_sets():
-        ineqs, maxc = _pyramid_inequalities(tight, k)
-        for s in range(1, (k + 1) // 2 + 1):
-            top = [s * m for m in maxc]
-            want = sum(
-                all(sum(a * y for a, y in zip(u, x)) > s * b for u, b in ineqs)
-                for x in product(*(range(m + 1) for m in top))
-            )
-            inner = [(u, s * b + 1) for u, b in ineqs]
-            assert oracles._fibre_count(inner, top, 1) == want, (k, tight, s)
-
-
-def test_reciprocity_volume_matches_forward_differences():
-    """The window around 0 gives the forward difference's volume, 0 on
-    the flat clouds too, and on every lower facet of random supports."""
-    flat = 0
+def test_pyramid_volume_matches_forward_differences():
+    """The determinant, or the sum of determinants over the lifted
+    triangulation, gives the box filter's forward-difference volume: on
+    the random tight sets, and on the vertices of every lower facet of
+    random supports."""
     for k, tight in _random_tight_sets():
         want = _forward_difference_volume(tight, k)
-        assert oracles._pyramid_normalized_volume(tight, k) == want, (k, tight)
-        flat += want == 0
-    assert flat >= 1
+        assert oracles._pyramid_normalized_volume(tight, k) == want > 0, (k, tight)
     facets = 0
-    for support in random_supports(40):
-        pts = sorted(support.points)
-        for size, sub in oracles._coordinate_sections(pts, len(pts[0])):
-            for _u, _m, tight in oracles._lower_facets(sub, size):
-                got = oracles._pyramid_normalized_volume(tight, size)
-                assert got == _forward_difference_volume(tight, size) > 0, tight
-                facets += 1
+    supports = [sorted(s.points) for s in random_supports(40)]
+    for size, tight, verts in _lower_facet_vertices(supports):
+        got = oracles._pyramid_normalized_volume(verts, size)
+        assert got == _forward_difference_volume(tight, size) > 0, tight
+        facets += 1
     assert facets >= 100
 
 
 def test_random_tight_sets_reach_both_volume_paths():
     """At every k some tight set has exactly k points, a simplex read off
-    one determinant, and some has more, a pyramid whose lattice points
-    are counted."""
+    one determinant, and some has more, a pyramid triangulated by
+    lifting."""
     sizes = {}
     for k, tight in _random_tight_sets():
         sizes.setdefault(k, set()).add(len(tight) == k)
     assert sizes == {k: {True, False} for k in (1, 2, 3, 4, 5)}
 
 
-def test_simplex_pyramids_need_no_lattice_count(monkeypatch):
-    """Every lower facet of x^20 + y^20 + z^20, in every coordinate
-    section, has exactly k points, so no lattice point is counted."""
+def _pyramid_vertices(tight, k):
+    """Reference: the points of tight that the facets of the pyramid
+    conv({0} union tight) through them, intersected, hold alone."""
+    pts = [(0,) * k, *tight]
+    ineqs, _ = _pyramid_inequalities(tight, k)
+    faces = [{p for p in pts if sum(a * x for a, x in zip(u, p)) == b} for u, b in ineqs]
+    return tuple(
+        p for p in tight if set.intersection(*(f for f in faces if p in f)) == {p}
+    )
+
+
+NON_SIMPLE_4_FACE = _fermat(5, 7) + [(2, 1, 1, 1, 1), (1, 2, 1, 1, 1)]
+DENSE_QUARTIC = sorted(p for p in product(range(5), repeat=4) if sum(p) == 4)
+
+
+def test_facet_vertices_match_the_pyramid_facets():
+    """The vertices read off the section's facets, lower and coordinate,
+    are those the pyramid's own facets give, on every lower facet of
+    random supports, the golden corpus, the cone over a non-simple
+    4-face, and facets with points inside an edge or a triangle."""
+    supports = [sorted(s.points) for s in random_supports(40)]
+    supports += [sorted(s.points) for s in golden_supports()]
+    supports += [
+        NON_SIMPLE_4_FACE,
+        [(4, 0), (3, 1), (2, 2), (0, 4)],
+        [(6, 0, 0), (0, 6, 0), (0, 0, 6), (2, 2, 2), (3, 3, 0), (1, 4, 1)],
+    ]
+    dropped = lifted = 0
+    for size, tight, verts in _lower_facet_vertices(supports):
+        assert verts == _pyramid_vertices(tight, size), tight
+        dropped += len(verts) < len(tight)
+        lifted += len(verts) > size
+    assert dropped >= 4 and lifted >= 3
+
+
+def _counted_eliminations(monkeypatch):
+    """The list that every later _nullspace_generator call appends its k
+    to."""
     calls = []
-    fibre_count = oracles._fibre_count
+    real = oracles._nullspace_generator
 
-    def counted(ineqs, top, t):
-        calls.append(top)
-        return fibre_count(ineqs, top, t)
+    def counted(rows, k):
+        calls.append(k)
+        return real(rows, k)
 
-    monkeypatch.setattr(oracles, "_fibre_count", counted)
-    assert kouchnirenko_mu(_fermat(3, 20)) == 19**3
-    assert calls == []
+    monkeypatch.setattr(oracles, "_nullspace_generator", counted)
+    return calls
 
 
 @pytest.mark.parametrize(
-    "points,mu",
-    [
-        (_fermat(3, 20) + [(10, 10, 0)], 19**3),
-        (_fermat(4, 6) + [(3, 3, 0, 0)], 625),
-    ],
-    ids=["x^20+y^20+z^20+x^10*y^10", "x^6+y^6+z^6+w^6+x^3*y^3"],
+    "points,mu,lifted",
+    [(DENSE_QUARTIC, 81, 0), (NON_SIMPLE_4_FACE, 5032, 3 * comb(7, 6))],
+    ids=["all-35-quartic-monomials", "cone-over-a-non-simple-4-face"],
 )
-def test_pyramid_walk_stops_at_half_the_dilates(monkeypatch, points, mu):
-    """No box handed to the fibre counter is larger than ceil(k/2) times
-    the pyramid's largest coordinates.  The mixed monomial puts an extra
-    point on a lower facet, so that pyramid is no simplex and is walked."""
-    fibre_count = oracles._fibre_count
+def test_lifted_search_is_the_only_unpriced_work(monkeypatch, points, mu, lifted):
+    """The oracle makes its price in eliminations, plus C(|V| + 1, k + 1)
+    for each facet of more than k vertices V, whose lifted pyramid is
+    searched again.  Every facet of the 35 quartic monomials reduces to
+    its axis powers, so none is lifted; the cone over a non-simple 4-face
+    has three facets of six vertices in R^5."""
     volume = oracles._pyramid_normalized_volume
-    bound = []
-    boxes = []
+    shapes = []
 
-    def bounded_volume(tight, k):
-        maxc = [max(p[j] for p in tight) for j in range(k)]
-        bound[:] = [(k + 1) // 2 * m for m in maxc]
-        return volume(tight, k)
+    def recorded(verts, k):
+        shapes.append((len(verts), k))
+        return volume(verts, k)
 
-    def counted(ineqs, top, t):
-        boxes.append(list(top))
-        assert all(x <= m for x, m in zip(top, bound)), (top, bound)
-        return fibre_count(ineqs, top, t)
-
-    monkeypatch.setattr(oracles, "_pyramid_normalized_volume", bounded_volume)
-    monkeypatch.setattr(oracles, "_fibre_count", counted)
+    monkeypatch.setattr(oracles, "_pyramid_normalized_volume", recorded)
+    calls = _counted_eliminations(monkeypatch)
     assert kouchnirenko_mu(points) == mu
-    assert boxes
+    extra = sum(comb(size + 1, k + 1) for size, k in shapes if size > k)
+    assert extra == lifted
+    assert len(calls) == _price(points) + lifted
 
 
 def _two_orientation_hyperplanes(pts, k):
@@ -554,14 +541,7 @@ def test_search_price_is_the_search_work(monkeypatch, points):
     for size, low in sections:
         for _u, _b, tight in oracles._lower_facets(low, size):
             assert len(tight) == size, tight
-    calls = []
-    real = oracles._nullspace_generator
-
-    def counted(rows, k):
-        calls.append(k)
-        return real(rows, k)
-
-    monkeypatch.setattr(oracles, "_nullspace_generator", counted)
+    calls = _counted_eliminations(monkeypatch)
     varchenko_multiplicities(points)
     assert len(calls) == price
     np_ = _np(points)
@@ -835,6 +815,29 @@ def test_validate_catches_a_moved_multiplicity(monkeypatch):
     assert by_name["block-counts-sane"].status == "pass"
     assert by_name["kouchnirenko-mu"].status == "fail"
     assert "Varchenko" in by_name["kouchnirenko-mu"].detail
+    assert not report.ok
+
+
+def test_validate_names_the_varchenko_mu_on_a_mismatch(monkeypatch):
+    """One extra size-1 block with its unit of multiplicity keeps every
+    block count sane but raises mu, which kouchnirenko-mu names against
+    Varchenko's."""
+    real = oracles._read_blocks
+    ev = F(1, 10)
+
+    def extra_block(mt):
+        spec = real(mt)
+        blocks, mults = dict(spec.blocks), dict(spec.multiplicities)
+        blocks[(ev, 1)] += 1
+        mults[ev] += 1
+        return replace(spec, mu=spec.mu + 1, blocks=blocks, multiplicities=mults)
+
+    monkeypatch.setattr(oracles, "_read_blocks", extra_block)
+    report = validate(_np([(5, 0), (2, 2), (0, 5)]))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["block-counts-sane"].status == "pass"
+    assert by_name["kouchnirenko-mu"].status == "fail"
+    assert by_name["kouchnirenko-mu"].detail == "engine mu 12 != Varchenko mu 11"
     assert not report.ok
 
 
