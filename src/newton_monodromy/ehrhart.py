@@ -75,6 +75,8 @@ class Character:
     Instances normalize themselves: coefficients are reduced mod the
     modulus and the common gcd with the modulus is divided out, so equal
     characters compare and hash equal.  A non-integer raises TypeError.
+    The hash, that of (modulus, coeffs) as the generated one would be, is
+    taken once: every memo key holds a character.
     """
 
     modulus: int
@@ -91,6 +93,10 @@ class Character:
             cs = tuple(c // g for c in cs)
         object.__setattr__(self, "modulus", d)
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_hash", hash((d, cs)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def trivial(n: int) -> "Character":

@@ -57,9 +57,16 @@ def _merge(
     """acc += scale * (1 - L)^twist * table, each bucket residue r of
     table read as r * step; L shifts (p, q) by (1, 1)."""
     terms = [(i, scale * (-1) ** i * comb(twist, i)) for i in range(twist + 1)]
+    _merge_terms(acc, table, terms, step)
+
+
+def _merge_terms(acc: dict, table: dict, terms, step: int = 1) -> None:
+    """acc += (sum of c * L^i over the pairs (i, c) of terms) * table,
+    each bucket residue r of table read as r * step."""
     for (p, q, r), v in table.items():
+        r *= step
         for i, c in terms:
-            key = (p + i, q + i, r * step)
+            key = (p + i, q + i, r)
             acc[key] = acc.get(key, 0) + c * v
 
 
@@ -129,7 +136,10 @@ def boundary_values(poly, char: Character):
 
 
 def _boundary_rows(poly, char: Character):
-    """The triple of boundary_values, built: zero entries are not stored."""
+    """The triple of boundary_values, built sparse: bv from the nonzero
+    face counts, each entry with its conjugate, and targets from the
+    buckets of p_alpha and the a = 0 binomial term.  Zero entries are
+    not stored."""
     m = poly.dim
     d = restricted(poly, char)[0]
     sign = (-1) ** (m - 1)
@@ -146,26 +156,33 @@ def _boundary_rows(poly, char: Character):
         alphas |= set(part)
     alphas |= {-a % d for a in alphas}
 
+    # (0, 0, a) reads the 1-skeleton's count in the conjugate bucket,
+    # less 1 at a = 0; row p reads the (p+1)-faces' count in the bucket
+    # and column p the same count in the conjugate bucket
     bv = {}
-    for a in alphas:
-        c = -a % d
-        bv[(0, 0, a)] = sign * (skel[0] - 1) if a == 0 else sign * skel[c]
-        for p in range(1, m):
-            bv[(p, 0, a)] = sign * lsum[p + 1][a]
-            bv[(0, p, a)] = sign * lsum[p + 1][c]
+    if skel[0] != 1:
+        bv[(0, 0, 0)] = sign * (skel[0] - 1)
+    for r, c in skel.items():
+        if r and c:
+            bv[(0, 0, -r % d)] = sign * c
+    for p in range(1, m):
+        for r, c in lsum[p + 1].items():
+            if c:
+                bv[(p, 0, r)] = bv[(0, p, -r % d)] = sign * c
     # the high range p + q > m - 1 vanishes off the a = 0 diagonal
     for p in range((m + 1) // 2, m):
         bv[(p, p, 0)] = (-1) ** (m + p + 1) * comb(m, p + 1)
 
     targets = {}
-    for a in alphas:
+    for a in pa.keys() | {0}:
         tup = pa.get(a)
         for p in range(m):
             t = (-1) ** (m + 1) * (tup[m - p] if tup else 0)
             if a == 0:
                 t += (-1) ** (p + m + 1) * comb(m, p + 1)
-            targets[(p, a)] = t
-    return _clean(bv), _clean(targets), alphas
+            if t:
+                targets[(p, a)] = t
+    return bv, targets, alphas
 
 
 def _boundary_mismatch(table, bv, alphas, m):
@@ -218,20 +235,27 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
     The closure lives in the toric variety of the barycentric subdivision
     of the normal fan, one orbit per chain F_0 > ... > F_k of proper faces
     (_chains).  The orbit meets the closure in the hypersurface of F_k,
-    empty for a vertex, times a torus of dimension j = m - k - 1 - dim F_k.
+    empty for a vertex, times a torus of dimension j = m - k - 1 - dim F_k,
+    whose table is (L - 1)^j.  A face F's chain counts c_k fold into one
+    polynomial sum_k c_k (L - 1)^(m - k - 1 - dim F), so F's table is
+    merged once, with that polynomial's coefficients.
     """
     d = restricted(poly, char)[0]
     lat = poly.face_lattice
     S: dict = {}
     for face, ends in _chains(poly.shape).items():
-        if not lat[face]:
+        fdim = lat[face]
+        if not fdim:
             continue
-        sub = poly.face_polytope(face)
-        table, step = hodge_table(sub, char), residue_step(d, sub, char)
+        top = m - 1 - fdim
+        weights = [0] * (top + 1)  # weights[i]: the coefficient of L^i
         for k, c in ends.items():
-            j = m - k - 1 - lat[face]
-            # a j-dimensional torus has the table (L - 1)^j = (-1)^j (1 - L)^j
-            _merge(S, table, c * (-1) ** j, step, j)
+            j = top - k
+            for i in range(j + 1):
+                weights[i] += c * (-1) ** (j - i) * comb(j, i)
+        sub = poly.face_polytope(face)
+        terms = [(i, w) for i, w in enumerate(weights) if w]
+        _merge_terms(S, hodge_table(sub, char), terms, residue_step(d, sub, char))
     return _clean(S)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import index, mul, sub
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -59,12 +59,24 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+def _length_mismatch(u, v) -> ValueError:
+    """The ValueError that zip(u, v, strict=True) raises."""
+    side = "shorter" if len(v) < len(u) else "longer"
+    return ValueError(f"zip() argument 2 is {side} than argument 1")
+
+
 def dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v, strict=True))
+    """u . v of two sequences of equal length."""
+    if len(u) != len(v):
+        raise _length_mismatch(u, v)
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(u, v, strict=True))
+    """u - v of two sequences of equal length."""
+    if len(u) != len(v):
+        raise _length_mismatch(u, v)
+    return tuple(map(sub, u, v))
 
 
 def _gauss_jordan(rows):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from . import intlinalg as ila
 from .ehrhart import _MEMO, Character
 from .errors import InputError, InternalConsistencyError, NotConvenientError
-from .polytope import Polytope, cone_rays, intersection_closure, make_polytope
+from .polytope import Polytope, _intern, cone_rays, intersection_closure
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,12 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
 
     fields = []
     for tight in closure:
+        # Support points are distinct int tuples (SupportSet), so fpts is
+        # an interning key as it is; the origin, refused as a support
+        # point and below every exponent vector, sorts first.
         fpts = tuple(sorted(pts[i] for i in tight))
-        poly = make_polytope(fpts)
-        delta = make_polytope(fpts + (origin,))
+        poly = _intern(fpts)
+        delta = _intern((origin,) + fpts)
         if delta.dim != poly.dim + 1:
             raise InternalConsistencyError(
                 "cone over a compact face did not gain a dimension"

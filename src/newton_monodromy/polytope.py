@@ -9,13 +9,16 @@ one exact pure-Python walk of the fibres of the last chart coordinate.
 
 A Polytope is split in two.  Its Shape holds everything that is a
 function of the chart points alone: facets, vertices, face lattice,
-primeness and the lattice walk.  make_polytope interns one Shape per
-tuple of chart points in _SHAPES, next to the polytopes in _POLYTOPES,
-so a translate or lattice image of a polytope whose sorted points reach
-the same chart coordinates builds none of that again, and the memo of
-ehrhart, keyed by shape, computes its counts and tables once for all of
-them.  The Polytope keeps the ambient embedding: points, chart,
-cpoints, vertices and its face polytopes.
+primeness and the lattice walk.  _intern keeps one Polytope per sorted
+tuple of distinct integer points in _POLYTOPES, and through it one
+Shape per tuple of chart points in _SHAPES; make_polytope normalizes
+public input to such a tuple first, while face polytopes and the Newton
+polyhedron's faces, whose tuples are sorted already, are interned as
+they are.  So a translate or lattice image of a polytope whose sorted
+points reach the same chart coordinates builds none of that again, and
+the memo of ehrhart, keyed by shape, computes its counts and tables
+once for all of them.  The Polytope keeps the ambient embedding:
+points, chart, cpoints, vertices and its face polytopes.
 
 The geometry is combinatorial once the facets are known: chart
 coordinates come by forward substitution through the Hermite basis, the
@@ -33,20 +36,22 @@ are affinely independent), and it is read off its vertex set: its
 facets are the starting cone of cone_rays alone, the one scaled
 inverse of the rows (y, 1), each facet missing one vertex; every
 point is a vertex; its faces are the nonempty subsets of the points,
-a subset of k points having dimension k - 1; and it is its own top
-simplex.  Every other shape takes the general route above.
+a subset of k points having dimension k - 1; it is its own top
+simplex; and its primeness is one determinant against the lattice
+lengths of its edges.  Every other shape takes the general route above.
 
 No rank is computed and no rational system is solved here.  The
 eliminations left are integer ones: the Hermite reductions behind the
 chart basis (at most one pass when its rank is 0, 1 or the ambient
 dimension, three otherwise), the starting simplicial cone of
 cone_rays, and the determinants of the unimodularity test behind
-primeness.
+primeness (one per simplex, one per vertex of any other shape).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -357,9 +362,28 @@ class Shape:
         prime: every vertex cone is unimodular (simple and smooth).
         pseudo_prime: every 1-face lies on exactly dim - 1 two-faces.
         Dimension <= 1 is always prime; every polygon is pseudo-prime.
+
+        A simplex is read off its vertex set: every edge lies on exactly
+        dim - 1 two-faces, so it is pseudo-prime at least.  The edge
+        vectors at any vertex have the same |det|, that of the edge
+        vectors from vertex 0, and their primitive directions have that
+        |det| divided by the edges' lattice lengths; so the simplex is
+        prime iff at each vertex the lengths of its dim edges multiply
+        to it.
         """
         d = self.dim
-        if d <= 1 or self.vertex_cone_unimodular:
+        if d <= 1:
+            return "prime"
+        if self.simplex:
+            ys = self.cpoints
+            volume = abs(ila.det([ila.vec_sub(y, ys[0]) for y in ys[1:]]))
+            unimodular = all(
+                math.prod(ila.vec_gcd(ila.vec_sub(w, v)) for w in ys if w != v)
+                == volume
+                for v in ys
+            )
+            return "prime" if unimodular else "pseudo_prime"
+        if self.vertex_cone_unimodular:
             return "prime"
         two_faces = self.faces_of_dim(2)
         for e in self.faces_of_dim(1):
@@ -442,20 +466,25 @@ class Polytope:
         return tuple(self.points[i] for i in self.vertex_ids)
 
     def face_points(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.points[i] for i in face))
+        """The face's points, in order: a sub-tuple of the sorted,
+        distinct, integer points, so itself an interning key."""
+        points = self.points
+        return tuple(points[i] for i in sorted(face))
 
     def face_polytope(self, face: frozenset[int]) -> "Polytope":
         """The interned polytope of a face, remembered per face.
 
-        A face holding every point is the polytope itself, which is
-        returned but never stored: an instance that referenced itself
-        would outlive clear_caches() until the cyclic collector ran.
+        face_points is already a key, so it is interned as it is, with
+        no second normalization.  A face holding every point is the
+        polytope itself, which is returned but never stored: an instance
+        that referenced itself would outlive clear_caches() until the
+        cyclic collector ran.
         """
         if len(face) == len(self.points):
             return self
         poly = self._faces.get(face)
         if poly is None:
-            poly = self._faces[face] = make_polytope(self.face_points(face))
+            poly = self._faces[face] = _intern(self.face_points(face))
         return poly
 
 
@@ -463,12 +492,20 @@ _POLYTOPES: dict[tuple, Polytope] = {}
 _SHAPES: dict[tuple, Shape] = {}
 
 
-def make_polytope(points) -> Polytope:
-    """Interning constructor: one Polytope instance per distinct point set,
-    and through it one Shape per distinct tuple of chart points."""
-    key = tuple(sorted({tuple(int(x) for x in p) for p in points}))
+def _intern(key: tuple) -> Polytope:
+    """The one Polytope of key, a tuple of points that is already sorted,
+    distinct and integer, exactly as make_polytope normalizes its input.
+    Internal callers that hold such a tuple intern it here directly; the
+    key is not checked."""
     poly = _POLYTOPES.get(key)
     if poly is None:
-        poly = Polytope(key)
-        _POLYTOPES[key] = poly
+        poly = _POLYTOPES[key] = Polytope(key)
     return poly
+
+
+def make_polytope(points) -> Polytope:
+    """Interning constructor: one Polytope instance per distinct point set,
+    and through it one Shape per distinct tuple of chart points.  The
+    points, any iterable of integer sequences, are normalized to a key
+    (int tuples, duplicates dropped, sorted) and interned by _intern."""
+    return _intern(tuple(sorted({tuple(int(x) for x in p) for p in points})))

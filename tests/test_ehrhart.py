@@ -49,6 +49,19 @@ def test_character_is_idempotent_under_renormalization():
     assert Character(c.modulus, c.coeffs) == c
 
 
+def test_characters_that_normalize_equal_hash_equal():
+    """Unreduced coefficients and moduli that normalize to one character
+    give equal instances with equal hashes, the hash the generated
+    dataclass hash of (modulus, coeffs) would be, so either reaches the
+    other's memo entries."""
+    a, b = Character(12, (8, 4, 18)), Character(18, (-6, 24, 9))
+    assert a == b == Character(6, (4, 2, 3))
+    assert (a.modulus, a.coeffs) == (b.modulus, b.coeffs) == (6, (4, 2, 3))
+    assert hash(a) == hash(b) == hash((6, (4, 2, 3)))
+    assert {a: 1}[b] == 1
+    assert Character(4, (6, 2)) != Character(4, (1, 2))
+
+
 def test_character_values():
     c = Character(6, (3, 2))
     assert c.value((1, 0)) == F(1, 2)

@@ -719,6 +719,93 @@ def test_boundary_rows_memo_is_read_only_and_cleared():
     clear_caches()
 
 
+# The dense boundary loop (every bucket of alphas times every row, zeros
+# dropped afterwards) and the strata sum that merges a face's table once
+# per chain length, which the sparse rows and the folded strata sum
+# replaced, kept as references.
+
+
+def _dense_boundary_rows(poly, char):
+    m = poly.dim
+    d = restricted(poly, char)[0]
+    sign = (-1) ** (m - 1)
+    lsum = {k: Counter() for k in range(m + 1)}
+    for face, fdim in poly.face_lattice.items():
+        sub = poly.face_polytope(face)
+        step = ehrhart.residue_step(d, sub, char)
+        for r, c in relint_counts(sub, char, 1).items():
+            lsum[fdim][r * step] += c
+    skel = lsum[0] + lsum[1]
+    pa = p_alpha(poly, char)
+    alphas = {0} | set(pa)
+    for part in lsum.values():
+        alphas |= set(part)
+    alphas |= {-a % d for a in alphas}
+    bv = {}
+    for a in alphas:
+        c = -a % d
+        bv[(0, 0, a)] = sign * (skel[0] - 1) if a == 0 else sign * skel[c]
+        for p in range(1, m):
+            bv[(p, 0, a)] = sign * lsum[p + 1][a]
+            bv[(0, p, a)] = sign * lsum[p + 1][c]
+    for p in range((m + 1) // 2, m):
+        bv[(p, p, 0)] = (-1) ** (m + p + 1) * comb(m, p + 1)
+    targets = {}
+    for a in alphas:
+        tup = pa.get(a)
+        for p in range(m):
+            t = (-1) ** (m + 1) * (tup[m - p] if tup else 0)
+            if a == 0:
+                t += (-1) ** (p + m + 1) * comb(m, p + 1)
+            targets[(p, a)] = t
+    return hodge._clean(bv), hodge._clean(targets), alphas
+
+
+def _per_chain_length_strata_sum(poly, char, m):
+    d = restricted(poly, char)[0]
+    lat = poly.face_lattice
+    S = {}
+    for face, ends in hodge._chains(poly.shape).items():
+        if not lat[face]:
+            continue
+        sub = poly.face_polytope(face)
+        table, step = hodge_table(sub, char), ehrhart.residue_step(d, sub, char)
+        for k, c in ends.items():
+            j = m - k - 1 - lat[face]
+            hodge._merge(S, table, c * (-1) ** j, step, j)
+    return hodge._clean(S)
+
+
+def test_sparse_rows_and_folded_strata_match_the_loops_they_replaced(monkeypatch):
+    """On every (shape, restriction) that a cold jordan_blocks reaches on
+    60 seeded supports and the golden inputs (the 4-variable one reaches
+    a cone of dimension 4), _boundary_rows gives the dense loop's triple
+    and _strata_sum the per-chain-length merge's sum."""
+    built = {}
+    for name in ("_boundary_rows", "_strata_sum"):
+        real = getattr(hodge, name)
+
+        def recording(poly, char, *rest, _real=real, _name=name):
+            out = _real(poly, char, *rest)
+            built.setdefault((_name, poly.shape, restricted(poly, char)), (poly, char, out))
+            return out
+
+        monkeypatch.setattr(hodge, name, recording)
+    clear_caches()
+    for support in [*random_supports(60), *golden_supports()]:
+        jordan_blocks(newton_polyhedron(support))
+    monkeypatch.undo()
+    dims = Counter()
+    for (name, *_), (poly, char, got) in built.items():
+        if name == "_boundary_rows":
+            assert got == _dense_boundary_rows(poly, char), poly
+        else:
+            assert got == _per_chain_length_strata_sum(poly, char, poly.dim), poly
+            dims[poly.dim] += 1
+    assert set(dims) == {1, 2, 3, 4}, dims
+    clear_caches()
+
+
 def _hidden_extreme_entry(np_):
     """A cone of np_, a key (1, 0, a) of an extreme row with a in the
     boundary buckets but absent from the sparse bv, and the cone's table

@@ -20,6 +20,7 @@ from newton_monodromy.intlinalg import (
     solve_integer,
     solve_rational,
     vec_gcd,
+    vec_sub,
     xgcd,
 )
 
@@ -43,6 +44,19 @@ def test_vec_gcd_and_primitive():
     assert primitive((0, 7, 0)) == (0, 1, 0)
     with pytest.raises(ValueError):
         primitive((0, 0, 0))
+
+
+@pytest.mark.parametrize("u,v", [((1, 2, 3), (4, 5)), ((1,), (4, 5)), ((), (1,))])
+def test_dot_and_vec_sub_refuse_unequal_lengths(u, v):
+    """Both raise the ValueError that zip(strict=True) raises."""
+    with pytest.raises(ValueError) as want:
+        list(zip(u, v, strict=True))
+    for fn in (dot, vec_sub):
+        with pytest.raises(ValueError) as got:
+            fn(u, v)
+        assert str(got.value) == str(want.value)
+    assert dot((1, 2, 3), [4, 5, 6]) == 32 and dot((), ()) == 0
+    assert vec_sub([4, 5, 6], (1, 2, 3)) == (3, 3, 3) and vec_sub((), ()) == ()
 
 
 def test_frac_rank():

@@ -226,6 +226,34 @@ def test_interning_and_cache_clear():
     assert isinstance(c, Polytope)
 
 
+def test_internal_interning_reaches_the_make_polytope_instances():
+    """Face polytopes and the Newton polyhedron's compact faces intern
+    their already sorted point tuples without make_polytope's
+    normalization, and reach the very instances make_polytope returns:
+    on each golden input, cold, every face of every polytope the answer
+    builds is make_polytope of the face's points, and each compact face's
+    poly and delta are make_polytope of its points, given unsorted and as
+    lists, without and with the origin."""
+    checked = 0
+    for support in golden_supports():
+        clear_caches()
+        np_ = newton_polyhedron(support)
+        fastpath_unipotent(np_)
+        jordan_blocks(np_)
+        origin = [0] * support.n
+        for f in np_.faces:
+            points = [list(p) for p in reversed(f.points)]
+            assert f.poly is make_polytope(points)
+            assert f.delta is make_polytope([*points, origin])
+            assert f.delta.points[0] == tuple(origin)
+        for poly in list(polytope._POLYTOPES.values()):
+            for face in poly.face_lattice:
+                assert poly.face_polytope(face) is make_polytope(poly.face_points(face))
+                checked += 1
+    clear_caches()
+    assert checked > 500, checked
+
+
 # ---------------------------------------------------------------------------
 # The rank-based geometry that the integer combinatorics replaced, kept as
 # a differential oracle: a Fraction solve per chart point, a rank test per
@@ -415,6 +443,7 @@ def _assert_simplex_route_matches_the_general_one(shape):
     assert shape.facet_vertex_sets == general.facet_vertex_sets
     assert dict(shape.face_lattice) == dict(general.face_lattice)
     assert ehrhart._top_simplices(simplex) == ehrhart._top_simplices(poly)
+    assert shape.primeness == general.primeness
 
 
 def test_simplex_route_matches_the_general_one_on_the_engine_shapes():
