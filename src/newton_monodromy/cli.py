@@ -129,7 +129,9 @@ def _face_payload(face) -> dict:
 
 def _table_payload(face) -> list:
     """The face's cone table as [p, q, bucket, value] rows; a residue r
-    mod d' is the bucket r/d', so residue order is bucket order."""
+    mod d' is the bucket r/d', so residue order is bucket order.  Pass
+    the face's orbit representative: its table is the face's, with the
+    same residue keys."""
     d = restricted(face.delta, face.char)[0]
     rows = sorted(hodge_table(face.delta, face.char).items())
     return [[p, q, _bucket(Fraction(r, d)), v] for (p, q, r), v in rows]
@@ -178,9 +180,9 @@ def run(args) -> tuple[dict, int]:
         payload["hodge_tables"] = [
             {
                 "face": face_doc,
-                "cone_table": _table_payload(face),
+                "cone_table": _table_payload(np_.faces[rep]),
             }
-            for face, face_doc in zip(np_.faces, payload["faces"])
+            for rep, face_doc in zip(np_.representative, payload["faces"])
         ]
 
     if args.validate:

@@ -13,9 +13,12 @@ stands for exp(2*pi*i*a/b); 0 labels eigenvalue 1.  The hypersurface
 tables come keyed by integer residues, each face's cone table mod its
 own modulus d' (hodge.hodge_table); motivic_milnor_table multiplies
 every face's residues up to the lcm of the d' and hands out the
-MotivicTable keyed by residues mod that lcm.  The Jordan read-off works
-on the residues too, and turns a residue r into the Fraction r/lcm once
-per eigenvalue, for the keys of the JordanSpectrum.
+MotivicTable keyed by residues mod that lcm.  Faces that a swap of
+coordinates fixing the support relates have equal tables (newton), so
+it merges one representative's tables per orbit, times the orbit's
+size, as the closed formula does.  The Jordan read-off works on the
+residues too, and turns a residue r into the Fraction r/lcm once per
+eigenvalue, for the keys of the JordanSpectrum.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .hodge import (
     _merge,
     _row_sums,
     hodge_table,
-    pseudo_prime_row_sums,
     read_eigenvalue,
 )
 from .newton import NewtonPolyhedron
@@ -94,16 +96,21 @@ class JordanSpectrum:
 
 
 def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
+    """The motivic table, one orbit representative's tables per orbit
+    of compact faces, merged times the orbit's size."""
     first: dict = {}
     second: dict = {}
     trivial = Character.trivial(np_.n)
-    modulus = lcm(*(restricted(face.delta, face.char)[0] for face in np_.faces))
-    for face in np_.faces:
+    reps = np_.representatives()
+    modulus = lcm(*(restricted(face.delta, face.char)[0] for face, _ in reps))
+    for face, size in reps:
         step = residue_step(modulus, face.delta, face.char)
-        _merge(first, hodge_table(face.delta, face.char), step=step, twist=face.twist)
+        table = hodge_table(face.delta, face.char)
+        _merge(first, table, scale=size, step=step, twist=face.twist)
         if face.dim >= 1:
             # the trivial character's one bucket is 0 under every modulus
-            _merge(second, hodge_table(face.poly, trivial), twist=face.twist + 1)
+            table = hodge_table(face.poly, trivial)
+            _merge(second, table, scale=size, twist=face.twist + 1)
     total = dict(first)
     _merge(total, second)
     return MotivicTable(
@@ -304,31 +311,36 @@ def _prime_face_counts(np_: NewtonPolyhedron) -> dict[Fraction, dict[int, int]]:
 
     Each face adds its row sums s_r, r = 0..dim, times the weights of
     _formula_weights for its dimension and twist.  The buckets a face
-    carries are the keys of its cone's _row_sums, and each bucket's row
-    sums are read once, through pseudo_prime_row_sums.  Buckets are
-    collected as residues mod the lcm of the cones' moduli, as in
-    motivic_milnor_table, and turned into Fractions once at the end.
+    carries are the keys of its cone's _row_sums, read straight from
+    it, one orbit representative per orbit of compact faces, times the
+    orbit's size.  Buckets are collected as residues mod the lcm of the
+    cones' moduli, as in motivic_milnor_table, and turned into Fractions
+    once at the end.
 
-    Raises InputError naming the first non-prime face.
+    Raises InputError naming the first non-prime face, or when a cone
+    that carries a bucket is not pseudo-prime.
     """
     n = np_.n
-    for face in np_.faces:
+    reps = np_.representatives()
+    for face, _ in reps:
         if face.poly.primeness != "prime":
             raise InputError(
                 f"compact face {face.points} is not prime; "
                 "the closed formula does not apply"
             )
-    moduli = [restricted(face.delta, face.char)[0] for face in np_.faces]
+    moduli = [restricted(face.delta, face.char)[0] for face, _ in reps]
     modulus = lcm(*moduli)
     counts: dict = {}  # residue mod modulus -> [_, size >= 1, ..., size >= n+1]
-    for face, d in zip(np_.faces, moduli):
+    for (face, size), d in zip(reps, moduli):
         weights = _formula_weights(n, face.dim, face.twist)
         step = modulus // d
-        for a in _row_sums(face.delta, face.char):
-            rows = pseudo_prime_row_sums(face.delta, face.char, Fraction(a, d))
+        buckets = _row_sums(face.delta, face.char)
+        if buckets and face.delta.primeness == "neither":
+            raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
+        for a, rows in buckets.items():
             acc = counts.setdefault(a * step, [0] * (n + 2))
             for r, terms in enumerate(weights):
-                if s := rows[r]:
+                if s := size * rows[r]:
                     for k, c in terms:
                         acc[k] += c * s
     return {

@@ -20,10 +20,21 @@ not in every coordinate hyperplane.  So a compact facet contains gamma,
 and gamma is that facet cut by the other facets through it.  Each
 compact face is the hull of its tight support points, so the tight set
 labels it faithfully.
+
+A swap of two coordinates that maps the support onto itself is a
+lattice automorphism of the polyhedron: it carries each compact face,
+its cone and its height character to another face's, whose tables are
+therefore equal (Stapledon 2011).  The swaps come from n(n-1)/2 tests,
+each a permutation of the support points; the orbits of the group they
+generate are the components of a union-find over the tight sets.  The
+answer builds one representative's tables per orbit, times its size,
+and validate's face-data checks each swap's premises on every face.
+Cyclic symmetries are missed, which only leaves orbits smaller.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import intlinalg as ila
@@ -112,9 +123,21 @@ class CompactFace:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """The compact faces, facets and symmetry orbits of a support.
+
+    swaps           the pairs i < j whose coordinate swap maps the
+                    support onto itself
+    representative  per face index, the least index in its face's orbit
+                    under the group the swaps generate
+    orbits          (representative index, orbit size), by index
+    """
+
     support: SupportSet
     faces: tuple[CompactFace, ...]
     facets: tuple[PolyhedronFacet, ...]
+    swaps: tuple[tuple[int, int], ...]
+    representative: tuple[int, ...]
+    orbits: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
@@ -122,6 +145,10 @@ class NewtonPolyhedron:
 
     def faces_of_dim(self, d: int) -> tuple[CompactFace, ...]:
         return tuple(f for f in self.faces if f.dim == d)
+
+    def representatives(self) -> list[tuple[CompactFace, int]]:
+        """(face, orbit size) for each orbit's representative, by index."""
+        return [(self.faces[i], size) for i, size in self.orbits]
 
     @property
     def is_quasi_homogeneous(self) -> bool:
@@ -166,6 +193,51 @@ def _solve_face_character(poly: Polytope, delta: Polytope):
                 "face form is not constant on the face"
             )
     return c, Character(c, u)
+
+
+def _swaps(pts, n):
+    """[((i, j), perm)] over the pairs i < j whose coordinate swap maps
+    the points onto themselves, perm[k] the index of the image of
+    pts[k]."""
+    where = {p: k for k, p in enumerate(pts)}
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            perm = []
+            for p in pts:
+                q = list(p)
+                q[i], q[j] = p[j], p[i]
+                k = where.get(tuple(q))
+                if k is None:
+                    break
+                perm.append(k)
+            else:
+                out.append(((i, j), perm))
+    return out
+
+
+def _orbits(tights, swaps):
+    """Per face, the least index of its orbit under the swaps, by
+    union-find over the faces' tight sets."""
+    index = {t: i for i, t in enumerate(tights)}
+    parent = list(range(len(tights)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for _, perm in swaps:
+        for t, i in index.items():
+            j = index.get(frozenset(map(perm.__getitem__, t)))
+            if j is None:
+                raise InternalConsistencyError(
+                    "a symmetry of the support maps a compact face to no face"
+                )
+            a, b = root(i), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return tuple(root(i) for i in range(len(tights)))
 
 
 def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
@@ -242,6 +314,7 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
             )
         fields.append(
             dict(
+                tight=tight,
                 dim=poly.dim,
                 points=fpts,
                 poly=poly,
@@ -254,5 +327,14 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
             )
         )
     fields.sort(key=lambda f: (f["dim"], f["points"]))
+    swaps = _swaps(pts, n)
+    rep = _orbits([f.pop("tight") for f in fields], swaps)
     faces = tuple(CompactFace(index=i, **f) for i, f in enumerate(fields))
-    return NewtonPolyhedron(support=support, faces=faces, facets=tuple(facets))
+    return NewtonPolyhedron(
+        support=support,
+        faces=faces,
+        facets=tuple(facets),
+        swaps=tuple(pair for pair, _ in swaps),
+        representative=rep,
+        orbits=tuple(sorted(Counter(rep).items())),
+    )

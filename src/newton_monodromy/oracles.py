@@ -37,6 +37,7 @@ pass/fail/skip results.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -451,6 +452,63 @@ def _chains_form_a_sphere(lattice, m: int, chains) -> bool:
     return signed == 1 + (-1) ** (m - 1) and faces == 1 - (-1) ** m
 
 
+def _check_orbits(np_: NewtonPolyhedron) -> None:
+    """The premises of the answer's one table per orbit of compact faces.
+
+    Each recorded swap maps the support onto itself and each face onto
+    a face of the same orbit with equal dim, twist and distance.  The
+    sizes count the faces, each representative is its orbit's least
+    index, and every other face is linked, by the first swap that maps
+    it to a face of lower index in its orbit, to that face, whose
+    character restricts on its cone as the swapped character of the
+    face does.  So the links connect each orbit, and each link is a
+    lattice isomorphism between two cones that carries character to
+    character, under which the tables agree."""
+    faces = np_.faces
+    rep = np_.representative
+    if len(rep) != len(faces) or np_.orbits != tuple(sorted(Counter(rep).items())):
+        raise InternalConsistencyError("orbit sizes do not count the faces")
+    if any(not 0 <= r <= k or rep[r] != r for k, r in enumerate(rep)):
+        raise InternalConsistencyError("an orbit's representative is not its least face")
+    points = np_.support.points
+    where = {p: k for k, p in enumerate(points)}
+    by_tight = {frozenset(map(where.__getitem__, f.points)): f for f in faces}
+    linked = {r for r, _ in np_.orbits}
+    for i, j in np_.swaps:
+
+        def swap(p):
+            q = list(p)
+            q[i], q[j] = p[j], p[i]
+            return tuple(q)
+
+        # a swap is injective, so a support it maps into itself it maps onto
+        perm = [where.get(swap(p)) for p in points]
+        if None in perm:
+            raise InternalConsistencyError(f"swap {(i, j)} moves the support")
+        for tight, f in by_tight.items():
+            g = by_tight.get(frozenset(map(perm.__getitem__, tight)))
+            if g is None or rep[g.index] != rep[f.index]:
+                raise InternalConsistencyError(
+                    f"swap {(i, j)} maps face {f.points} off its orbit"
+                )
+            if g.index >= f.index:
+                continue
+            if (g.dim, g.twist, g.distance) != (f.dim, f.twist, f.distance):
+                raise InternalConsistencyError(
+                    f"swap {(i, j)} changes the data of face {f.points}"
+                )
+            if f.index in linked:
+                continue
+            linked.add(f.index)
+            moved = Character(f.char.modulus, swap(f.char.coeffs))
+            if restricted(g.delta, g.char) != restricted(g.delta, moved):
+                raise InternalConsistencyError(
+                    f"swap {(i, j)} does not carry the character of {f.points}"
+                )
+    if len(linked) != len(faces):
+        raise InternalConsistencyError("an orbit is not connected by swaps")
+
+
 def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationReport:
     """Run every cross-check the engine supports on one polyhedron;
     kouchnirenko-mu is skipped when its search price exceeds heavy_limit."""
@@ -490,15 +548,19 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
                     raise InternalConsistencyError(
                         f"face character not trivial on {p}"
                     )
+        _check_orbits(np_)
         return f"{len(np_.faces)} compact faces"
 
     run("face-data", chk_faces)
 
     # 2-5. each distinct table once, with a compact face reaching it for
     # failure messages: cones by (shape, restriction), faces of dim >= 1
-    # by shape; residues r are mod the table's own d', as in the engine
+    # by shape; residues r are mod the table's own d', as in the engine.
+    # Like the answer, these checks read one representative per orbit of
+    # compact faces (face-data checks the orbits), weighted by its size.
+    reps = np_.representatives()
     cones, polys = {}, {}
-    for f in np_.faces:
+    for f, _ in reps:
         cones.setdefault((f.delta.shape, restricted(f.delta, f.char)), f)
         if f.dim >= 1:
             polys.setdefault(f.poly.shape, f)
@@ -552,7 +614,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
     run("conjugation-symmetry", chk_conjugation)
 
     def chk_shift():
-        for f in np_.faces:
+        for f, _ in reps:
             if f.dim < 1:
                 continue
             big = p_alpha(f.delta, f.char).get(0, (0,) * (f.dim + 3))
@@ -577,7 +639,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
         return {k: v for k, v in part.items() if v}
 
     def chk_pyramid():
-        for f in np_.faces:
+        for f, _ in reps:
             lhs = unipotent_part(f)
             rhs = {
                 (p, p, 0): (-1) ** (f.dim + p) * comb(f.dim, p)
@@ -593,8 +655,8 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
 
     def chk_global():
         acc: dict = {}
-        for f in np_.faces:
-            _merge(acc, unipotent_part(f), twist=f.twist + 1)
+        for f, size in reps:
+            _merge(acc, unipotent_part(f), scale=size, twist=f.twist + 1)
         acc = {k: v for k, v in acc.items() if v}
         want = {(0, 0, 0): 1, (n, n, 0): -1}
         if acc != want:
@@ -724,7 +786,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
     # 8. row-sum semantics on pseudo-prime cones
     def chk_pseudo_prime():
         hits = 0
-        for f in np_.faces:
+        for f, size in reps:
             if f.delta.primeness == "neither":
                 continue
             d = restricted(f.delta, f.char)[0]
@@ -739,7 +801,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
                             f"anti-diagonal formula fails on {f.points}, "
                             f"bucket {a}/{d}, p+q={r}"
                         )
-                hits += 1
+                hits += size
         if hits == 0:
             return "skip", ""
         return f"{hits} cone/bucket pairs"
@@ -750,7 +812,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
     # the spectrum and at every one a face carries but the spectrum lacks,
     # where it must count no block
     def chk_prime_formula():
-        if any(f.poly.primeness != "prime" for f in np_.faces):
+        if any(f.poly.primeness != "prime" for f, _ in reps):
             return "skip", "some compact face is not prime"
         evs = [a for a in spectrum.multiplicities if a != _ZERO]
         sizes: dict = {ev: {} for ev in evs}  # ev -> {block size: count}

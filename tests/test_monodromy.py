@@ -3,13 +3,18 @@
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, lcm
+from pathlib import Path
 
 import pytest
 
 from newton_monodromy import clear_caches, ehrhart, hodge, monodromy
+from newton_monodromy.ehrhart import Character
 from newton_monodromy.errors import InputError
+from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.monodromy import (
+    MotivicTable,
     fastpath_top,
     fastpath_unipotent,
     jordan_blocks,
@@ -437,3 +442,153 @@ def test_one_walk_readers_match_the_per_eigenvalue_references():
             prime_pairs += 1
             absent += ev in formula and ev not in spectrum.multiplicities
     assert prime_pairs >= 250 and top_pairs >= 500 and absent >= 100
+
+
+# The all-faces assembly, the reference for the answer's one table per
+# orbit of compact faces: every face's own tables, each merged once, and
+# the closed formula's row sums read per face and per bucket through
+# pseudo_prime_row_sums.
+
+
+def _all_faces_motivic_table(np_):
+    first: dict = {}
+    second: dict = {}
+    trivial = Character.trivial(np_.n)
+    modulus = lcm(*(ehrhart.restricted(f.delta, f.char)[0] for f in np_.faces))
+    for face in np_.faces:
+        step = ehrhart.residue_step(modulus, face.delta, face.char)
+        table = hodge.hodge_table(face.delta, face.char)
+        hodge._merge(first, table, step=step, twist=face.twist)
+        if face.dim >= 1:
+            table = hodge.hodge_table(face.poly, trivial)
+            hodge._merge(second, table, twist=face.twist + 1)
+    total = dict(first)
+    hodge._merge(total, second)
+    return MotivicTable(
+        n=np_.n,
+        modulus=modulus,
+        first=hodge._clean(first),
+        second=hodge._clean(second),
+        total=hodge._clean(total),
+    )
+
+
+def _all_faces_prime_counts(np_):
+    n = np_.n
+    for face in np_.faces:
+        if face.poly.primeness != "prime":
+            raise InputError(
+                f"compact face {face.points} is not prime; "
+                "the closed formula does not apply"
+            )
+    moduli = [ehrhart.restricted(face.delta, face.char)[0] for face in np_.faces]
+    modulus = lcm(*moduli)
+    counts: dict = {}
+    for face, d in zip(np_.faces, moduli):
+        weights = monodromy._formula_weights(n, face.dim, face.twist)
+        for a in hodge._row_sums(face.delta, face.char):
+            rows = hodge.pseudo_prime_row_sums(face.delta, face.char, F(a, d))
+            acc = counts.setdefault(a * (modulus // d), [0] * (n + 2))
+            for r, terms in enumerate(weights):
+                for k, c in terms:
+                    acc[k] += c * rows[r]
+    return {
+        F(a, modulus): dict(enumerate(acc[1:], 1))
+        for a, acc in sorted(counts.items())
+    }
+
+
+def _check_orbit_route(np_) -> bool:
+    """The orbit route's motivic table and closed-formula counts equal
+    the all-faces references' (or both refuse alike), and on an input
+    with a nontrivial orbit every face's tables equal its
+    representative's.  Returns whether some orbit is nontrivial."""
+    assert motivic_milnor_table(np_) == _all_faces_motivic_table(np_)
+    try:
+        want = _all_faces_prime_counts(np_)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            monodromy._prime_face_counts(np_)
+        assert str(got.value) == str(exc)
+    else:
+        assert monodromy._prime_face_counts(np_) == want
+    if len(np_.orbits) == len(np_.faces):
+        return False
+    trivial = Character.trivial(np_.n)
+    for face, r in zip(np_.faces, np_.representative):
+        rep = np_.faces[r]
+        assert (face.dim, face.twist) == (rep.dim, rep.twist)
+        want = hodge.hodge_table(rep.delta, rep.char)
+        assert hodge.hodge_table(face.delta, face.char) == want, face.points
+        if face.dim >= 1:
+            want = hodge.hodge_table(rep.poly, trivial)
+            assert hodge.hodge_table(face.poly, trivial) == want, face.points
+    return True
+
+
+def _sum_of(powers, e, monomial):
+    return " + ".join(f"x{i}^{e}" for i in range(1, powers + 1)) + " + " + monomial
+
+
+# Every library and console input of CI in at most eight variables.
+CI_INPUTS = [
+    "x^2 + y^3",
+    "x^7 + y^7 + z^7 + x^2*y^2*z^2",
+    "x^4 + x^2*y + x^2*z + y^4 + z^4",
+    "x^80 + y^80 + z^80",
+    _sum_of(5, 6, "x1*x2*x3*x4*x5"),
+    _sum_of(5, 7, "x1^2*x2*x3*x4*x5 + x1*x2^2*x3*x4*x5"),
+    _sum_of(6, 7, "x1*x2*x3*x4*x5*x6"),
+    _sum_of(7, 8, "x1*x2*x3*x4*x5*x6*x7"),
+    _sum_of(8, 3, "x1*x2*x3*x4*x5*x6*x7*x8"),
+    " + ".join("*".join(m) for m in combinations_with_replacement("xyzw", 4)),
+    *(f"x^{a} + y^{b} + z^{c}" for a, b, c in product(range(2, 6), repeat=3)),
+]
+
+
+def test_orbit_route_matches_all_faces_on_golden_and_ci_inputs():
+    supports = [*golden_supports(), *map(parse_polynomial, CI_INPUTS)]
+    nontrivial = 0
+    for support in supports:
+        clear_caches()
+        nontrivial += _check_orbit_route(newton_polyhedron(support))
+    clear_caches()
+    assert nontrivial == 57
+
+
+def test_orbit_route_matches_all_faces_on_the_battery():
+    nontrivial = 0
+    for support in random_supports(120):
+        clear_caches()
+        nontrivial += _check_orbit_route(newton_polyhedron(support))
+    clear_caches()
+    assert nontrivial == 9
+
+
+def test_orbit_route_matches_all_faces_on_a_ladder_round():
+    """The benchmark's seed-1 ladder round, its variables permuted."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        from workloads import ladder_rounds
+    finally:
+        sys.path.pop(0)
+    cases = next(ladder_rounds(1, None))
+    nontrivial = 0
+    for case in cases:
+        clear_caches()
+        nontrivial += _check_orbit_route(newton_polyhedron(parse_polynomial(case.text)))
+    clear_caches()
+    assert nontrivial == len(cases) == 8
+
+
+def test_cyclic_symmetry_alone_gives_singleton_orbits():
+    """x -> y -> z -> x fixes the support, but no swap of two
+    coordinates does: every orbit is one face, and the answer is the
+    all-faces one."""
+    np_ = newton_polyhedron(
+        parse_polynomial("x^6 + y^6 + z^6 + x^3*y + y^3*z + z^3*x")
+    )
+    assert np_.swaps == ()
+    assert np_.representative == tuple(range(len(np_.faces)))
+    assert np_.orbits == tuple((i, 1) for i in range(len(np_.faces)))
+    assert not _check_orbit_route(np_)

@@ -1,6 +1,8 @@
 """Newton polyhedra: compact faces, facets, characters, twists."""
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -208,3 +210,60 @@ def test_compact_faces_checked_without_the_closure():
         for _ in range(100):
             u = tuple(rng.randint(1, 30) for _ in range(support.n))
             assert _argmin(u, pts) in listed, (pts, u)
+
+
+# Symmetry orbits of compact faces: the coordinate swaps that fix the
+# support, and the orbits of the group they generate.
+
+
+def test_eleven_variable_cubes_have_55_swaps_and_11_orbits(monkeypatch):
+    """Every swap of x1^3 + ... + x11^3 + x1*...*x11 fixes the support,
+    and the 2,047 faces fall into 11 orbits, one per number k of cube
+    points, of C(11, k) faces each; found with no walk over the 11!
+    permutations, which is refused here."""
+    import itertools
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk over permutations")
+
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    n = 11
+    cubes = [tuple(3 if i == j else 0 for j in range(n)) for i in range(n)]
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    np_ = newton_polyhedron(SupportSet(names, tuple(sorted(cubes + [(1,) * n]))))
+    assert len(np_.faces) == 2047
+    assert np_.swaps == tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    assert len(np_.swaps) == 55
+    assert len(np_.orbits) == 11
+    assert sorted(size for _, size in np_.orbits) == sorted(
+        comb(n, k) for k in range(1, n + 1)
+    )
+    for face, r in zip(np_.faces, np_.representative):
+        rep = np_.faces[r]
+        assert r <= face.index
+        assert (rep.dim, len(rep.points)) == (face.dim, len(face.points))
+
+
+def _swapped(points, i, j):
+    out = []
+    for p in points:
+        q = list(p)
+        q[i], q[j] = p[j], p[i]
+        out.append(tuple(q))
+    return tuple(sorted(out))
+
+
+def test_orbits_of_a_support_fixed_by_one_swap():
+    """x^4 + y^4 + z^3 + x*y*z is fixed by (x y) but not by (y z) or
+    (x z): each orbit is a face and its image under (x y), represented
+    by the lower index of the two."""
+    np_ = _np([(4, 0, 0), (0, 4, 0), (0, 0, 3), (1, 1, 1)])
+    assert np_.swaps == ((0, 1),)
+    by_points = {f.points: f.index for f in np_.faces}
+    want = []
+    for f in np_.faces:
+        image = by_points[_swapped(f.points, 0, 1)]
+        want.append(min(f.index, image))
+    assert np_.representative == tuple(want)
+    assert np_.orbits == tuple(sorted(Counter(want).items()))
+    assert {size for _, size in np_.orbits} == {1, 2}

@@ -1,6 +1,7 @@
 """Independent oracles and the validation battery."""
 
 import inspect
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -1015,6 +1016,38 @@ def test_validate_reads_each_table_key_and_shape_once(monkeypatch):
     assert [(c.name, c.status) for c in report.checks] == [
         (name, "skip" if name in skipped else "pass") for name in CHECK_NAMES
     ]
+
+
+def _tampered_report(np_, **fields):
+    """validate's report on np_ with some orbit data replaced, by name:
+    {check: (status, detail)}."""
+    report = validate(replace(np_, **fields))
+    return {c.name: (c.status, c.detail) for c in report.checks}
+
+
+def test_face_data_checks_the_symmetry_orbits():
+    """x^4 + y^4 + z^3 + x*y*z is fixed by the swap (x y) alone.  Orbit
+    data the swaps do not bear out fails face-data: a wrong orbit size,
+    two vertices that are no images of each other in one orbit, and a
+    swap that moves the support."""
+    np_ = _np([(4, 0, 0), (0, 4, 0), (0, 0, 3), (1, 1, 1)])
+    assert np_.swaps == ((0, 1),)
+    assert validate(np_).ok
+    rep, orbits = list(np_.representative), list(np_.orbits)
+
+    orbits[0] = (orbits[0][0], orbits[0][1] + 1)
+    got = _tampered_report(np_, orbits=tuple(orbits))
+    assert got["face-data"] == ("fail", "orbit sizes do not count the faces")
+
+    a, b = (f.index for f in np_.faces if f.points in [((0, 0, 3),), ((1, 1, 1),)])
+    assert (rep[a], rep[b]) == (a, b)
+    rep[b] = a
+    merged = tuple(sorted(Counter(rep).items()))
+    got = _tampered_report(np_, representative=tuple(rep), orbits=merged)
+    assert got["face-data"] == ("fail", "an orbit is not connected by swaps")
+
+    got = _tampered_report(np_, swaps=((0, 1), (1, 2)))
+    assert got["face-data"] == ("fail", "swap (1, 2) moves the support")
 
 
 def test_validation_report_summary_format():

@@ -162,10 +162,11 @@ def test_shape_keyed_memo_matches_per_instance_computation():
 
 
 def test_one_table_per_shape_and_restriction():
-    """On the septic surface jordan_blocks reads Hodge tables of 22
-    (point set, restriction) pairs but only 13 (chart points,
-    restriction) pairs, and the memo holds one table for each of the 13;
-    keyed per instance it would hold 22."""
+    """On the septic surface jordan_blocks, one representative per orbit
+    of compact faces, reads Hodge tables of 11 (point set, restriction)
+    pairs but only 8 (chart points, restriction) pairs, and the memo
+    holds one table for each of the 8; keyed per instance it would hold
+    11."""
 
     def tables(shapes):
         reached = []
@@ -187,7 +188,7 @@ def test_one_table_per_shape_and_restriction():
         return entries, reached
 
     entries, reached = tables(None)
-    assert len({(poly.cpoints, r) for poly, r in reached}) == 13
-    assert len({(poly.points, r) for poly, r in reached}) == 22
-    assert entries == 13
-    assert tables(_NeverShared())[0] == 22
+    assert len({(poly.cpoints, r) for poly, r in reached}) == 8
+    assert len({(poly.points, r) for poly, r in reached}) == 11
+    assert entries == 8
+    assert tables(_NeverShared())[0] == 11
