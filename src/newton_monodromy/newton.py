@@ -25,10 +25,10 @@ A swap of two coordinates that maps the support onto itself is a
 lattice automorphism of the polyhedron: it carries each compact face,
 its cone and its height character to another face's, whose tables are
 therefore equal (Stapledon 2011).  The swaps come from n(n-1)/2 tests,
-each a permutation of the support points; the orbits of the group they
-generate are the components of a union-find over the tight sets.  The
-answer builds one representative's tables per orbit, times its size,
-and validate's face-data checks each swap's premises on every face.
+each a permutation of the support points; a search over the tight sets
+gives the orbits of the group they generate.  The answer builds one
+representative's tables per orbit, times its size, and validate's
+face-data checks each swap's premises on every face.
 Cyclic symmetries are missed, which only leaves orbits smaller.
 """
 
@@ -217,27 +217,29 @@ def _swaps(pts, n):
 
 
 def _orbits(tights, swaps):
-    """Per face, the least index of its orbit under the swaps, by
-    union-find over the faces' tight sets."""
+    """Per face, the least index of its orbit under the swaps: a search
+    over the faces' tight sets from each face not yet reached, in index
+    order."""
     index = {t: i for i, t in enumerate(tights)}
-    parent = list(range(len(tights)))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for _, perm in swaps:
-        for t, i in index.items():
-            j = index.get(frozenset(map(perm.__getitem__, t)))
-            if j is None:
-                raise InternalConsistencyError(
-                    "a symmetry of the support maps a compact face to no face"
-                )
-            a, b = root(i), root(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return tuple(root(i) for i in range(len(tights)))
+    images = [perm.__getitem__ for _, perm in swaps]
+    rep = [None] * len(tights)
+    for i, t in enumerate(tights):
+        if rep[i] is not None:
+            continue
+        rep[i] = i
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            for image in images:
+                j = index.get(frozenset(map(image, u)))
+                if j is None:
+                    raise InternalConsistencyError(
+                        "a symmetry of the support maps a compact face to no face"
+                    )
+                if rep[j] is None:
+                    rep[j] = i
+                    todo.append(tights[j])
+    return tuple(rep)
 
 
 def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
