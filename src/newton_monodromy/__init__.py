@@ -76,9 +76,10 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Drop every memo: the interned polytopes and shapes and everything
-    computed from them (restrictions, volumes, counts, numerators, Hodge
-    tables)."""
+    """Drop every memo: the interned polytopes and shapes, the scaled
+    inverses of their simplices and everything computed from them
+    (restrictions, volumes, counts, numerators, Hodge tables)."""
     ehrhart._MEMO.clear()
     polytope._POLYTOPES.clear()
     polytope._SHAPES.clear()
+    polytope._INVERSES.clear()

@@ -13,7 +13,8 @@ interior of the cone over P; each tau contributes the lattice points
 of its half-open fundamental parallelepiped, NVol(tau) of them
 (Beck-Robins, ch. 3).  No dilate is scanned.  The triangulation cones
 from vertex 0, the chart origin, so every tau holds it, and
-_box_counts walks the group of tau's parallelepiped with the apex
+_box_counts walks the group of tau's parallelepiped, read off the
+memoized scaled inverse of tau's rows (y, 1), with the apex
 folded into a floor: a point's height is one more than the floor of
 the other coordinates' sum, and its bucket is a linear form in its
 group coordinates.  The group is walked in flat blocks of at most
@@ -66,6 +67,7 @@ from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
+from .polytope import scaled_inverse
 
 
 @dataclass(frozen=True)
@@ -321,6 +323,9 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     L_i = lam_i * det the height is floor(sum_{i>=1} L_i / det) + 1.
     L_i is (x . col_i) mod det, or top_i (det if facet i is open, else
     0) in place of 0, col_i the i-th column of det * Y^-1, det > 0.
+    Those are columns 1..m of det M * M^-1 for M the rows gens, cut to
+    their first m entries (negated when det M < 0), and M's inverse is
+    polytope.scaled_inverse's, shared with a simplex shape's facets.
     And phi vanishes mod d on every generator, so the residue is
     phi(x) mod d, one integer phi(e_k) per axis:
     phi(e_k) = sum_i weights_i * col_i[k] / det, an exact division.
@@ -340,11 +345,11 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
         raise InternalConsistencyError(f"simplex cone {gens} is not full-dimensional")
     if not rest:
         return {(1, 0): 1}
-    ys = [g[:-1] for g in rest]
-    det, inv = ila.scaled_inverse_columns(ys)
+    det, cols = scaled_inverse(tuple(gens))
+    inv = [col[:-1] for col in cols[1:]]
     if det < 0:
         det, inv = -det, [tuple(-x for x in col) for col in inv]
-    diag = [h[i] for i, h in enumerate(ila.row_hnf(ys))]
+    diag = [h[i] for i, h in enumerate(ila.row_hnf([g[:-1] for g in rest]))]
     form = []
     for k in range(len(diag)):
         q, r = divmod(sum(wt * col[k] for wt, col in zip(weights[1:], inv)), det)

@@ -289,15 +289,15 @@ def prime_face_blocks(np_: NewtonPolyhedron, ev: Fraction, k: int) -> int:
     """Number of Jordan blocks of size >= k for eigenvalue != 1, by the
     closed combinatorial formula available when every compact face is
     prime in its intrinsic lattice.  ev is an int, a Fraction or a
-    string 'a/b' (hodge.read_eigenvalue).
+    string 'a/b' (hodge.read_eigenvalue); k is an int, not a bool.
 
     Raises InputError naming the first non-prime face otherwise.
     """
     ev = read_eigenvalue(ev)
     if not 0 < ev < 1:
         raise InputError("prime_face_blocks needs an eigenvalue bucket in (0, 1)")
-    if k < 1:
-        raise InputError("block size threshold must be >= 1")
+    if type(k) is not int or k < 1:
+        raise InputError(f"block size threshold {k!r} is not an int >= 1")
     return _prime_face_counts(np_).get(ev, {}).get(k, 0)
 
 

@@ -6,7 +6,9 @@ compact faces, and for each compact face gamma the cone
 delta_gamma = conv({0} union gamma) together with the character that
 grades delta_gamma's lattice points by their height relative to gamma.
 
-The compact faces are polytope.intersection_closure of the compact
+The facets come from one double description, started from the axis
+rows and the first support row, whose inverse is written down.  The
+compact faces are polytope.intersection_closure of the compact
 facets' tight sets under every facet's tight set.  A convenient
 polyhedron's facets are the compact ones and the coordinate ones x_i = 0:
 a normal u >= 0 with zero set Z nonempty takes its minimum 0, on the
@@ -268,13 +270,13 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
         if not any(p[i] > 0 and all(x == 0 for j, x in enumerate(p) if j != i) for p in pts):
             raise NotConvenientError(support.variables[i])
 
-    constraints = [p + (1,) for p in pts]
-    for i in range(n):
-        e = [0] * (n + 1)
-        e[i] = 1
-        constraints.append(tuple(e))
+    # The double description starts from the axis rows e_1..e_n and the
+    # first support row (p_0, 1), whose scaled inverse is known: det 1,
+    # columns (e_j, -p_0j) and e_{n+1}.
+    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+    start = (1, [e[:n] + (-x,) for e, x in zip(units, pts[0])] + [units[n]])
     facets = []
-    for ray in cone_rays(constraints, n + 1):
+    for ray in cone_rays(units[:n] + [p + (1,) for p in pts], n + 1, start):
         u, b = ray[:-1], ray[-1]
         if not any(u):
             continue

@@ -511,7 +511,10 @@ def _check_orbits(np_: NewtonPolyhedron) -> None:
 
 def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationReport:
     """Run every cross-check the engine supports on one polyhedron;
-    kouchnirenko-mu is skipped when its search price exceeds heavy_limit."""
+    kouchnirenko-mu is skipped when its search price exceeds heavy_limit,
+    an int >= 0 (a bool is refused), checked before any check runs."""
+    if type(heavy_limit) is not int or heavy_limit < 0:
+        raise InputError(f"heavy_limit {heavy_limit!r} is not an int >= 0")
     report = ValidationReport()
     n = np_.n
     trivial = Character.trivial(n)

@@ -32,20 +32,20 @@ polyhedron by the same closure, seeded with its compact facets.
 Most shapes the engine builds are simplices: the cones conv({0} u gamma)
 over simplicial faces gamma and all their faces.  A shape whose chart
 points number dim + 1 is one (its points span dim dimensions, so they
-are affinely independent), and it is read off its vertex set: its
-facets are the starting cone of cone_rays alone, the one scaled
-inverse of the rows (y, 1), each facet missing one vertex; every
-point is a vertex; its faces are the nonempty subsets of the points,
-a subset of k points having dimension k - 1; it is its own top
-simplex; and its primeness is one determinant against the lattice
-lengths of its edges.  Every other shape takes the general route above.
+are affinely independent), and it is read off its vertex set and the
+one scaled inverse of its rows (y, 1), which scaled_inverse keeps per
+row tuple: its facets are the inverse's columns, each missing one
+vertex; every point is a vertex; its faces are the nonempty subsets of
+the points, a subset of k points having dimension k - 1; it is its own
+top simplex, whose box ehrhart walks off the same inverse; and its
+primeness is the inverse's determinant against the lattice lengths of
+its edges.  Every other shape takes the general route above.
 
 No rank is computed and no rational system is solved here.  The
 eliminations left are integer ones: the Hermite reductions behind the
 chart basis (at most one pass when its rank is 0, 1 or the ambient
-dimension, three otherwise), the starting simplicial cone of
-cone_rays, and the determinants of the unimodularity test behind
-primeness (one per simplex, one per vertex of any other shape).
+dimension, three otherwise), the scaled inverses, and the determinants
+of the unimodularity test at each vertex of a shape that is no simplex.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from . import intlinalg as ila
 from .errors import InternalConsistencyError
 
 
-def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
+def cone_rays(constraints, dim: int, start=None) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of the pointed cone {x in R^dim : a.x >= 0 for all a}.
 
     Double description with exact integer arithmetic.  Each ray carries
@@ -72,16 +72,29 @@ def cone_rays(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
     one.  The ray a new row cuts from an adjacent pair is a positive
     combination of the two, so its zero set is their common one plus
     the new row.  The constraint rows must span R^dim (i.e. the cone is
-    pointed); all-zero rows are ignored.  Exactly dim rows are the
-    starting cone themselves: they span iff they are independent, which
-    the scaled inverse tests.
+    pointed); all-zero rows are ignored.  The starting simplicial cone
+    is the scaled inverse (det, columns) of dim independent rows: start,
+    when the caller knows it for the first dim rows, and otherwise one
+    elimination of the rows independent_rows picks.  A given start is
+    verified, row by column, before any ray is read off it.
     """
     rows = [tuple(int(x) for x in a) for a in constraints if any(a)]
-    base_idx = range(dim) if len(rows) == dim else ila.independent_rows(rows)
-    if len(base_idx) < dim:
-        raise ValueError("cone is not pointed (constraints do not span)")
-    base = [rows[i] for i in base_idx]
-    det_val, cols = ila.scaled_inverse_columns(base)
+    if start is None:
+        base_idx = ila.independent_rows(rows)
+        if len(base_idx) < dim:
+            raise ValueError("cone is not pointed (constraints do not span)")
+        det_val, cols = scaled_inverse(tuple(rows[i] for i in base_idx))
+    else:
+        base_idx = range(dim)
+        det_val, cols = start
+        if not det_val or len(cols) != dim or any(
+            ila.dot(rows[i], c) != (det_val if i == j else 0)
+            for j, c in enumerate(cols)
+            for i in base_idx
+        ):
+            raise InternalConsistencyError(
+                "the starting cone given is not the scaled inverse of the first rows"
+            )
     sgn = 1 if det_val > 0 else -1
     rays = [ila.primitive(tuple(sgn * x for x in c)) for c in cols]
     # base row i vanishes on every column of det * base^-1 but the i-th
@@ -206,17 +219,29 @@ class Shape:
         return f"Shape(dim={self.dim}, cpoints={list(self.cpoints)})"
 
     @cached_property
+    def inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """scaled_inverse of the rows (y, 1) of a simplex's chart points."""
+        return scaled_inverse(tuple(y + (1,) for y in self.cpoints))
+
+    @cached_property
     def cfacets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Facets of the chart points' hull as pairs (u, b) with u.y + b >= 0.
 
         u is primitive; equality holds exactly on the facet.  Empty for
-        a point.  The dilate k*P satisfies u.y + k*b >= 0.
+        a point.  The dilate k*P satisfies u.y + k*b >= 0.  A simplex's
+        facets are the columns of its scaled inverse, made to point
+        inward by the sign of its determinant: column j vanishes on
+        every row (y, 1) but the j-th, so it is the facet missing vertex j.
         """
         if self.dim == 0:
             return ()
         d = self.dim
-        constraints = [y + (1,) for y in self.cpoints]
-        rays = cone_rays(constraints, d + 1)
+        if self.simplex:
+            det, cols = self.inverse
+            sgn = 1 if det > 0 else -1
+            rays = [ila.primitive([sgn * x for x in c]) for c in cols]
+        else:
+            rays = cone_rays([y + (1,) for y in self.cpoints], d + 1)
         facets = []
         for r in rays:
             u, b = r[:-1], r[-1]
@@ -365,18 +390,18 @@ class Shape:
 
         A simplex is read off its vertex set: every edge lies on exactly
         dim - 1 two-faces, so it is pseudo-prime at least.  The edge
-        vectors at any vertex have the same |det|, that of the edge
-        vectors from vertex 0, and their primitive directions have that
-        |det| divided by the edges' lattice lengths; so the simplex is
-        prime iff at each vertex the lengths of its dim edges multiply
-        to it.
+        vectors at any vertex have the same |det|, that of the rows
+        (y, 1), read off the shape's scaled inverse, and their primitive
+        directions have that |det| divided by the edges' lattice
+        lengths; so the simplex is prime iff at each vertex the lengths
+        of its dim edges multiply to it.
         """
         d = self.dim
         if d <= 1:
             return "prime"
         if self.simplex:
             ys = self.cpoints
-            volume = abs(ila.det([ila.vec_sub(y, ys[0]) for y in ys[1:]]))
+            volume = abs(self.inverse[0])
             unimodular = all(
                 math.prod(ila.vec_gcd(ila.vec_sub(w, v)) for w in ys if w != v)
                 == volume
@@ -490,6 +515,19 @@ class Polytope:
 
 _POLYTOPES: dict[tuple, Polytope] = {}
 _SHAPES: dict[tuple, Shape] = {}
+_INVERSES: dict[tuple, tuple] = {}
+
+
+def scaled_inverse(rows: tuple) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """intlinalg.scaled_inverse_columns of a tuple of integer row tuples,
+    memoized per tuple in _INVERSES: a simplex shape's facets and
+    primeness and the box walks of p_alpha under each restriction read
+    one elimination."""
+    hit = _INVERSES.get(rows)
+    if hit is None:
+        det, cols = ila.scaled_inverse_columns(rows)
+        hit = _INVERSES[rows] = (det, tuple(cols))
+    return hit
 
 
 def _intern(key: tuple) -> Polytope:

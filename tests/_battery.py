@@ -1,6 +1,8 @@
 """Seeded random convenient supports shared by the property tests, the
-supports of the golden `--json` corpus, and a reference edge walk."""
+supports of the golden `--json` corpus, the benchmark's rounds, and a
+reference edge walk."""
 
+import sys
 from math import gcd
 from pathlib import Path
 from random import Random
@@ -43,6 +45,16 @@ def golden_supports():
             yield load_support(str(GOLDEN / argv[1]))
         else:
             yield parse_polynomial(argv[0])
+
+
+def workload_round(name: str, seed: int = 1):
+    """The cases of one round of a benchmark workload (perfbench/workloads.py)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return next(WORKLOADS[name].rounds(seed, None))
 
 
 def edge_points(a, b):

@@ -5,7 +5,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +23,7 @@ from newton_monodromy.monodromy import (
 from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.oracles import validate
 
-from _battery import edge_points, golden_supports, random_supports
+from _battery import edge_points, golden_supports, random_supports, workload_round
 from _buckets import as_fractions
 
 F = Fraction
@@ -239,6 +238,17 @@ def test_prime_face_blocks_input_gates():
         prime_face_blocks(cusp, F(1), 1)
     with pytest.raises(InputError, match="threshold"):
         prime_face_blocks(cusp, F(1, 6), 0)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, 1.0, True, "2", None])
+def test_prime_face_blocks_refuses_a_threshold_that_is_no_positive_int(k):
+    """A float, a bool or a string is no block size, as a float is no
+    eigenvalue: each would otherwise count 0 blocks, count as 1, or
+    fail deep inside with a TypeError."""
+    cusp = _np(CUSP)
+    with pytest.raises(InputError, match="threshold"):
+        prime_face_blocks(cusp, F(1, 6), k)
+    assert prime_face_blocks(cusp, F(1, 6), 1) == 1
 
 
 def test_engine_reaches_its_public_bucket_functions(monkeypatch):
@@ -567,12 +577,7 @@ def test_orbit_route_matches_all_faces_on_the_battery():
 
 def test_orbit_route_matches_all_faces_on_a_ladder_round():
     """The benchmark's seed-1 ladder round, its variables permuted."""
-    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
-    try:
-        from workloads import ladder_rounds
-    finally:
-        sys.path.pop(0)
-    cases = next(ladder_rounds(1, None))
+    cases = workload_round("ladder")
     nontrivial = 0
     for case in cases:
         clear_caches()

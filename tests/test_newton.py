@@ -15,7 +15,7 @@ from newton_monodromy.errors import (
     NotConvenientError,
 )
 from newton_monodromy.newton import SupportSet, _face_character, newton_polyhedron
-from newton_monodromy.polytope import make_polytope
+from newton_monodromy.polytope import cone_rays, make_polytope
 
 from _battery import golden_supports, random_supports
 
@@ -267,3 +267,34 @@ def test_orbits_of_a_support_fixed_by_one_swap():
     assert np_.representative == tuple(want)
     assert np_.orbits == tuple(sorted(Counter(want).items()))
     assert {size for _, size in np_.orbits} == {1, 2}
+
+
+def _convenient_supports(count, seed=20261020):
+    """Random convenient supports of 2-5 variables: a pure power 2..7 on
+    each axis and up to six more points of degree >= 2, coordinates <= 5."""
+    rng = Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        pts = {tuple(rng.randint(2, 7) if j == i else 0 for j in range(n)) for i in range(n)}
+        for _ in range(rng.randint(0, 6)):
+            p = tuple(rng.randint(0, 5) for _ in range(n))
+            if sum(p) >= 2:
+                pts.add(p)
+        yield SupportSet(tuple(f"x{i}" for i in range(n)), tuple(sorted(pts)))
+
+
+def test_written_down_start_gives_the_facets_of_the_search():
+    """The double description from the axis rows and the first support
+    row, whose inverse is written down, finds the facets that it finds
+    from the rows independent_rows picks, support rows first: the
+    extreme rays of a cone are unique."""
+    arities = set()
+    for support in _convenient_supports(300):
+        n = support.n
+        arities.add(n)
+        rows = [p + (1,) for p in support.points]
+        rows += [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+        want = sorted((r[:-1], -r[-1]) for r in cone_rays(rows, n + 1) if any(r[:-1]))
+        got = [(f.normal, f.offset) for f in newton_polyhedron(support).facets]
+        assert got == want, support
+    assert arities == {2, 3, 4, 5}

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 from newton_monodromy import monodromy, oracles
+from newton_monodromy.errors import InputError
 from newton_monodromy.hodge import _count_chains
 from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import SupportSet, newton_polyhedron
@@ -765,6 +766,20 @@ def test_validate_heavy_limit_skips_volume_oracle():
     assert by_name["kouchnirenko-mu"].status == "skip"
     assert "over limit" in by_name["kouchnirenko-mu"].detail
     assert report.ok
+
+
+@pytest.mark.parametrize("limit", [None, "10", -1, 1.5, 10.0, True, False])
+def test_validate_refuses_a_heavy_limit_that_is_no_int(monkeypatch, limit):
+    """None or '10' would fail inside kouchnirenko-mu with a TypeError
+    after ten checks, and a negative or float limit would skip it: each
+    raises InputError before the first check runs."""
+    np_ = _np([(2, 0), (0, 3)])
+    ran = []
+    monkeypatch.setattr(oracles, "_check_orbits", ran.append)
+    with pytest.raises(InputError, match="heavy_limit"):
+        validate(np_, heavy_limit=limit)
+    assert ran == []
+    assert validate(np_, heavy_limit=10).ok and ran == [np_]
 
 
 def test_validate_catches_injected_corruption(monkeypatch):

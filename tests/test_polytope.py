@@ -3,6 +3,7 @@
 import gc
 import itertools
 import types
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -19,7 +20,7 @@ from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import Chart, Polytope, Shape, cone_rays, make_polytope
 
-from _battery import edge_points, golden_supports, random_supports
+from _battery import edge_points, golden_supports, random_supports, workload_round
 
 
 def test_cone_rays_quadrant():
@@ -41,6 +42,24 @@ def test_cone_rays_rejects_unpointed():
 def test_cone_rays_octant_redundant_constraint():
     rays = set(cone_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3))
     assert rays == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
+def test_cone_rays_verifies_a_given_start():
+    """A start is the scaled inverse of the first dim rows: the right one
+    gives the rays of the search, and one wrong column, a zero or a
+    missing column, or a zero determinant raises before any ray."""
+    rows = [(1, 0, 0), (0, 1, 0), (2, 3, 1), (1, 1, 1), (0, 0, 1)]
+    det, cols = ila.scaled_inverse_columns(rows[:3])
+    want = cone_rays(rows, 3)
+    assert cone_rays(rows, 3, (det, cols)) == want
+    assert cone_rays(rows, 3, (-det, [tuple(-x for x in c) for c in cols])) == want
+    for j in range(3):
+        for bad in ([x + 1 for x in cols[j]], [-x for x in cols[j]], [0, 0, 0]):
+            with pytest.raises(InternalConsistencyError, match="starting cone"):
+                cone_rays(rows, 3, (det, cols[:j] + [tuple(bad)] + cols[j + 1 :]))
+    for start in [(det, cols[:2]), (0, cols), (2 * det, cols)]:
+        with pytest.raises(InternalConsistencyError, match="starting cone"):
+            cone_rays(rows, 3, start)
 
 
 def _scan_rows(p, k, relint):
@@ -433,8 +452,8 @@ def _assert_simplex_route_matches_the_general_one(shape):
         return
     general, poly = _general_route(shape)
     rows = [y + (1,) for y in shape.cpoints]
-    # cone_rays skips independent_rows on exactly dim rows; it would
-    # have picked them all, and the rank-based double description agrees
+    # the rows (y, 1) are independent, and the rank-based double
+    # description agrees with the facets read off their scaled inverse
     assert ila.independent_rows(rows) == list(range(n))
     rays = _rank_cone_rays(rows, n)
     assert shape.cfacets == tuple(sorted((r[:-1], r[-1]) for r in rays))
@@ -465,6 +484,103 @@ def test_simplex_route_matches_the_general_one_on_the_engine_shapes():
     for shape in simplices:
         _assert_simplex_route_matches_the_general_one(shape)
     assert all(len(s.cpoints) > s.dim + 1 for s in shapes if not s.simplex)
+
+
+def _brute_force_facets(cpoints):
+    """(u, b) with u.y + b >= 0 on every point and = 0 on a dim-subset
+    of them that spans a hyperplane: the one primitive integer kernel
+    vector of the subset's rows (y, 1), by Hermite reduction, turned to
+    the side of the points, over every dim-subset whose hyperplane
+    leaves all the points on one side."""
+    d = len(cpoints[0])
+    rows = [y + (1,) for y in cpoints]
+    facets = set()
+    for subset in itertools.combinations(rows, d):
+        kernel = ila.kernel_basis(subset, d + 1)
+        if len(kernel) != 1:
+            continue
+        values = [ila.dot(kernel[0], r) for r in rows]
+        if all(v >= 0 for v in values):
+            facets.add(kernel[0])
+        elif all(v <= 0 for v in values):
+            facets.add(tuple(-x for x in kernel[0]))
+    return tuple(sorted((f[:-1], f[-1]) for f in facets))
+
+
+def _answered_shapes(texts_or_supports, cold=True):
+    """The shapes the answer builds on each input, cold or with memos
+    kept across the inputs, by chart points."""
+    shapes = {}
+    clear_caches()
+    for item in texts_or_supports:
+        if cold:
+            clear_caches()
+        support = parse_polynomial(item) if isinstance(item, str) else item
+        np_ = newton_polyhedron(support)
+        fastpath_unipotent(np_)
+        jordan_blocks(np_)
+        shapes.update(polytope._SHAPES)
+    clear_caches()
+    return shapes
+
+
+def test_simplex_facets_from_the_shared_inverse_match_a_brute_force():
+    """Every simplex shape that the answer reaches on the golden inputs,
+    on a seed-1 round of each benchmark workload and on the random
+    battery has the facets that a search over its dim-subsets finds.
+    Its facets are read off the shared scaled inverse, with no double
+    description."""
+    shapes = _answered_shapes([*golden_supports(), *random_supports(120)])
+    for name in ("battery", "ladder", "sweep"):
+        cases = [case.text for case in workload_round(name)]
+        shapes.update(_answered_shapes(cases, cold=name != "sweep"))
+    simplices = [s for s in shapes.values() if s.simplex and s.dim]
+    assert {s.dim for s in simplices} == {1, 2, 3, 4}
+    assert len(simplices) > 250
+    for shape in simplices:
+        assert shape.cfacets == _brute_force_facets(shape.cpoints), shape
+
+
+def test_a_battery_round_inverts_each_simplex_once(monkeypatch):
+    """A cold seed-1 battery answer round: one scaled inverse per simplex
+    shape, shared by its facets, its primeness and its box walks under
+    every restriction, none for the Newton polyhedron, whose starting
+    cone is written down, and none twice.  Every elimination left is of
+    a shape's rows (y, 1): a simplex's, or some of a non-simplex's for
+    its double description and its top simplices."""
+    inverted, searched = [], []
+    real_inverse, real_search = ila.scaled_inverse_columns, ila.independent_rows
+
+    def inverse(rows):
+        inverted.append(tuple(map(tuple, rows)))
+        return real_inverse(rows)
+
+    def search(rows):
+        searched.append(rows)
+        return real_search(rows)
+
+    monkeypatch.setattr(ila, "scaled_inverse_columns", inverse)
+    monkeypatch.setattr(ila, "independent_rows", search)
+    simplices = others = 0
+    for case in workload_round("battery"):
+        clear_caches()
+        inverted.clear()
+        searched.clear()
+        np_ = newton_polyhedron(parse_polynomial(case.text))
+        fastpath_unipotent(np_)
+        jordan_blocks(np_)
+        rows = {s: frozenset(y + (1,) for y in s.cpoints) for s in polytope._SHAPES.values()}
+        simplex_rows = {tuple(y + (1,) for y in s.cpoints) for s in rows if s.simplex}
+        assert all(v == 1 for v in Counter(inverted).values()), case.text
+        assert all(
+            m in simplex_rows or any(set(m) <= rows[s] for s in rows if not s.simplex)
+            for m in inverted
+        ), case.text
+        assert len(searched) <= sum(not s.simplex for s in rows), case.text
+        simplices += sum(m in simplex_rows for m in inverted)
+        others += sum(not s.simplex for s in rows)
+    clear_caches()
+    assert simplices > 800 and others
 
 
 _REEVE = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)] for r in (1, 2, 3, 7)]
