@@ -88,7 +88,7 @@ def cone_rays(constraints, dim: int, start=None) -> tuple[tuple[int, ...], ...]:
         base_idx = range(dim)
         det_val, cols = start
         if not det_val or len(cols) != dim or any(
-            ila.dot(rows[i], c) != (det_val if i == j else 0)
+            sum(map(mul, rows[i], c)) != (det_val if i == j else 0)
             for j, c in enumerate(cols)
             for i in base_idx
         ):
