@@ -10,7 +10,7 @@ whose output is assembled into the motivic table of the Milnor fiber
 and read off degree by degree.
 """
 
-from . import ehrhart, polytope
+from . import polytope
 from .ehrhart import Character
 from .errors import (
     InputError,
@@ -76,10 +76,6 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Drop every memo: the interned polytopes and shapes, the scaled
-    inverses of their simplices and everything computed from them
-    (restrictions, volumes, counts, numerators, Hodge tables)."""
-    ehrhart._MEMO.clear()
-    polytope._POLYTOPES.clear()
-    polytope._SHAPES.clear()
-    polytope._INVERSES.clear()
+    """Empty the engine's one store, polytope._MEMO, which holds the
+    interned polytopes and shapes and everything computed from them."""
+    polytope._MEMO.clear()

@@ -13,10 +13,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .ehrhart import restricted
 from .errors import InputError, InternalConsistencyError, SizeGuardError
 from .frontend import load_support, parse_polynomial
-from .hodge import hodge_table
+from .hodge import hodge_table, read_eigenvalue
 from .monodromy import fastpath_top, fastpath_unipotent, jordan_blocks
 from .newton import newton_polyhedron
 from .oracles import validate
@@ -81,10 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_eigenvalue(text: str) -> Fraction:
-    try:
-        ev = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot read eigenvalue {text!r}: {exc}") from exc
+    ev = read_eigenvalue(text)
     if not 0 <= ev < 1:
         raise InputError("eigenvalue must be a fraction a/b with 0 <= a/b < 1")
     return ev
@@ -129,10 +125,10 @@ def _face_payload(face) -> dict:
 
 def _table_payload(face) -> list:
     """The face's cone table as [p, q, bucket, value] rows; a residue r
-    mod d' is the bucket r/d', so residue order is bucket order.  Pass
-    the face's orbit representative: its table is the face's, with the
-    same residue keys."""
-    d = restricted(face.delta, face.char)[0]
+    mod d' = face.distance is the bucket r/d', so residue order is
+    bucket order.  Pass the face's orbit representative: its table is
+    the face's, with the same residue keys."""
+    d = face.distance
     rows = sorted(hodge_table(face.delta, face.char).items())
     return [[p, q, _bucket(Fraction(r, d)), v] for (p, q, r), v in rows]
 

@@ -36,18 +36,19 @@ here, and the tables and row sums in hodge, key by residues, and a
 caller that merges the buckets of a face into those of a larger
 polytope multiplies them by residue_step.
 
-One memo, _MEMO, holds everything computed from an interned polytope:
-the restrictions, the volumes, and the results of every function
-decorated with memoized.  Those results are keyed by the polytope's
-Shape (its chart points, shared by every polytope that reaches them)
-and the restriction, not by the instance nor by the ambient character.
+The engine's one store, polytope._MEMO, holds everything computed from
+an interned polytope: the restrictions, the volumes, and the results of
+every function decorated with memoized.  Those results are keyed by the
+polytope's Shape (its chart points, shared by every polytope that
+reaches them) and the restriction, not by the instance nor by the
+ambient character.
 A face G of a cone conv(0 u gamma) is reached under the height
 character of every compact face above it, and those all restrict to
 the same triple on G; a translate of G reached from another cone has
 G's shape, and under the same triple the same counts.  So each count
 and table is built once per (shape, restriction).  restricted itself
-stays per instance: it reads the instance's chart basis.  The memo
-hands out read-only mappings, so a caller cannot corrupt it.
+stays per instance: it reads the instance's chart basis.  The store
+hands out immutable values only, so a caller cannot corrupt it.
 
 Convention: the 0-th dilate counts as empty in every bucket, even for a
 point polytope.
@@ -67,7 +68,7 @@ from types import MappingProxyType
 
 from . import intlinalg as ila
 from .errors import InternalConsistencyError
-from .polytope import scaled_inverse
+from .polytope import _MEMO, cached, scaled_inverse
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,7 @@ class Character:
         return ila.dot(self.coeffs, v) % self.modulus == 0
 
 
-_MEMO: dict = {}
-
-
+@cached
 def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
     """The character's restriction to the polytope's affine lattice.
 
@@ -130,34 +129,32 @@ def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
     terms: w and o reduced mod d, and g = gcd(d, w_1, ..., o) divided
     out of all three.  Two characters with the same triple take the same
     value at every lattice point of the polytope and of its faces.
-    Memoized per (polytope instance, character).
+    Kept per (polytope instance, character).
     """
-    key = (restricted, poly, char)
-    hit = _MEMO.get(key)
-    if hit is None:
-        d = char.modulus
-        w = [ila.dot(char.coeffs, b) % d for b in poly.chart.basis]
-        o = ila.dot(char.coeffs, poly.chart.origin) % d
-        g = reduce(gcd, w, gcd(d, o))
-        hit = _MEMO[key] = (d // g, tuple(x // g for x in w), o // g)
-    return hit
+    d = char.modulus
+    w = [ila.dot(char.coeffs, b) % d for b in poly.chart.basis]
+    o = ila.dot(char.coeffs, poly.chart.origin) % d
+    g = reduce(gcd, w, gcd(d, o))
+    return d // g, tuple(x // g for x in w), o // g
 
 
 def memoized(fn):
     """Memoize fn(poly, char, *args) per (fn, poly.shape, restricted
-    character, *args) in _MEMO, and hand out the result as a read-only
-    mapping.  Interned shapes hash by identity, so a lookup does not
-    hash the chart points.  Only a function whose values depend on poly
-    through its chart points and on char through restricted(poly, char)
-    alone may be decorated: it must not read the ambient points or
-    character, since the entry serves every polytope of the shape."""
+    character, *args) in _MEMO; a dict result is stored as a read-only
+    mapping, any other as it is.  Interned shapes hash by identity, so a
+    lookup does not hash the chart points.  Only a function whose values
+    depend on poly through its chart points and on char through
+    restricted(poly, char) alone may be decorated: it must not read the
+    ambient points or character, since the entry serves every polytope
+    of the shape."""
 
     @wraps(fn)
     def lookup(poly, char, *args):
         key = (fn, poly.shape, restricted(poly, char), *args)
         hit = _MEMO.get(key)
         if hit is None:
-            hit = _MEMO[key] = MappingProxyType(fn(poly, char, *args))
+            hit = fn(poly, char, *args)
+            _MEMO[key] = hit = MappingProxyType(hit) if isinstance(hit, dict) else hit
         return hit
 
     return lookup
@@ -407,8 +404,8 @@ def normalized_volume(poly) -> int:
     where u.a + b is the lattice distance of a from the facet, zero on
     the facets through a.  p_alpha's triangulation cones from the lowest
     vertex id, so its check against this total is not circular.  No
-    lattice point is scanned.  Memoized per shape, as a function of the
-    chart points alone.
+    lattice point is scanned.  Memoized per shape under a key of its
+    own: cached would key it per translate, memoized needs a character.
     """
     key = (normalized_volume, poly.shape)
     hit = _MEMO.get(key)

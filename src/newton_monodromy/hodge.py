@@ -23,19 +23,20 @@ are all vertices, so the strata sum is empty and its one entry per
 bucket is the row target.  The extreme rows, the high range and the row
 targets (boundary_values) are kept sparse, nonzero entries only (the
 high range is then just the a = 0 diagonal), and memoized once per
-(shape, restriction) in ehrhart._MEMO as read-only mappings, so the
-table and validate's boundary check read one entry.  Every table is
-cross-checked before it is cached: it must agree with the boundary rows
-at every boundary position, conjugation symmetry
-e^{p,q}_alpha = e^{q,p}_{-alpha} must hold, and the total must equal
-the signed normalized volume.
+(shape, restriction) as read-only mappings, so the table and validate's
+boundary check read one entry.  Every table is cross-checked before it
+is cached: it must agree with the boundary rows at every boundary
+position, conjugation symmetry e^{p,q}_alpha = e^{q,p}_{-alpha} must
+hold, and the total must equal the signed normalized volume.
 
 A table reads its polytope only through its chart points and its
 character only at lattice points of the polytope and of its faces, so
-hodge_table and _row_sums are decorated with ehrhart.memoized, which
-keys them by the polytope's Shape and the character's restriction to
-its lattice: the cone over a face is built once, whichever compact
-face's height character reaches it, and once for all its translates.
+hodge_table, boundary_values and _row_sums are decorated with
+ehrhart.memoized, which keys them by the polytope's Shape and the
+character's restriction to its lattice: the cone over a face is built
+once, whichever compact face's height character reaches it, and once
+for all its translates.  _chains, which reads the lattice alone, goes
+through polytope.cached once per shape.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from types import MappingProxyType
 from . import ehrhart
 from .ehrhart import Character, memoized, residue_step, restricted
 from .errors import InputError, InternalConsistencyError
+from .polytope import cached
 
 
 def _merge(
@@ -103,6 +105,7 @@ def read_eigenvalue(ev) -> Fraction:
     )
 
 
+@memoized
 def boundary_values(poly, char: Character):
     """Directly computable table entries and row-sum targets, sparse.
 
@@ -113,9 +116,9 @@ def boundary_values(poly, char: Character):
       targets[(p, r)]  the nonzero values of sum_q e^{p,q}_r;
       alphas           every bucket seen, closed under conjugation.
     An absent key stands for 0.  The triple is memoized once per
-    (shape, restriction) in ehrhart._MEMO, bv and targets as read-only
-    mappings and alphas as a frozenset, so hodge_table and validate's
-    boundary check share one entry and clear_caches drops it.
+    (shape, restriction), bv and targets as read-only mappings and
+    alphas as a frozenset, so hodge_table and validate's boundary check
+    share one entry and clear_caches drops it.
 
     The extreme rows count lattice points by character bucket with
     ehrhart.relint_counts, summed over the faces of each dimension:
@@ -123,16 +126,8 @@ def boundary_values(poly, char: Character):
     row 0 the points of the 1-skeleton, i.e. the vertices (dimension 0)
     plus the edge interiors (dimension 1).
     """
-    key = ("boundary_values", poly.shape, restricted(poly, char))
-    hit = ehrhart._MEMO.get(key)
-    if hit is None:
-        bv, targets, alphas = _boundary_rows(poly, char)
-        hit = ehrhart._MEMO[key] = (
-            MappingProxyType(bv),
-            MappingProxyType(targets),
-            frozenset(alphas),
-        )
-    return hit
+    bv, targets, alphas = _boundary_rows(poly, char)
+    return MappingProxyType(bv), MappingProxyType(targets), frozenset(alphas)
 
 
 def _boundary_rows(poly, char: Character):
@@ -218,15 +213,11 @@ def _count_chains(lattice, m: int) -> dict:
     return chains
 
 
+@cached
 def _chains(shape) -> Mapping:
     """_count_chains of the shape's lattice, which is all it reads, once
-    per shape in ehrhart._MEMO as a read-only mapping."""
-    key = ("chains", shape)
-    hit = ehrhart._MEMO.get(key)
-    if hit is None:
-        chains = _count_chains(shape.face_lattice, shape.dim)
-        hit = ehrhart._MEMO[key] = MappingProxyType(chains)
-    return hit
+    per shape as a read-only mapping."""
+    return MappingProxyType(_count_chains(shape.face_lattice, shape.dim))
 
 
 def _strata_sum(poly, char: Character, m: int) -> dict:
@@ -270,7 +261,7 @@ def hodge_table(poly, char: Character) -> Mapping[tuple, int]:
     _post_checks compares with the boundary values."""
     m = poly.dim
     if m < 1:
-        raise InternalConsistencyError("hypersurface table needs dim >= 1")
+        raise InputError("hypersurface table needs dim >= 1")
     d = restricted(poly, char)[0]
     bv, targets, seen = boundary_values(poly, char)
     S = _strata_sum(poly, char, m)

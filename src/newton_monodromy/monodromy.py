@@ -11,24 +11,23 @@ counts of Jordan blocks of each size.
 Eigenvalues are labelled by their argument: the Fraction a/b in [0, 1)
 stands for exp(2*pi*i*a/b); 0 labels eigenvalue 1.  The hypersurface
 tables come keyed by integer residues, each face's cone table mod its
-own modulus d' (hodge.hodge_table); motivic_milnor_table multiplies
-every face's residues up to the lcm of the d' and hands out the
-MotivicTable keyed by residues mod that lcm.  Faces that a swap of
-coordinates fixing the support relates have equal tables (newton), so
-it merges one representative's tables per orbit, times the orbit's
-size, as the closed formula does.  The Jordan read-off works on the
-residues too, and turns a residue r into the Fraction r/lcm once per
-eigenvalue, for the keys of the JordanSpectrum.
+own modulus d' (hodge.hodge_table), the face's distance (newton);
+motivic_milnor_table multiplies every face's residues up to the lcm of
+the d' and hands out the MotivicTable keyed by residues mod that lcm.
+Faces that a swap of coordinates fixing the support relates have equal
+tables (newton), so it merges one representative's tables per orbit,
+times the orbit's size, as the closed formula does.  The Jordan
+read-off works on the residues too, and turns a residue r into the
+Fraction r/lcm once per eigenvalue, for the keys of the JordanSpectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .ehrhart import Character, relint_counts, residue, residue_step, restricted
+from .ehrhart import Character, relint_counts, residue
 from .errors import InputError, InternalConsistencyError
 from .hodge import (
     _clean,
@@ -38,6 +37,7 @@ from .hodge import (
     read_eigenvalue,
 )
 from .newton import NewtonPolyhedron
+from .polytope import cached
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ def motivic_milnor_table(np_: NewtonPolyhedron) -> MotivicTable:
     second: dict = {}
     trivial = Character.trivial(np_.n)
     reps = np_.representatives()
-    modulus = lcm(*(restricted(face.delta, face.char)[0] for face, _ in reps))
+    modulus = lcm(*(face.distance for face, _ in reps))
     for face, size in reps:
-        step = residue_step(modulus, face.delta, face.char)
         table = hodge_table(face.delta, face.char)
+        step = modulus // face.distance
         _merge(first, table, scale=size, step=step, twist=face.twist)
         if face.dim >= 1:
             # the trivial character's one bucket is 0 under every modulus
@@ -232,20 +232,16 @@ def _fastpath_top_reader(np_: NewtonPolyhedron):
 
     Reads, in one walk, the distance of every interior-touching vertex
     and, for every interior-touching edge, its distance, the modulus d'
-    of its cone's restricted character and its cone's relint_counts,
-    and returns top(ev) -> (size-n count, size-(n-1) count) for an
-    eigenvalue bucket ev in (0, 1) given as a Fraction.  A size-n block
-    is an interior vertex whose distance ev's denominator divides; the
-    size-(n-1) blocks are the interior points of such edges in the
-    buckets ev and -ev of the edge's cone.
+    of its cone's restricted character (newton), and its cone's
+    relint_counts, and returns top(ev) -> (size-n count, size-(n-1)
+    count) for an eigenvalue bucket ev in (0, 1) given as a Fraction.  A
+    size-n block is an interior vertex whose distance ev's denominator
+    divides; the size-(n-1) blocks are the interior points of such edges
+    in the buckets ev and -ev of the edge's cone.
     """
     vertices = [f.distance for f in np_.faces_of_dim(0) if f.interior_touching]
     edges = [
-        (
-            f.distance,
-            restricted(f.delta, f.char)[0],
-            relint_counts(f.delta, f.char, 1),
-        )
+        (f.distance, relint_counts(f.delta, f.char, 1))
         for f in np_.faces_of_dim(1)
         if f.interior_touching
     ]
@@ -254,11 +250,10 @@ def _fastpath_top_reader(np_: NewtonPolyhedron):
         b = ev.denominator
         size_n = sum(1 for dist in vertices if dist % b == 0)
         size_n1 = 0
-        for dist, d, counts in edges:
-            if dist % b == 0:
+        for d, counts in edges:
+            if d % b == 0:
                 r = residue(ev, d)
-                if r is not None:
-                    size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
+                size_n1 += counts.get(r, 0) + counts.get(-r % d, 0)
         return size_n, size_n1
 
     return top
@@ -328,12 +323,11 @@ def _prime_face_counts(np_: NewtonPolyhedron) -> dict[Fraction, dict[int, int]]:
                 f"compact face {face.points} is not prime; "
                 "the closed formula does not apply"
             )
-    moduli = [restricted(face.delta, face.char)[0] for face, _ in reps]
-    modulus = lcm(*moduli)
+    modulus = lcm(*(face.distance for face, _ in reps))
     counts: dict = {}  # residue mod modulus -> [_, size >= 1, ..., size >= n+1]
-    for (face, size), d in zip(reps, moduli):
+    for face, size in reps:
         weights = _formula_weights(n, face.dim, face.twist)
-        step = modulus // d
+        step = modulus // face.distance
         buckets = _row_sums(face.delta, face.char)
         if buckets and face.delta.primeness == "neither":
             raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
@@ -349,7 +343,7 @@ def _prime_face_counts(np_: NewtonPolyhedron) -> dict[Fraction, dict[int, int]]:
     }
 
 
-@cache
+@cached
 def _formula_weights(n: int, dim: int, twist: int) -> tuple:
     """The closed formula's weights for a face of this dimension and
     twist in n variables: for each row r = 0..dim, the pairs (k, c) with

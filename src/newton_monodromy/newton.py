@@ -23,6 +23,11 @@ and gamma is that facet cut by the other facets through it.  Each
 compact face is the hull of its tight support points, so the tight set
 labels it faithfully.
 
+A face's distance is also the modulus of its character restricted to
+its cone's lattice, since the cone's far facet (u, b) is primitive as a
+pair: newton_polyhedron checks this once per face, and the engine reads
+the distance wherever it needs that modulus.
+
 A swap of two coordinates that maps the support onto itself is a
 lattice automorphism of the polyhedron: it carries each compact face,
 its cone and its height character to another face's, whose tables are
@@ -40,9 +45,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import intlinalg as ila
-from .ehrhart import _MEMO, Character
+from .ehrhart import Character, restricted
 from .errors import InputError, InternalConsistencyError, NotConvenientError
-from .polytope import Polytope, _intern, cone_rays, intersection_closure
+from .polytope import Polytope, _intern, cached, cone_rays, intersection_closure
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,7 @@ class NewtonPolyhedron:
         return any(f.compact and len(f.tight) == k for f in self.facets)
 
 
+@cached
 def _face_character(poly: Polytope, delta: Polytope):
     """Distance and grading character of a compact face.
 
@@ -167,17 +173,9 @@ def _face_character(poly: Polytope, delta: Polytope):
     the base: -u is the face's primitive height form on delta's lattice
     and b its lattice distance.  The form is lifted to ambient
     coordinates, which is possible because the chart lattice is
-    saturated.  Memoized per (face polytope, cone) in ehrhart._MEMO, so
-    a face that many Newton polyhedra share is solved once.
+    saturated.  Kept per (face polytope, cone), so a face that many
+    Newton polyhedra share is solved once.
     """
-    key = (_face_character, poly, delta)
-    hit = _MEMO.get(key)
-    if hit is None:
-        hit = _MEMO[key] = _solve_face_character(poly, delta)
-    return hit
-
-
-def _solve_face_character(poly: Polytope, delta: Polytope):
     far = [(u, b) for u, b in delta.cfacets if b]
     if len(far) != 1:
         raise InternalConsistencyError(
@@ -308,6 +306,10 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
                 "cone over a compact face did not gain a dimension"
             )
         dist, char = _face_character(poly, delta)
+        if restricted(delta, char)[0] != dist:
+            raise InternalConsistencyError(
+                f"cone over {fpts} does not restrict to modulus {dist}"
+            )
         axes = frozenset(
             i for i in range(n) if any(p[i] > 0 for p in fpts)
         )

@@ -543,6 +543,10 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
                 raise InternalConsistencyError(f"cone dim wrong on face {f.points}")
             if f.distance <= 0:
                 raise InternalConsistencyError(f"distance not positive on {f.points}")
+            if restricted(f.delta, f.char)[0] != f.distance:
+                raise InternalConsistencyError(
+                    f"cone character modulus is not the distance on {f.points}"
+                )
             axes = {i for i in range(n) if any(p[i] > 0 for p in f.points)}
             if axes != set(f.axes) or f.interior_touching != (len(axes) == n):
                 raise InternalConsistencyError(f"axis data wrong on {f.points}")
@@ -792,7 +796,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
         for f, size in reps:
             if f.delta.primeness == "neither":
                 continue
-            d = restricted(f.delta, f.char)[0]
+            d = f.distance
             diag = _degree_sums(hodge_table(f.delta, f.char))
             rows = _row_sums(f.delta, f.char)
             zeros = (0,) * f.delta.dim

@@ -10,15 +10,20 @@ one exact pure-Python walk of the fibres of the last chart coordinate.
 A Polytope is split in two.  Its Shape holds everything that is a
 function of the chart points alone: facets, vertices, face lattice,
 primeness and the lattice walk.  _intern keeps one Polytope per sorted
-tuple of distinct integer points in _POLYTOPES, and through it one
-Shape per tuple of chart points in _SHAPES; make_polytope normalizes
-public input to such a tuple first, while face polytopes and the Newton
-polyhedron's faces, whose tuples are sorted already, are interned as
-they are.  So a translate or lattice image of a polytope whose sorted
-points reach the same chart coordinates builds none of that again, and
-the memo of ehrhart, keyed by shape, computes its counts and tables
-once for all of them.  The Polytope keeps the ambient embedding:
-points, chart, cpoints, vertices and its face polytopes.
+tuple of distinct integer points, and through it one Shape per tuple of
+chart points; make_polytope normalizes public input to such a tuple
+first, while face polytopes and the Newton polyhedron's faces, whose
+tuples are sorted already, are interned as they are.  So a translate or
+lattice image of a polytope whose sorted points reach the same chart
+coordinates builds none of that again, and the memo of ehrhart, keyed
+by shape, computes its counts and tables once for all of them.  The
+Polytope keeps the ambient embedding: points, chart, cpoints, vertices
+and its face polytopes.
+
+Everything the engine keeps, these interned objects included, is an
+immutable entry of one store, _MEMO, reached through cached here, keyed
+by (fn, *args), and through ehrhart.memoized, keyed by (fn, shape,
+restriction, *args); clear_caches() empties it in one statement.
 
 The geometry is combinatorial once the facets are known: chart
 coordinates come by forward substitution through the Hermite basis, the
@@ -54,12 +59,31 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import mul
 from types import MappingProxyType
 
 from . import intlinalg as ila
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
+
+_MEMO: dict = {}
+
+
+def cached(fn):
+    """Memoize fn(*args) per (fn, *args) in _MEMO, the one store of
+    everything the engine keeps.  The arguments must hash, and the
+    result must not change: every later caller is handed the same
+    object, and clear_caches() drops it with the rest."""
+
+    @wraps(fn)
+    def lookup(*args):
+        key = (fn, *args)
+        hit = _MEMO.get(key)
+        if hit is None:
+            hit = _MEMO[key] = fn(*args)
+        return hit
+
+    return lookup
 
 
 def cone_rays(constraints, dim: int, start=None) -> tuple[tuple[int, ...], ...]:
@@ -201,7 +225,7 @@ class Shape:
     the walk of a dilate's lattice points.  Face-id sets index cpoints,
     and so the points of every polytope whose chart points these are,
     which is what lets the translates and lattice images of one polytope
-    share a shape.  Interned per cpoints in _SHAPES; a shape hashes by
+    share a shape.  Interned per cpoints by _shape; a shape hashes by
     identity and holds no polytope, so the memo keys of ehrhart.memoized
     cost one pointer hash and keep no polytope alive.
 
@@ -443,11 +467,7 @@ class Polytope:
         self.dim = len(basis)
         self.chart = Chart(p0, basis)
         self.cpoints = tuple(self.chart.to_chart(p) for p in points)
-        shape = _SHAPES.get(self.cpoints)
-        if shape is None:
-            shape = _SHAPES[self.cpoints] = Shape(self.cpoints)
-        self.shape = shape
-        self._faces: dict[frozenset[int], Polytope] = {}
+        self.shape = _shape(self.cpoints)
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, points={list(self.points)})"
@@ -496,54 +516,49 @@ class Polytope:
         points = self.points
         return tuple(points[i] for i in sorted(face))
 
+    @cached
     def face_polytope(self, face: frozenset[int]) -> "Polytope":
-        """The interned polytope of a face, remembered per face.
-
+        """The interned polytope of a face, kept per (polytope, face).
         face_points is already a key, so it is interned as it is, with
-        no second normalization.  A face holding every point is the
-        polytope itself, which is returned but never stored: an instance
-        that referenced itself would outlive clear_caches() until the
-        cyclic collector ran.
-        """
-        if len(face) == len(self.points):
-            return self
-        poly = self._faces.get(face)
-        if poly is None:
-            poly = self._faces[face] = _intern(self.face_points(face))
-        return poly
+        no second normalization."""
+        return _intern(self.face_points(face))
 
 
-_POLYTOPES: dict[tuple, Polytope] = {}
-_SHAPES: dict[tuple, Shape] = {}
-_INVERSES: dict[tuple, tuple] = {}
+@cached
+def _shape(cpoints: tuple) -> Shape:
+    """The one Shape of a tuple of chart points."""
+    return Shape(cpoints)
 
 
+@cached
 def scaled_inverse(rows: tuple) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """intlinalg.scaled_inverse_columns of a tuple of integer row tuples,
-    memoized per tuple in _INVERSES: a simplex shape's facets and
-    primeness and the box walks of p_alpha under each restriction read
-    one elimination."""
-    hit = _INVERSES.get(rows)
-    if hit is None:
-        det, cols = ila.scaled_inverse_columns(rows)
-        hit = _INVERSES[rows] = (det, tuple(cols))
-    return hit
+    kept per tuple: a simplex shape's facets and primeness and the box
+    walks of p_alpha under each restriction read one elimination."""
+    det, cols = ila.scaled_inverse_columns(rows)
+    return det, tuple(cols)
 
 
+@cached
 def _intern(key: tuple) -> Polytope:
     """The one Polytope of key, a tuple of points that is already sorted,
     distinct and integer, exactly as make_polytope normalizes its input.
     Internal callers that hold such a tuple intern it here directly; the
     key is not checked."""
-    poly = _POLYTOPES.get(key)
-    if poly is None:
-        poly = _POLYTOPES[key] = Polytope(key)
-    return poly
+    return Polytope(key)
 
 
 def make_polytope(points) -> Polytope:
     """Interning constructor: one Polytope instance per distinct point set,
     and through it one Shape per distinct tuple of chart points.  The
     points, any iterable of integer sequences, are normalized to a key
-    (int tuples, duplicates dropped, sorted) and interned by _intern."""
-    return _intern(tuple(sorted({tuple(int(x) for x in p) for p in points})))
+    (int tuples, duplicates dropped, sorted) and interned by _intern.  A
+    coordinate that is not an int (a bool, a float, a Fraction) raises
+    InputError: none is rounded."""
+    key = set()
+    for p in points:
+        p = tuple(p)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in p):
+            raise InputError(f"non-integer coordinate in point {p}")
+        key.add(p)
+    return _intern(tuple(sorted(key)))

@@ -164,6 +164,12 @@ def test_anti_diagonal_gates():
             pseudo_prime_row_sums(delta, Character(6, (3, 2)), alpha)
 
 
+def test_a_point_has_no_hypersurface_table():
+    """A point is refused as input, not reported as an engine error."""
+    with pytest.raises(InputError, match="dim >= 1"):
+        hodge_table(make_polytope([(1, 1)]), Character.trivial(2))
+
+
 def test_tables_are_memoized():
     clear_caches()
     tri = make_polytope([(0, 0), (2, 0), (0, 3)])
@@ -731,7 +737,7 @@ def test_boundary_rows_memo_is_read_only_and_cleared():
         bv[(0, 0, 0)] = 1
     with pytest.raises(TypeError):
         targets[(0, 0)] = 1
-    key = ("boundary_values", delta.shape, restricted(delta, char))
+    key = (boundary_values.__wrapped__, delta.shape, restricted(delta, char))
     assert ehrhart._MEMO[key] is first
     clear_caches()
     assert key not in ehrhart._MEMO

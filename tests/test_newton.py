@@ -8,7 +8,8 @@ from random import Random
 import pytest
 
 from newton_monodromy import intlinalg as ila
-from newton_monodromy.ehrhart import Character
+from newton_monodromy import newton
+from newton_monodromy.ehrhart import Character, restricted
 from newton_monodromy.errors import (
     InputError,
     InternalConsistencyError,
@@ -88,6 +89,29 @@ def test_face_character_is_the_kernel_solve():
             assert (f.distance, f.char) == _kernel_face_character(f.poly, f.delta)
             faces += 1
     assert faces > 250
+
+
+def test_each_distance_is_its_cone_modulus(monkeypatch):
+    """The restriction of a face's character to its cone's lattice has
+    the face's distance as modulus, on every compact face of the golden
+    corpus and the random battery; a face character that would break
+    this is refused."""
+    faces = 0
+    for support in [*golden_supports(), *random_supports(40)]:
+        for f in newton_polyhedron(support).faces:
+            assert restricted(f.delta, f.char)[0] == f.distance
+            faces += 1
+    assert faces > 250
+
+    real = newton._face_character
+
+    def doubled(poly, delta):
+        dist, char = real(poly, delta)
+        return 2 * dist, char
+
+    monkeypatch.setattr(newton, "_face_character", doubled)
+    with pytest.raises(InternalConsistencyError, match="does not restrict to modulus"):
+        _np([(2, 0), (0, 3)])
 
 
 def test_face_character_needs_a_pyramid():

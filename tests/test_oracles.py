@@ -1065,6 +1065,20 @@ def test_face_data_checks_the_symmetry_orbits():
     assert got["face-data"] == ("fail", "swap (1, 2) moves the support")
 
 
+def test_face_data_checks_each_distance_against_its_cone_modulus():
+    """A compact face whose distance is not its cone character's
+    restricted modulus fails face-data."""
+    np_ = _np([(2, 0), (0, 3)])
+    faces = list(np_.faces)
+    f = faces[-1]
+    faces[-1] = replace(f, distance=2 * f.distance)
+    got = _tampered_report(np_, faces=tuple(faces))
+    assert got["face-data"] == (
+        "fail",
+        f"cone character modulus is not the distance on {f.points}",
+    )
+
+
 def test_validation_report_summary_format():
     report = validate(_np([(2, 0), (0, 3)]))
     lines = report.summary().splitlines()

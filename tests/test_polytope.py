@@ -14,13 +14,24 @@ from hypothesis import strategies as st
 from newton_monodromy import clear_caches, ehrhart, polytope
 from newton_monodromy import intlinalg as ila
 from newton_monodromy.ehrhart import Character, relint_counts
-from newton_monodromy.errors import InternalConsistencyError
+from newton_monodromy.errors import InputError, InternalConsistencyError
 from newton_monodromy.monodromy import fastpath_unipotent, jordan_blocks
 from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import Chart, Polytope, Shape, cone_rays, make_polytope
 
 from _battery import edge_points, golden_supports, random_supports, workload_round
+
+
+def _interned():
+    """The polytopes that _intern keeps in the engine's store."""
+    intern = polytope._intern.__wrapped__
+    return [v for k, v in polytope._MEMO.items() if k[0] is intern]
+
+
+def _shapes():
+    """The shapes the engine's store holds, one per tuple of chart points."""
+    return [v for v in polytope._MEMO.values() if isinstance(v, Shape)]
 
 
 def test_cone_rays_quadrant():
@@ -235,6 +246,15 @@ def test_primeness_neither_in_dim_4():
     assert make_polytope(pts).primeness == "neither"
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2), Fraction(1), True, "1"])
+def test_make_polytope_refuses_non_integer_coordinates(bad):
+    """A coordinate that is not an int raises InputError naming its
+    point: a float or a Fraction is not truncated, and True is not 1."""
+    with pytest.raises(InputError, match=r"non-integer coordinate in point \(.*\)"):
+        make_polytope([(0, 0), (bad, 0), (0, 2)])
+    assert make_polytope([[0, 0], [1, 0], (0, 2)]).vertices == ((0, 0), (0, 2), (1, 0))
+
+
 def test_interning_and_cache_clear():
     a = make_polytope([(0, 0), (1, 0), (0, 1)])
     b = make_polytope([(0, 1), (1, 0), (0, 0)])
@@ -265,7 +285,7 @@ def test_internal_interning_reaches_the_make_polytope_instances():
             assert f.poly is make_polytope(points)
             assert f.delta is make_polytope([*points, origin])
             assert f.delta.points[0] == tuple(origin)
-        for poly in list(polytope._POLYTOPES.values()):
+        for poly in _interned():
             for face in poly.face_lattice:
                 assert poly.face_polytope(face) is make_polytope(poly.face_points(face))
                 checked += 1
@@ -379,7 +399,7 @@ def test_integer_geometry_matches_the_rank_based_one_on_the_engine_polytopes():
         np_ = newton_polyhedron(support)
         fastpath_unipotent(np_)
         jordan_blocks(np_)
-    polys = list(polytope._POLYTOPES.values())
+    polys = _interned()
     clear_caches()
     assert len(polys) > 300
     assert {p.dim for p in polys} == {0, 1, 2, 3, 4}
@@ -476,7 +496,7 @@ def test_simplex_route_matches_the_general_one_on_the_engine_shapes():
         np_ = newton_polyhedron(support)
         fastpath_unipotent(np_)
         jordan_blocks(np_)
-    shapes = list(polytope._SHAPES.values())
+    shapes = _shapes()
     clear_caches()
     simplices = [s for s in shapes if s.simplex]
     assert len(simplices) > 0.8 * len(shapes)
@@ -519,7 +539,7 @@ def _answered_shapes(texts_or_supports, cold=True):
         np_ = newton_polyhedron(support)
         fastpath_unipotent(np_)
         jordan_blocks(np_)
-        shapes.update(polytope._SHAPES)
+        shapes.update((s.cpoints, s) for s in _shapes())
     clear_caches()
     return shapes
 
@@ -569,7 +589,7 @@ def test_a_battery_round_inverts_each_simplex_once(monkeypatch):
         np_ = newton_polyhedron(parse_polynomial(case.text))
         fastpath_unipotent(np_)
         jordan_blocks(np_)
-        rows = {s: frozenset(y + (1,) for y in s.cpoints) for s in polytope._SHAPES.values()}
+        rows = {s: frozenset(y + (1,) for y in s.cpoints) for s in _shapes()}
         simplex_rows = {tuple(y + (1,) for y in s.cpoints) for s in rows if s.simplex}
         assert all(v == 1 for v in Counter(inverted).values()), case.text
         assert all(
@@ -694,10 +714,9 @@ def test_chart_raises_off_the_lattice_and_off_the_affine_hull():
 
 def test_no_polytope_outlives_clear_caches():
     """Without the cyclic collector, every polytope and every shape that
-    an answer built is freed once clear_caches() drops the interning
-    tables and the memo: no polytope, in particular none whose face map
-    held the polytope itself, sits in a reference cycle, and no shape is
-    kept by a memo key."""
+    an answer built is freed once clear_caches() empties the store: no
+    polytope sits in a reference cycle, not even one whose stored face
+    polytope is itself, and no shape is kept by a memo key."""
     gc.collect()
     before = [o for o in gc.get_objects() if isinstance(o, (Polytope, Shape))]
     ids = {id(o) for o in before}

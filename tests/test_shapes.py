@@ -27,14 +27,6 @@ from _battery import golden_supports, random_supports
 SEPTIC = "x^7 + y^7 + z^7 + x^2*y^2*z^2"
 
 
-class _NeverShared(dict):
-    """A stand-in for polytope._SHAPES that finds no shape, so every
-    polytope builds its own and the memo is keyed per instance."""
-
-    def get(self, key, default=None):
-        return default
-
-
 def _reaches_polytope(obj) -> bool:
     """Whether a Polytope is reachable from obj through its references,
     classes, modules and functions aside."""
@@ -92,9 +84,9 @@ def test_a_translate_shares_the_shape_and_the_numerators():
     with pytest.raises(InternalConsistencyError, match="not trivial on vertex"):
         p_alpha(moved, sixth)
 
-    assert polytope._SHAPES
-    for shape in polytope._SHAPES.values():
-        assert isinstance(shape, Shape)
+    shapes = [v for v in polytope._MEMO.values() if isinstance(v, Shape)]
+    assert shapes
+    for shape in shapes:
         assert not _reaches_polytope(shape), shape
 
 
@@ -155,7 +147,9 @@ def test_shape_keyed_memo_matches_per_instance_computation():
 
     clear_caches()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "_SHAPES", _NeverShared())
+        # a shape lookup that shares nothing: every polytope builds its
+        # own shape, and the memo is keyed per instance
+        mp.setattr(polytope, "_shape", Shape)
         for points, char, want in shared:
             assert _reads(make_polytope(points), char) == want, (points, char)
     clear_caches()
@@ -168,7 +162,7 @@ def test_one_table_per_shape_and_restriction():
     holds one table for each of the 8; keyed per instance it would hold
     11."""
 
-    def tables(shapes):
+    def tables(shape_lookup):
         reached = []
         real = hodge.hodge_table
 
@@ -178,8 +172,8 @@ def test_one_table_per_shape_and_restriction():
 
         clear_caches()
         with pytest.MonkeyPatch.context() as mp:
-            if shapes is not None:
-                mp.setattr(polytope, "_SHAPES", shapes)
+            if shape_lookup is not None:
+                mp.setattr(polytope, "_shape", shape_lookup)
             mp.setattr(hodge, "hodge_table", record)
             mp.setattr(monodromy, "hodge_table", record)
             jordan_blocks(newton_polyhedron(parse_polynomial(SEPTIC)))
@@ -191,4 +185,4 @@ def test_one_table_per_shape_and_restriction():
     assert len({(poly.cpoints, r) for poly, r in reached}) == 8
     assert len({(poly.points, r) for poly, r in reached}) == 11
     assert entries == 8
-    assert tables(_NeverShared())[0] == 11
+    assert tables(Shape)[0] == 11
