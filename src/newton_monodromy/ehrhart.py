@@ -18,8 +18,10 @@ memoized scaled inverse of tau's rows (y, 1), with the apex
 folded into a floor: a point's height is one more than the floor of
 the other coordinates' sum, and its bucket is a linear form in its
 group coordinates.  The group is walked in flat blocks of at most
-_BLOCK points, each built by additions and counted by one
-Counter.update.
+_BLOCK points, each packed into fixed-width fields of one int per
+generator and one for the bucket form, so that every step of the walk
+is a few int operations per block, and each block's packed keys are
+counted by one Counter.update.
 
 relint_counts is the engine's one lattice-point counter: the
 boundary rows of the Hodge tables (faces of every dimension, vertices
@@ -56,6 +58,7 @@ point polytope.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,7 +70,7 @@ from operator import index, mul
 from types import MappingProxyType
 
 from . import intlinalg as ila
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .polytope import _MEMO, cached, scaled_inverse
 
 
@@ -129,8 +132,14 @@ def restricted(poly, char: Character) -> tuple[int, tuple[int, ...], int]:
     terms: w and o reduced mod d, and g = gcd(d, w_1, ..., o) divided
     out of all three.  Two characters with the same triple take the same
     value at every lattice point of the polytope and of its faces.
-    Kept per (polytope instance, character).
+    Kept per (polytope instance, character).  A character whose arity
+    is not the polytope's ambient dimension raises InputError.
     """
+    if len(char.coeffs) != poly.ambient_dim:
+        raise InputError(
+            f"character of arity {len(char.coeffs)} on a polytope in "
+            f"{poly.ambient_dim} variables"
+        )
     d = char.modulus
     w = [ila.dot(char.coeffs, b) % d for b in poly.chart.basis]
     o = ila.dot(char.coeffs, poly.chart.origin) % d
@@ -294,6 +303,8 @@ def _top_simplices(poly) -> list[tuple[int, ...]]:
 
 
 _BLOCK = 1024
+# (bits, memoryview format) of a packed field, narrowest first
+_FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
 def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
@@ -309,7 +320,9 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     check ensures.  Write gens_i = (y_i, 1) for i >= 1 and Y for the
     matrix of rows y_i.  The rows of row_hnf(Y) are triangular, so the
     vectors 0 <= x_k < diagonal_k meet every coset of Z^m / Z y once,
-    |det Y| = NVol of the simplex of them in all.  The sides are those of
+    |det Y| = NVol of the simplex of them in all; intlinalg.hnf_diagonal
+    reads that diagonal off minors and Y's inverse, and a unimodular
+    simplex (det 1) has the one point x = 0.  The sides are those of
     q = (eps * toward + eps^2 e_1 + ... + eps^m e_m, 1) for a small
     eps > 0: facet i is open iff lam_i(q) > 0, so for i >= 1 iff the
     first nonzero of (toward . col_i, col_i) is positive (col_i below),
@@ -318,20 +331,32 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     Three facts make the walk additions.  The apex takes no lam of its
     own: lam_0 tops the others up to the next integer, so with
     L_i = lam_i * det the height is floor(sum_{i>=1} L_i / det) + 1.
-    L_i is (x . col_i) mod det, or top_i (det if facet i is open, else
-    0) in place of 0, col_i the i-th column of det * Y^-1, det > 0.
+    L_i is (x . col_i - s_i) mod det + s_i, with s_i 1 if facet i is
+    open and 0 if closed, col_i the i-th column of det * Y^-1, det > 0.
     Those are columns 1..m of det M * M^-1 for M the rows gens, cut to
     their first m entries (negated when det M < 0), and M's inverse is
     polytope.scaled_inverse's, shared with a simplex shape's facets.
     And phi vanishes mod d on every generator, so the residue is
     phi(x) mod d, one integer phi(e_k) per axis:
     phi(e_k) = sum_i weights_i * col_i[k] / det, an exact division.
-    The group is walked in flat blocks of at most _BLOCK entries: axis k
+
+    The group is walked in flat blocks of at most _BLOCK points: axis k
     takes chunks[k] consecutive values in a block (later axes slower; a
-    cut axis is the last one with more than one), each generator's
-    x . col_i over the block is built once, axis by axis, by additions,
-    and each block costs one list comprehension per generator and one
-    Counter.update, of the integer keys (height - 1) * d + residue.
+    cut axis is the last one with more than one).  A block is packed
+    into fixed-width fields of one int per generator, field j holding
+    (x_j . col_i) mod det for the block's j-th offset x_j, and of one
+    int for the residue form mod d, each built once, axis by axis, by
+    doubling.  A field is the narrowest of 8, 16, 32 and 64 bits whose
+    top bit, the guard, lies above every value it holds, all below
+    (m + 1) * max(det, d); a wider box raises before any walk.  (In
+    p_alpha's calls d divides det, since the character factors through
+    the box's group, so such a box holds over 2^60 points.)  Under a
+    clear guard one subtraction compares every field of a word with c:
+    field j of (v | guard) - c keeps its guard bit iff v_j >= c.  So a
+    block costs a few int operations per generator for the mod-det step,
+    one per k for the compare of the sum with k * det, a few for the
+    residue mod d, and one Counter.update over a memoryview of its
+    packed keys (height - 1) * d + residue.
     """
     (*origin, one), *rest = gens
     if any(origin) or one != 1 or any(g[-1] != 1 for g in rest):
@@ -346,17 +371,26 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     inv = [col[:-1] for col in cols[1:]]
     if det < 0:
         det, inv = -det, [tuple(-x for x in col) for col in inv]
-    diag = [h[i] for i, h in enumerate(ila.row_hnf([g[:-1] for g in rest]))]
     form = []
-    for k in range(len(diag)):
-        q, r = divmod(sum(wt * col[k] for wt, col in zip(weights[1:], inv)), det)
+    for row in zip(*inv):
+        q, r = divmod(sum(map(mul, weights[1:], row)), det)
         if r:
             raise InternalConsistencyError(
                 f"weights {weights} are not integral on the lattice of {gens}"
             )
         form.append(q % d)
+    if not any(form):
+        d = 1
+    bound = (len(inv) + 1) * max(det, d)
+    bits, fmt = next(((b, f) for b, f in _FIELDS if bound < 1 << b - 1), _FIELDS[-1])
+    if bound >> bits - 1:
+        raise InternalConsistencyError(
+            f"a box of {det} points with residues mod {d} overflows {bits}-bit fields"
+        )
     sides = [next(x for x in (ila.dot(toward, col), *col) if x) > 0 for col in inv]
-    first_top, *tops = [det if side else 0 for side in sides]
+    if det == 1:
+        return {(sum(sides) + 1, 0): 1}
+    diag = ila.hnf_diagonal([g[:-1] for g in rest], det, inv)
 
     chunks, size = [], 1
     for h in diag:
@@ -367,31 +401,52 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     cut = next((k for k, (h, c) in enumerate(zip(diag, chunks)) if 1 < c < h), None)
     below = size if cut is None else size // chunks[cut]
 
-    def block(steps):
-        out = [0]
-        for s, c in zip(steps, chunks):
-            slab = out
-            for _ in range(c - 1):
-                slab = [b + s for b in slab]
-                out += slab
-        return out
+    low = bits - 1
+    ones = ((1 << size * bits) - 1) // ((1 << bits) - 1)
+    guard = ones << low
 
-    first, *more = [block(col) for col in inv]
-    if not any(form):
-        d = 1
-    values = block(form) if d > 1 else None
+    def block(steps, mod):
+        word, span = 0, 1  # fields filled
+        for s, c in zip(steps, chunks):
+            if c == 1:
+                continue
+            reps = 1
+            while reps < c:
+                # copy the reps * span fields up, reps * s mod mod added
+                width = reps * span
+                unit = ones >> (size - width) * bits
+                top = unit << low
+                v = word + reps * s % mod * unit
+                v -= ((((v | top) - mod * unit) & top) >> low) * mod
+                word |= v << width * bits
+                reps *= 2
+            span *= c
+            word &= (1 << span * bits) - 1
+        return word
+
+    words = [block(col, det) for col in inv]
+    values = block(form, d) if d > 1 else 0
+    start = sum(sides) * ones
+    floors = [k * det * ones for k in range(1, len(inv) + 1)]
+    det_ones, d_ones = det * ones, d * ones
+    nbytes = size * bits // 8
     counts: Counter = Counter()
     for x in product(*(range(0, h, c) for h, c in zip(diag, chunks))):
-        n = size if cut is None else below * min(chunks[cut], diag[cut] - x[cut])
-        a, *offs = [sum(map(mul, x, col)) for col in inv]
-        acc = [(a + b) % det or first_top for b in first[:n]]
-        for a, base, top in zip(offs, more, tops):
-            acc = [s + ((a + b) % det or top) for s, b in zip(acc, base)]
-        if values is None:
-            counts.update([s // det for s in acc])
-        else:
-            v = sum(map(mul, x, form))
-            counts.update([s // det * d + (v + b) % d for s, b in zip(acc, values)])
+        acc = start
+        for col, word, side in zip(inv, words, sides):
+            v = word + (sum(map(mul, x, col)) - side) % det * ones
+            acc += v - ((((v | guard) - det_ones) & guard) >> low) * det
+        key = 0
+        for kd in floors:
+            key += (((acc | guard) - kd) & guard) >> low
+        key *= d
+        if d > 1:
+            v = values + sum(map(mul, x, form)) % d * ones
+            key += v - ((((v | guard) - d_ones) & guard) >> low) * d
+        view = memoryview(key.to_bytes(nbytes, sys.byteorder)).cast(fmt)
+        if cut is not None:
+            view = view[: below * min(chunks[cut], diag[cut] - x[cut])]
+        counts.update(view)
     return {(k // d + 1, k % d): n for k, n in counts.items()}
 
 

@@ -23,7 +23,7 @@ from .newton import SupportSet
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^])")
 _LETTERS = ("x", "y", "z", "w")
 _INDEXED = re.compile(r"^x([1-9][0-9]*)$")
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokenize(text: str):
@@ -229,7 +229,7 @@ def load_support(path: str) -> SupportSet:
     if (
         not isinstance(variables, list)
         or not variables
-        or not all(isinstance(v, str) and _IDENT.match(v) for v in variables)
+        or not all(isinstance(v, str) and _IDENT.fullmatch(v) for v in variables)
     ):
         raise SupportSchemaError("'variables' must be a list of identifiers")
     if len(set(variables)) != len(variables):

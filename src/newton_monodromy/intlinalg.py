@@ -8,10 +8,12 @@ keeps every entry an integer minor of the input.  Over Z there is one
 Hermite reduction by extended gcds: it gives Hermite normal forms, and
 on [A^T | I] it gives integer kernels (the transforms of the zero rows)
 and integer solves (forward substitution through the pivot rows).
-The saturation of a span, the basis of every polytope chart, is the
-kernel of the kernel, but its rank, read off the first pass, settles
-the common cases at once: a point (rank 0), a segment (rank 1) and a
-full-dimensional polytope (rank n) need no second kernel.
+The diagonal alone of a nonsingular matrix's HNF, up to 3 x 3, is read
+off minors with no reduction (hnf_diagonal).  The saturation of a span, the
+basis of every polytope chart, is the kernel of the kernel, but its
+rank, read off the first pass, settles the common cases at once: a
+point (rank 0), a segment (rank 1) and a full-dimensional polytope
+(rank n) need no second kernel.
 
 The engine solves over Z only: polytope charts invert their Hermite
 basis by forward substitution, so solve_rational has no caller in the
@@ -182,6 +184,30 @@ def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
     a = [list(map(index, r)) for r in rows]
     a, rank = _hermite(a, len(a[0]) if a else 0)
     return tuple(map(tuple, a[:rank]))
+
+
+def hnf_diagonal(rows, det: int, cols) -> list[int]:
+    """The diagonal of row_hnf(rows) for a nonsingular m x m matrix A,
+    given (det, cols) = scaled_inverse_columns(rows), signs aside.
+
+    The first k rows of the HNF, cut to the first k columns, span the
+    row lattice's projection to those coordinates, so d_1 ... d_k is the
+    gcd of the k x k minors of A's first k columns: for k = 1 the
+    entries of A's first column, for k = m - 1 the adjugate's last row,
+    which is the last entries of cols, and for k = m det.  Up to m = 3
+    those are all the levels, so no reduction is needed; a larger
+    matrix goes through row_hnf.
+    """
+    m = len(rows)
+    if m > 3:
+        return [h[i] for i, h in enumerate(row_hnf(rows))]
+    levels = [1]
+    if m > 2:
+        levels.append(gcd(*(row[0] for row in rows)))
+    if m > 1:
+        levels.append(gcd(*(col[-1] for col in cols)))
+    levels.append(abs(det))
+    return [b // a for a, b in zip(levels, levels[1:])]
 
 
 def kernel_basis(rows, n: int) -> tuple[tuple[int, ...], ...]:

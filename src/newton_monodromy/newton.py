@@ -173,8 +173,9 @@ def _face_character(poly: Polytope, delta: Polytope):
     the base: -u is the face's primitive height form on delta's lattice
     and b its lattice distance.  The form is lifted to ambient
     coordinates, which is possible because the chart lattice is
-    saturated.  Kept per (face polytope, cone), so a face that many
-    Newton polyhedra share is solved once.
+    saturated; a full-dimensional delta's chart basis is the identity,
+    so there the lift is -u itself.  Kept per (face polytope, cone), so
+    a face that many Newton polyhedra share is solved once.
     """
     far = [(u, b) for u, b in delta.cfacets if b]
     if len(far) != 1:
@@ -182,7 +183,9 @@ def _face_character(poly: Polytope, delta: Polytope):
             f"cone over {poly.points} has {len(far)} facets missing the apex, not 1"
         )
     [(u, c)] = far
-    u = ila.solve_integer(list(delta.chart.basis), tuple(-x for x in u))
+    u = tuple(-x for x in u)
+    if delta.dim < delta.ambient_dim:
+        u = ila.solve_integer(list(delta.chart.basis), u)
     if u is None:
         raise InternalConsistencyError(
             "face form does not extend to the ambient lattice"

@@ -244,3 +244,98 @@ def test_top_simplices_start_at_the_chart_origin(answered):
                     assert side, (poly, s, i)
             all_open += all(sides)
         assert all_open == 1, (poly, out)
+
+
+def _box(ys, w, d):
+    """(gens, weights) of the simplex 0, y_1, ..., y_m under the form
+    phi(y, h) = w . y, which must vanish mod d on every y_i."""
+    m = len(ys)
+    gens = [(0,) * m + (1,)] + [tuple(y) + (1,) for y in ys]
+    weights = [ila.dot(w, g[:-1]) for g in gens]
+    assert all(wt % d == 0 for wt in weights)
+    return gens, weights
+
+
+# (ys, w, d, bits): the width the bound (m + 1) * max(det, d) calls for
+PACKED = [
+    ([(3, 0), (0, 4)], (2, 3), 6, 8),  # bound 36
+    ([(7, 2), (3, 5)], (1, 11), 29, 8),  # a cyclic group, bound 87
+    ([(21,)], (2,), 42, 8),  # d > det, bound 84
+    ([(4, 1), (1, 4)], (1, 2), 1, 8),  # d = 1: no residue field
+    ([(6, 0), (0, 10)], (1, 1), 2, 16),  # bound 180, just past 8 bits
+    ([(3000,)], (1,), 1, 16),  # a cut axis, no residue field
+    ([(2, 0), (0, 1500)], (1, 2), 2, 16),  # cut after a whole first axis
+    ([(1, 0, 0), (0, 30, 0), (0, 0, 40)], (0, 2, 3), 6, 16),  # two blocks
+    ([(3000,)], (40,), 40000, 32),  # a cut axis under d > det, bound 80,000
+    ([(2,)], (2**60,), 2**61, 64),  # a 2-point box, bound 2^62
+    ([(2, 0), (0, 1)], (2**39, 0), 2**40, 64),
+]
+
+
+@pytest.mark.parametrize("ys, w, d, bits", PACKED)
+def test_box_counts_pack_every_field_width(ys, w, d, bits):
+    """Each case needs the width its bound calls for and no narrower:
+    under only the narrower widths the kernel refuses it, under the
+    widths from its own up it matches the enumeration on every choice of
+    open and closed sides."""
+    gens, weights = _box(ys, w, d)
+    m = len(ys)
+    det = abs(ila.det(ys))
+    reduced = d if any(wk % d for wk in w) else 1
+    bound = (m + 1) * max(det, reduced)
+    assert bound < 1 << bits - 1 and (bits == 8 or bound >> bits // 2 - 1)
+    fields = ehrhart._FIELDS
+    own = [f for f in fields if f[0] >= bits]
+    narrower = [f for f in fields if f[0] < bits]
+    for sides in product([True], *[[True, False]] * m):
+        toward = _toward_for(gens, sides)
+        want = _reference(gens, weights, d, sides)
+        with pytest.MonkeyPatch.context() as mp:
+            for width in own:
+                mp.setattr(ehrhart, "_FIELDS", (width,))
+                assert ehrhart._box_counts(gens, weights, d, toward) == want
+            if narrower:
+                mp.setattr(ehrhart, "_FIELDS", tuple(narrower))
+                with pytest.raises(InternalConsistencyError, match="overflows"):
+                    ehrhart._box_counts(gens, weights, d, toward)
+        assert ehrhart._box_counts(gens, weights, d, toward) == want
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_box_counts_match_the_enumeration_in_each_width(bits, answered, monkeypatch):
+    """The random simplices and the answered ones, each walked in one
+    field width alone: every width whose guard clears the case's bound
+    gives the same counts."""
+    rng = Random(bits)
+    cases = []
+    for gens, weights, d in _random_cases(seed=bits, count=40):
+        sides = [True] + [rng.random() < 0.5 for _ in gens[1:]]
+        cases.append((gens, weights, d, _toward_for(gens, sides)))
+    width = [f for f in ehrhart._FIELDS if f[0] == bits]
+    monkeypatch.setattr(ehrhart, "_FIELDS", tuple(width))
+    walked = 0
+    for gens, weights, d, toward in cases + answered[0]:
+        want = _reference(gens, weights, d, _sides(gens, toward))
+        if len(gens) * max(sum(want.values()), d) >> bits - 1:
+            continue
+        assert ehrhart._box_counts(gens, weights, d, toward) == want
+        walked += 1
+    assert walked >= 30
+
+
+def test_box_counts_refuse_a_box_past_64_bit_fields_before_walking(monkeypatch):
+    """A bound of 2^63 leaves no guard bit in a 64-bit field; the kernel
+    raises before it derives a block or walks one."""
+    gens, weights = _box([(2,)], (2**61,), 2**62)
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(ehrhart, "product", no_walk)
+    monkeypatch.setattr(ila, "hnf_diagonal", no_walk)
+    with pytest.raises(InternalConsistencyError, match="overflows 64-bit fields"):
+        ehrhart._box_counts(gens, weights, 2**62, [1])
+    # one bit less fits, and is walked
+    monkeypatch.undo()
+    gens, weights = _box([(2,)], (2**60,), 2**61)
+    assert ehrhart._box_counts(gens, weights, 2**61, [1]) == {(1, 2**60): 1, (2, 0): 1}

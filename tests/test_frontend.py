@@ -137,6 +137,8 @@ def test_load_support_schema_errors(tmp_path):
         ({"variables": ["x"]}, "need both 'variables' and 'support'"),
         ({"variables": [], "support": [[2]]}, "list of identifiers"),
         ({"variables": ["x", "2y"], "support": [[2, 0]]}, "list of identifiers"),
+        # $ also matches before a final newline: the whole name must match
+        ({"variables": ["x\n", "y"], "support": [[2, 0]]}, "list of identifiers"),
         ({"variables": ["x", "x"], "support": [[2, 0]]}, "duplicate variable names"),
         ({"variables": ["x"], "support": []}, "nonempty list"),
         ({"variables": ["x", "y"], "support": [[2]]}, "length-2 integer lists"),

@@ -170,6 +170,18 @@ def test_a_point_has_no_hypersurface_table():
         hodge_table(make_polytope([(1, 1)]), Character.trivial(2))
 
 
+def test_a_character_of_the_wrong_arity_is_an_input_error():
+    """A character must have one coefficient per ambient coordinate; a
+    mismatch is named with both numbers, not left to fail in a zip."""
+    tri = make_polytope([(0, 0, 1), (2, 0, 1), (0, 3, 1)])
+    for char in (Character(6, (3, 2)), Character(6, (3, 2, 1, 1))):
+        arity = len(char.coeffs)
+        for fn in (hodge_table, p_alpha, lambda p, c: relint_counts(p, c, 1)):
+            with pytest.raises(InputError, match=f"arity {arity} .* in 3 variables"):
+                fn(tri, char)
+    assert hodge_table(tri, Character(6, (3, 2, 0)))
+
+
 def test_tables_are_memoized():
     clear_caches()
     tri = make_polytope([(0, 0), (2, 0), (0, 3)])

@@ -11,6 +11,7 @@ from newton_monodromy.intlinalg import (
     det,
     dot,
     frac_rank,
+    hnf_diagonal,
     independent_rows,
     kernel_basis,
     primitive,
@@ -149,6 +150,29 @@ def test_scaled_inverse_columns():
         assert got == want
     with pytest.raises(ValueError):
         scaled_inverse_columns([(1, 2), (2, 4)])
+
+
+def test_hnf_diagonal_is_the_row_hnf_diagonal():
+    """Read off minors up to 3 x 3 and reduced beyond, on random
+    nonsingular matrices up to 5 x 5, with det and the columns in either
+    sign: the diagonal of the Hermite reduction."""
+    rng = Random(17)
+    sizes, split = set(), 0
+    for _ in range(600):
+        m = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(m)]
+        if not det(rows):
+            continue
+        want = [h[i] for i, h in enumerate(row_hnf(rows))]
+        d, cols = scaled_inverse_columns(rows)
+        assert hnf_diagonal(rows, d, cols) == want, rows
+        flipped = [tuple(-x for x in c) for c in cols]
+        assert hnf_diagonal(rows, -d, flipped) == want, rows
+        sizes.add(m)
+        split += want[-1] != abs(d)  # the group is not cyclic along the last axis
+    assert sizes == set(range(1, 6))
+    assert split > 20
+    assert hnf_diagonal([(2, 0), (0, 3)], 6, [(3, 0), (0, 2)]) == [2, 3]
 
 
 def _rref(rows):

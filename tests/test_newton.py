@@ -91,6 +91,29 @@ def test_face_character_is_the_kernel_solve():
     assert faces > 250
 
 
+def test_a_full_dimensional_cone_lifts_its_far_facet_by_negation():
+    """A cone of full dimension has the identity as chart basis, so the
+    Hermite solve that lifts its far facet's form returns -u; the face
+    character reads -u without the solve, on every such cone of the
+    golden corpus and the random battery."""
+    cones = 0
+    for support in [*golden_supports(), *random_supports(40)]:
+        for f in newton_polyhedron(support).faces:
+            delta = f.delta
+            if delta.dim < delta.ambient_dim:
+                continue
+            n = delta.ambient_dim
+            assert delta.chart.basis == tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n)
+            )
+            [(u, c)] = [(u, b) for u, b in delta.cfacets if b]
+            neg = tuple(-x for x in u)
+            assert ila.solve_integer(list(delta.chart.basis), neg) == neg
+            assert (f.distance, f.char) == (c, Character(c, neg))
+            cones += 1
+    assert cones > 40
+
+
 def test_each_distance_is_its_cone_modulus(monkeypatch):
     """The restriction of a face's character to its cone's lattice has
     the face's distance as modulus, on every compact face of the golden
