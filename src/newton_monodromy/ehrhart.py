@@ -235,7 +235,7 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     shape would get under that restriction.
     """
     d, w, o = restricted(poly, char)
-    for i in poly.vertex_ids:
+    for i in poly.shape.vertex_ids:
         if (o + ila.dot(w, poly.cpoints[i])) % d:
             raise InternalConsistencyError(
                 f"character with restriction {(d, w, o)} is not trivial on "
@@ -243,7 +243,7 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
             )
     # so o = 0: the chart origin is a vertex
     m = poly.dim
-    c = [sum(xs) for xs in zip(*(poly.cpoints[i] for i in poly.vertex_ids))]
+    c = [sum(xs) for xs in zip(*(poly.cpoints[i] for i in poly.shape.vertex_ids))]
     phi: dict[int, list[int]] = {}
     for simplex in _top_simplices(poly):
         ys = [poly.cpoints[i] for i in simplex]
@@ -283,7 +283,7 @@ def _top_simplices(poly) -> list[tuple[int, ...]]:
     recursion would reach through every one of its faces.
     """
     if poly.shape.simplex:
-        return [poly.vertex_ids]
+        return [poly.shape.vertex_ids]
     lattice = poly.face_lattice
 
     @cache
@@ -299,7 +299,7 @@ def _top_simplices(poly) -> list[tuple[int, ...]]:
             for s in pulling(g)
         ]
 
-    return sorted(pulling(frozenset(poly.vertex_ids)))
+    return sorted(pulling(frozenset(poly.shape.vertex_ids)))
 
 
 _BLOCK = 1024
@@ -469,9 +469,9 @@ def normalized_volume(poly) -> int:
     if poly.dim == 0:
         total = 1
     else:
-        apex = poly.cpoints[poly.vertex_ids[-1]]
+        apex = poly.cpoints[poly.shape.vertex_ids[-1]]
         total = 0
-        for (u, b), face in zip(poly.cfacets, poly.facet_vertex_sets):
+        for (u, b), face in zip(poly.cfacets, poly.shape.facet_vertex_sets):
             height = ila.dot(u, apex) + b
             if height:
                 total += height * normalized_volume(poly.face_polytope(face))

@@ -31,7 +31,7 @@ def normal_fan(poly) -> set[frozenset]:
     if poly.dim == 0:
         raise ValueError("normal fan needs a positive-dimensional polytope")
     normals = [ila.primitive(u) for (u, b) in poly.cfacets]
-    fsets = poly.facet_vertex_sets
+    fsets = poly.shape.facet_vertex_sets
     cones = set()
     for face in poly.face_lattice:
         cones.add(

@@ -90,10 +90,11 @@ def read_eigenvalue(ev) -> Fraction:
 
     Accepts an int, a Fraction, or a string that Fraction reads ('1/10',
     '0.1').  A float is refused: Fraction(0.1) is not 1/10, so a float
-    would silently name another eigenvalue."""
+    would silently name another eigenvalue.  So is a bool, which is no
+    eigenvalue though Python counts it an int."""
     if isinstance(ev, Fraction):
         return ev
-    if isinstance(ev, int):
+    if isinstance(ev, int) and not isinstance(ev, bool):
         return Fraction(ev)
     if isinstance(ev, str):
         try:
@@ -360,7 +361,7 @@ def pseudo_prime_row_sums(poly, char: Character, alpha: Fraction) -> dict[int, i
     when the polytope is pseudo-prime (in particular when it is prime);
     both conditions are enforced, and alpha must lie in (0, 1), given as
     read_eigenvalue reads it.  A bucket no face carries has all sums zero."""
-    if poly.primeness == "neither":
+    if poly.shape.primeness == "neither":
         raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
     alpha = read_eigenvalue(alpha)
     if not 0 < alpha.numerator < alpha.denominator:

@@ -318,7 +318,7 @@ def _prime_face_counts(np_: NewtonPolyhedron) -> dict[Fraction, dict[int, int]]:
     n = np_.n
     reps = np_.representatives()
     for face, _ in reps:
-        if face.poly.primeness != "prime":
+        if face.poly.shape.primeness != "prime":
             raise InputError(
                 f"compact face {face.points} is not prime; "
                 "the closed formula does not apply"
@@ -329,7 +329,7 @@ def _prime_face_counts(np_: NewtonPolyhedron) -> dict[Fraction, dict[int, int]]:
         weights = _formula_weights(n, face.dim, face.twist)
         step = modulus // face.distance
         buckets = _row_sums(face.delta, face.char)
-        if buckets and face.delta.primeness == "neither":
+        if buckets and face.delta.shape.primeness == "neither":
             raise InputError("anti-diagonal formula needs a pseudo-prime polytope")
         for a, rows in buckets.items():
             acc = counts.setdefault(a * step, [0] * (n + 2))

@@ -7,16 +7,16 @@ delta_gamma = conv({0} union gamma) together with the character that
 grades delta_gamma's lattice points by their height relative to gamma.
 
 The facets come from one double description, started from the axis
-rows and the first support row, whose inverse is written down.  The
-compact faces are polytope.intersection_closure of the compact
-facets' tight sets under every facet's tight set.  A convenient
-polyhedron's facets are the compact ones and the coordinate ones x_i = 0:
-a normal u >= 0 with zero set Z nonempty takes its minimum 0, on the
-pure powers of the axes in Z, exactly where x_j = 0 for every j outside
-Z, a face of dimension |Z|, so it is a facet only as a coordinate
-vector.  The
-normal cone of a compact face gamma holds a strictly positive vector, a
-positive combination of the normals of the facets through gamma, which
+rows and the first support row, whose inverse is written down; each
+facet's tight set is its ray's zero set.  The compact faces are
+polytope.intersection_closure of the compact facets' tight sets under
+every facet's tight set.  A convenient polyhedron's facets are the
+compact ones and the coordinate ones x_i = 0: a normal u >= 0 with zero
+set Z nonempty takes its minimum 0, on the pure powers of the axes in
+Z, exactly where x_j = 0 for every j outside Z, a face of dimension
+|Z|, so it is a facet only as a coordinate vector.  The normal cone
+of a compact face gamma holds a strictly positive vector, a positive
+combination of the normals of the facets through gamma, which
 coordinate normals alone never give: gamma misses the origin, so it is
 not in every coordinate hyperplane.  So a compact facet contains gamma,
 and gamma is that facet cut by the other facets through it.  Each
@@ -276,17 +276,18 @@ def newton_polyhedron(support: SupportSet) -> NewtonPolyhedron:
     # columns (e_j, -p_0j) and e_{n+1}.
     units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
     start = (1, [e[:n] + (-x,) for e, x in zip(units, pts[0])] + [units[n]])
+    # support point i is row n + i, so its ray's zero set holds the tight set
+    rays = cone_rays(units[:n] + [p + (1,) for p in pts], n + 1, start)
     facets = []
-    for ray in cone_rays(units[:n] + [p + (1,) for p in pts], n + 1, start):
+    for ray, zero in rays.items():
         u, b = ray[:-1], ray[-1]
         if not any(u):
             continue
-        tight = frozenset(i for i, p in enumerate(pts) if ila.dot(u, p) + b == 0)
         facets.append(
             PolyhedronFacet(
                 normal=u,
                 offset=-b,
-                tight=tight,
+                tight=frozenset(i - n for i in zero if i >= n),
                 compact=all(x > 0 for x in u),
             )
         )

@@ -794,7 +794,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
     def chk_pseudo_prime():
         hits = 0
         for f, size in reps:
-            if f.delta.primeness == "neither":
+            if f.delta.shape.primeness == "neither":
                 continue
             d = f.distance
             diag = _degree_sums(hodge_table(f.delta, f.char))
@@ -819,7 +819,7 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
     # the spectrum and at every one a face carries but the spectrum lacks,
     # where it must count no block
     def chk_prime_formula():
-        if any(f.poly.primeness != "prime" for f, _ in reps):
+        if any(f.poly.shape.primeness != "prime" for f, _ in reps):
             return "skip", "some compact face is not prime"
         evs = [a for a in spectrum.multiplicities if a != _ZERO]
         sizes: dict = {ev: {} for ev in evs}  # ev -> {block size: count}

@@ -27,12 +27,12 @@ restriction, *args); clear_caches() empties it in one statement.
 
 The geometry is combinatorial once the facets are known: chart
 coordinates come by forward substitution through the Hermite basis, the
-double description decides adjacency of rays by their zero sets, a point
-is a vertex when the facets through it hold no other point, the faces
-are intersection_closure of the facets' vertex sets under themselves,
-and a face's dimension is read off its chain of subfaces in the face
-lattice.  newton.newton_polyhedron finds the compact faces of a Newton
-polyhedron by the same closure, seeded with its compact facets.
+zero sets of the double description's rays are the facets' points, the
+proper faces are intersection_closure of those under themselves, the
+vertices are the one-point faces, and a face's dimension is read off
+its chain of subfaces in the face lattice.  newton.newton_polyhedron
+finds the compact faces of a Newton polyhedron by the same closure,
+seeded with its compact facets.
 
 Most shapes the engine builds are simplices: the cones conv({0} u gamma)
 over simplicial faces gamma and all their faces.  A shape whose chart
@@ -86,23 +86,23 @@ def cached(fn):
     return lookup
 
 
-def cone_rays(constraints, dim: int, start=None) -> tuple[tuple[int, ...], ...]:
-    """Extreme rays of the pointed cone {x in R^dim : a.x >= 0 for all a}.
+def cone_rays(constraints, dim: int, start=None) -> dict[tuple[int, ...], frozenset[int]]:
+    """Extreme rays of the pointed cone {x in R^dim : a.x >= 0 for all a},
+    sorted, each mapped to its zero set: the indices of the rows it makes
+    tight in constraints, whose all-zero rows are skipped.
 
-    Double description with exact integer arithmetic.  Each ray carries
-    its zero set, the indices of the processed rows it makes tight, and
-    adjacency is decided on those sets alone (Fukuda-Prodon 1996): two
-    rays are adjacent iff no third ray's zero set contains their common
-    one.  The ray a new row cuts from an adjacent pair is a positive
-    combination of the two, so its zero set is their common one plus
-    the new row.  The constraint rows must span R^dim (i.e. the cone is
-    pointed); all-zero rows are ignored.  The starting simplicial cone
-    is the scaled inverse (det, columns) of dim independent rows: start,
-    when the caller knows it for the first dim rows, and otherwise one
-    elimination of the rows independent_rows picks.  A given start is
-    verified, row by column, before any ray is read off it.
+    Double description with exact integer arithmetic, adjacency decided
+    on the zero sets alone (Fukuda-Prodon 1996): two rays are adjacent
+    iff no third ray's zero set contains their common one.  The ray a new
+    row cuts from an adjacent pair is a positive combination of the two,
+    so its zero set is their common one plus the new row.  The rows must
+    span R^dim (the cone is pointed).  The starting simplicial cone is
+    the scaled inverse (det, columns) of dim independent rows: start,
+    verified row by column, when the caller knows it for the first dim
+    rows, and otherwise one elimination of the rows independent_rows picks.
     """
-    rows = [tuple(int(x) for x in a) for a in constraints if any(a)]
+    ids = [i for i, a in enumerate(constraints) if any(a)]
+    rows = [tuple(int(x) for x in constraints[i]) for i in ids]
     if start is None:
         base_idx = ila.independent_rows(rows)
         if len(base_idx) < dim:
@@ -122,12 +122,12 @@ def cone_rays(constraints, dim: int, start=None) -> tuple[tuple[int, ...], ...]:
     sgn = 1 if det_val > 0 else -1
     rays = [ila.primitive(tuple(sgn * x for x in c)) for c in cols]
     # base row i vanishes on every column of det * base^-1 but the i-th
-    zero_sets = [frozenset(range(dim)) - {j} for j in range(dim)]
+    base = frozenset(ids[i] for i in base_idx)
+    zero_sets = [base - {ids[i]} for i in base_idx]
 
-    aidx = dim
-    base_set = set(base_idx)
     for ridx, a in enumerate(rows):
-        if ridx in base_set:
+        aidx = ids[ridx]
+        if aidx in base:
             continue
         vals = [ila.dot(a, r) for r in rays]
         plus = [i for i, v in enumerate(vals) if v > 0]
@@ -156,8 +156,7 @@ def cone_rays(constraints, dim: int, start=None) -> tuple[tuple[int, ...], ...]:
         zero_sets = [
             zero_sets[i] | {aidx} if vals[i] == 0 else zero_sets[i] for i in keep
         ] + new_zero
-        aidx += 1
-    return tuple(sorted(rays))
+    return dict(sorted(zip(rays, zero_sets)))
 
 
 def intersection_closure(seeds, cuts) -> set[frozenset]:
@@ -248,14 +247,16 @@ class Shape:
         return scaled_inverse(tuple(y + (1,) for y in self.cpoints))
 
     @cached_property
-    def cfacets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Facets of the chart points' hull as pairs (u, b) with u.y + b >= 0.
+    def facets(self) -> tuple[tuple[tuple[int, ...], int, frozenset[int]], ...]:
+        """Facets of the chart points' hull as triples (u, b, ids) with
+        u.y + b >= 0, sorted.
 
-        u is primitive; equality holds exactly on the facet.  Empty for
-        a point.  The dilate k*P satisfies u.y + k*b >= 0.  A simplex's
-        facets are the columns of its scaled inverse, made to point
-        inward by the sign of its determinant: column j vanishes on
-        every row (y, 1) but the j-th, so it is the facet missing vertex j.
+        u is primitive; equality holds exactly at the points ids index,
+        the zero set cone_rays tracks.  Empty for a point.  The dilate
+        k*P satisfies u.y + k*b >= 0.  A simplex's facets are the columns
+        of its scaled inverse, made to point inward by the sign of its
+        determinant: column j vanishes on every row (y, 1) but the j-th,
+        so it is the facet of every point but j.
         """
         if self.dim == 0:
             return ()
@@ -263,55 +264,51 @@ class Shape:
         if self.simplex:
             det, cols = self.inverse
             sgn = 1 if det > 0 else -1
-            rays = [ila.primitive([sgn * x for x in c]) for c in cols]
+            ids = frozenset(range(d + 1))
+            rays = {
+                ila.primitive([sgn * x for x in c]): ids - {j} for j, c in enumerate(cols)
+            }
         else:
             rays = cone_rays([y + (1,) for y in self.cpoints], d + 1)
-        facets = []
-        for r in rays:
-            u, b = r[:-1], r[-1]
-            if any(u):
-                facets.append((u, b))
+        facets = tuple(
+            sorted((r[:-1], r[-1], z) for r, z in rays.items() if any(r[:-1]))
+        )
         if len(facets) < d + 1:
             raise InternalConsistencyError("too few facets for a full-dim polytope")
-        return tuple(sorted(facets))
+        return facets
+
+    @cached_property
+    def cfacets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The facets as pairs (u, b)."""
+        return tuple((u, b) for u, b, _ in self.facets)
+
+    @cached_property
+    def face_closure(self) -> frozenset[frozenset[int]]:
+        """The proper faces as point-id sets: intersection_closure of the
+        facets' points under themselves."""
+        sets = [z for _, _, z in self.facets]
+        return frozenset(intersection_closure(sets, sets))
 
     @cached_property
     def vertex_ids(self) -> tuple[int, ...]:
-        """Indices into cpoints of the vertices of the hull.
-
-        A point is a vertex when it lies on some facet and no other point
-        lies on every facet through it: the facets through a point cut
-        out the smallest face containing it, which is the hull of the
-        points on it.  Every point of a simplex is a vertex.
-        """
+        """Indices into cpoints of the vertices of the hull: the points
+        that are faces by themselves.  Every point of a simplex is one."""
         if self.simplex:
             return tuple(range(len(self.cpoints)))
-        facets = self.cfacets
-        tight = [
-            frozenset(j for j, (u, b) in enumerate(facets) if ila.dot(u, y) + b == 0)
-            for y in self.cpoints
-        ]
-        return tuple(
-            i
-            for i, t in enumerate(tight)
-            if t and not any(j != i and t <= s for j, s in enumerate(tight))
-        )
+        return tuple(sorted(i for f in self.face_closure if len(f) == 1 for i in f))
 
     @cached_property
     def facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
         """Vertex-id set of each facet, aligned with cfacets."""
-        vids = self.vertex_ids
-        return tuple(
-            frozenset(i for i in vids if ila.dot(u, self.cpoints[i]) + b == 0)
-            for (u, b) in self.cfacets
-        )
+        vids = frozenset(self.vertex_ids)
+        return tuple(z & vids for _, _, z in self.facets)
 
     @cached_property
     def face_lattice(self) -> Mapping[frozenset[int], int]:
         """All nonempty faces, as a read-only {vertex-id set: dimension}.
 
         Includes the polytope itself (top face) and every vertex.  Faces
-        are intersections of facet vertex sets; two distinct faces have
+        are the face closure cut to the vertices; two distinct faces have
         distinct vertex sets, so the representation is faithful.  A
         vertex has dimension 0 and any other face one more than the
         largest dimension of its proper faces, which the lattice holds.
@@ -327,9 +324,8 @@ class Shape:
                     for face in itertools.combinations(ids, k)
                 }
             )
-        facet_sets = self.facet_vertex_sets
-        faces = {frozenset(self.vertex_ids)}
-        faces |= intersection_closure(facet_sets, facet_sets)
+        vids = frozenset(self.vertex_ids)
+        faces = {vids} | {f & vids for f in self.face_closure}
         out: dict[frozenset[int], int] = {}
         for f in sorted(faces, key=len):
             out[f] = 1 + max((d for g, d in out.items() if g < f), default=-1)
@@ -457,8 +453,6 @@ class Polytope:
     """
 
     def __init__(self, points: tuple[tuple[int, ...], ...]):
-        if not points:
-            raise ValueError("a polytope needs at least one point")
         self.points = points
         self.ambient_dim = len(points[0])
         p0 = points[0]
@@ -472,6 +466,7 @@ class Polytope:
     def __repr__(self):
         return f"Polytope(dim={self.dim}, points={list(self.points)})"
 
+    # perfbench/tracer.py binds these five forwarders to the shape
     @property
     def key(self):
         return self.points
@@ -484,21 +479,6 @@ class Polytope:
     def face_lattice(self) -> Mapping[frozenset[int], int]:
         return self.shape.face_lattice
 
-    @property
-    def vertex_ids(self) -> tuple[int, ...]:
-        return self.shape.vertex_ids
-
-    @property
-    def facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
-        return self.shape.facet_vertex_sets
-
-    @property
-    def primeness(self) -> str:
-        return self.shape.primeness
-
-    def faces_of_dim(self, d: int) -> list[frozenset[int]]:
-        return self.shape.faces_of_dim(d)
-
     def bounding_box(self, k: int) -> tuple[tuple[int, int], ...]:
         return self.shape.bounding_box(k)
 
@@ -508,7 +488,7 @@ class Polytope:
 
     @property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.points[i] for i in self.vertex_ids)
+        return tuple(self.points[i] for i in self.shape.vertex_ids)
 
     def face_points(self, face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
         """The face's points, in order: a sub-tuple of the sorted,
@@ -554,11 +534,17 @@ def make_polytope(points) -> Polytope:
     points, any iterable of integer sequences, are normalized to a key
     (int tuples, duplicates dropped, sorted) and interned by _intern.  A
     coordinate that is not an int (a bool, a float, a Fraction) raises
-    InputError: none is rounded."""
+    InputError: none is rounded.  So do no points and points of
+    different lengths."""
     key = set()
     for p in points:
         p = tuple(p)
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in p):
             raise InputError(f"non-integer coordinate in point {p}")
         key.add(p)
+    if not key:
+        raise InputError("a polytope needs at least one point")
+    lengths = sorted({len(p) for p in key})
+    if len(lengths) > 1:
+        raise InputError(f"points of lengths {lengths} in one polytope")
     return _intern(tuple(sorted(key)))

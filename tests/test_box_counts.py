@@ -229,18 +229,18 @@ def test_top_simplices_start_at_the_chart_origin(answered):
     assert simplices
     for poly, out in simplices:
         assert poly.cpoints[0] == (0,) * poly.dim
-        assert 0 in poly.vertex_ids
+        assert 0 in poly.shape.vertex_ids
         assert out and all(s[0] == 0 for s in out), (poly, out)
         assert all(len(s) == poly.dim + 1 for s in out), (poly, out)
         if not poly.dim:
             continue
-        toward = [sum(xs) for xs in zip(*(poly.cpoints[i] for i in poly.vertex_ids))]
+        toward = [sum(xs) for xs in zip(*(poly.cpoints[i] for i in poly.shape.vertex_ids))]
         all_open = 0
         for s in out:
             sides = _sides([poly.cpoints[i] + (1,) for i in s], toward)
             for i, side in enumerate(sides):
                 rest = set(s) - {s[i]}
-                if any(f >= rest for f in poly.facet_vertex_sets):
+                if any(f >= rest for f in poly.shape.facet_vertex_sets):
                     assert side, (poly, s, i)
             all_open += all(sides)
         assert all_open == 1, (poly, out)

@@ -228,7 +228,7 @@ def test_p_alpha_matches_the_dilate_scan():
     pairs = _reached_pairs(supports)
     assert len(pairs) > 250
     assert {poly.dim for poly, _ in pairs} == {1, 2, 3, 4}
-    assert any(len(poly.vertex_ids) > poly.dim + 1 for poly, _ in pairs)
+    assert any(len(poly.shape.vertex_ids) > poly.dim + 1 for poly, _ in pairs)
     for poly, char in pairs:
         assert p_alpha(poly, char) == _dilate_scan_p_alpha(poly, char), (poly, char)
 
@@ -246,7 +246,7 @@ def _non_simplices(seed=3):
                 for _ in range(dim + 2 + rng.randint(0, 3))
             ]
             q = make_polytope(pts)
-            if q.dim < dim or len(q.vertex_ids) == dim + 1:
+            if q.dim < dim or len(q.shape.vertex_ids) == dim + 1:
                 continue
             c = 1 + made % 3
             made += 1
@@ -294,7 +294,7 @@ def test_p_alpha_walks_one_full_dimensional_box_per_top_simplex():
     pairs = [
         (poly, char)
         for poly, char in _reached_pairs(supports)
-        if len(poly.vertex_ids) > poly.dim + 1
+        if len(poly.shape.vertex_ids) > poly.dim + 1
     ]
     assert {poly.dim for poly, _ in pairs} >= {2, 3, 5}
     real = ehrhart._box_counts

@@ -155,7 +155,7 @@ def test_anti_diagonal_gates():
             (0, 0, 0, 1), (0, 0, 0, -1),
         ]
     )
-    assert cross.primeness == "neither"
+    assert cross.shape.primeness == "neither"
     with pytest.raises(InputError, match="pseudo-prime"):
         pseudo_prime_row_sums(cross, Character.trivial(4), F(1, 2))
     delta = make_polytope([(0, 0), (2, 0), (0, 3)])
@@ -247,7 +247,7 @@ def test_row_sums_match_per_bucket_double_loop():
     pairs = 0
     for support in random_supports(40):
         for f in newton_polyhedron(support).faces:
-            if f.delta.primeness == "neither":
+            if f.delta.shape.primeness == "neither":
                 continue
             buckets = set()
             for face in f.delta.face_lattice:
@@ -294,7 +294,7 @@ def test_prime_face_blocks_unchanged_by_row_sum_memo(monkeypatch):
     checked = 0
     for support in random_supports(40):
         np_ = newton_polyhedron(support)
-        if any(f.poly.primeness != "prime" for f in np_.faces):
+        if any(f.poly.shape.primeness != "prime" for f in np_.faces):
             continue
         keys = [
             (ev, k)
@@ -317,7 +317,7 @@ def _skeleton_counts(poly, char):
     d = char.modulus
     raw = {}
     pts = list(poly.vertices)
-    for e in poly.faces_of_dim(1):
+    for e in poly.shape.faces_of_dim(1):
         a, b = sorted(poly.points[i] for i in e)
         pts += edge_points(a, b)[1:-1]
     for v in pts:
@@ -476,7 +476,7 @@ def _ref_hodge_table(poly, char, memo):
                 continue
             # the face where the sum of sigma's rays is minimal
             u0 = tuple(sum(col) for col in zip(*sorted(sigma)))
-            vals = {i: sum(map(mul, u0, poly.cpoints[i])) for i in poly.vertex_ids}
+            vals = {i: sum(map(mul, u0, poly.cpoints[i])) for i in poly.shape.vertex_ids}
             low = min(vals.values())
             sub = poly.face_polytope(frozenset(i for i, v in vals.items() if v == low))
             if sub.dim == 0:
@@ -685,7 +685,7 @@ def test_duality_step_reads_the_conjugate_bucket():
     )
     poly, char = face.delta, face.char
     m, d = poly.dim, restricted(poly, char)[0]
-    assert (m, d, poly.primeness) == (5, 7, "neither")
+    assert (m, d, poly.shape.primeness) == (5, 7, "neither")
     strata = hodge._strata_sum(poly, char, m)
     assert any(
         v != strata.get((p, q, -a % d), 0)

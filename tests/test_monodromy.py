@@ -22,6 +22,7 @@ from newton_monodromy.monodromy import (
 )
 from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.oracles import validate
+from newton_monodromy.polytope import make_polytope
 
 from _battery import edge_points, golden_supports, random_supports, workload_round
 from _buckets import as_fractions
@@ -362,6 +363,28 @@ def test_block_sizes_reads_eigenvalues_exactly():
             spectrum.block_sizes(bad)
 
 
+@pytest.mark.parametrize("flag", [False, True])
+def test_eigenvalue_readers_refuse_a_bool(flag):
+    """A bool is no eigenvalue, though Python counts it an int: read as
+    0 or 1, block_sizes(False) gave the blocks at eigenvalue 1 and
+    block_sizes(True) none.  Every reader refuses it, as
+    prime_face_blocks refuses a bool block size; the int 0 still names
+    eigenvalue 1."""
+    np_ = _np(TWO_SQUARES)
+    spectrum = jordan_blocks(np_)
+    assert spectrum.block_sizes(0) == spectrum.block_sizes(F(0)) != {}
+    delta = make_polytope([(0, 0), (2, 0), (0, 3)])
+    readers = (
+        spectrum.block_sizes,
+        lambda ev: fastpath_top(np_, ev),
+        lambda ev: prime_face_blocks(np_, ev, 1),
+        lambda ev: hodge.pseudo_prime_row_sums(delta, Character(6, (3, 2)), ev),
+    )
+    for read in readers:
+        with pytest.raises(InputError, match="pass a Fraction or a string 'a/b'"):
+            read(flag)
+
+
 def test_blocks_by_eigenvalue_groups_block_sizes():
     """One sort groups the blocks of every eigenvalue as block_sizes
     reads them one eigenvalue at a time, sizes in the same order, on 40
@@ -441,7 +464,7 @@ def test_one_walk_readers_match_the_per_eigenvalue_references():
         for ev in evs:
             assert top(ev) == _ref_fastpath_top(np_, ev), (support.points, ev)
             top_pairs += 1
-        if any(f.poly.primeness != "prime" for f in np_.faces):
+        if any(f.poly.shape.primeness != "prime" for f in np_.faces):
             continue
         formula = monodromy._prime_face_counts(np_)
         assert set(formula) <= evs
@@ -486,7 +509,7 @@ def _all_faces_motivic_table(np_):
 def _all_faces_prime_counts(np_):
     n = np_.n
     for face in np_.faces:
-        if face.poly.primeness != "prime":
+        if face.poly.shape.primeness != "prime":
             raise InputError(
                 f"compact face {face.points} is not prime; "
                 "the closed formula does not apply"

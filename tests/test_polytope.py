@@ -131,7 +131,7 @@ def test_face_lattice_is_read_only():
 
 def test_face_polytope_inherits_ambient_points():
     p = make_polytope([(0, 0), (2, 0), (0, 3)])
-    edges = p.faces_of_dim(1)
+    edges = p.shape.faces_of_dim(1)
     assert len(edges) == 3
     hyp = [f for f in edges if p.face_points(f) == ((0, 3), (2, 0))]
     assert len(hyp) == 1
@@ -145,7 +145,7 @@ def test_edge_steps_lattice_lengths():
     trivial = Character.trivial(2)
     lengths = sorted(
         sum(relint_counts(p.face_polytope(e), trivial, 1).values()) + 1
-        for e in p.faces_of_dim(1)
+        for e in p.shape.faces_of_dim(1)
     )
     assert lengths == [1, 2, 3]
 
@@ -234,7 +234,7 @@ def test_lattice_scan_is_exact_with_huge_normals():
     ],
 )
 def test_primeness(points, expected):
-    assert make_polytope(points).primeness == expected
+    assert make_polytope(points).shape.primeness == expected
 
 
 def test_primeness_neither_in_dim_4():
@@ -243,7 +243,7 @@ def test_primeness_neither_in_dim_4():
     for i in range(4):
         for s in (1, -1):
             pts.append(tuple(s if j == i else 0 for j in range(4)))
-    assert make_polytope(pts).primeness == "neither"
+    assert make_polytope(pts).shape.primeness == "neither"
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2), Fraction(1), True, "1"])
@@ -253,6 +253,20 @@ def test_make_polytope_refuses_non_integer_coordinates(bad):
     with pytest.raises(InputError, match=r"non-integer coordinate in point \(.*\)"):
         make_polytope([(0, 0), (bad, 0), (0, 2)])
     assert make_polytope([[0, 0], [1, 0], (0, 2)]).vertices == ((0, 0), (0, 2), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "points, problem",
+    [
+        ([], "a polytope needs at least one point"),
+        ([(1, 2), (3,)], r"points of lengths \[1, 2\] in one polytope"),
+    ],
+)
+def test_make_polytope_refuses_no_points_and_mixed_lengths(points, problem):
+    """No points, or points of different lengths, raise InputError naming
+    the problem, not a bare ValueError from deep inside the chart."""
+    with pytest.raises(InputError, match=problem):
+        make_polytope(points)
 
 
 def test_interning_and_cache_clear():
@@ -383,8 +397,8 @@ def _geometry(poly):
     return (
         poly.cpoints,
         poly.cfacets,
-        poly.vertex_ids,
-        poly.facet_vertex_sets,
+        poly.shape.vertex_ids,
+        poly.shape.facet_vertex_sets,
         dict(poly.face_lattice),
     )
 
@@ -443,9 +457,9 @@ def test_integer_geometry_matches_the_rank_based_one(points):
 
 def _general_route(shape):
     """A fresh shape of the same chart points made to take the general
-    route: facets by cone_rays, vertices by tight sets, faces by
-    intersection_closure, dimensions by the loop over subfaces and top
-    simplices by the pulling recursion."""
+    route: facets and their points by cone_rays, faces by
+    intersection_closure, vertices as its one-point faces, dimensions by
+    the loop over subfaces and top simplices by the pulling recursion."""
     general = Shape(shape.cpoints)
     general.simplex = False
     poly = types.SimpleNamespace(
@@ -661,7 +675,7 @@ def test_non_simplices_take_the_general_route():
     assert not triangle.shape.simplex
     assert triangle.vertices == ((0, 0), (0, 2), (2, 0))
     assert len(triangle.face_lattice) == 7
-    assert all(len(f) == 2 for f in triangle.facet_vertex_sets)
+    assert all(len(f) == 2 for f in triangle.shape.facet_vertex_sets)
     for poly in (square, triangle):
         assert _geometry(poly) == _rank_geometry(poly)
 
