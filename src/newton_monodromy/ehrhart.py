@@ -14,14 +14,14 @@ of its half-open fundamental parallelepiped, NVol(tau) of them
 (Beck-Robins, ch. 3).  No dilate is scanned.  The triangulation cones
 from vertex 0, the chart origin, so every tau holds it, and
 _box_counts walks the group of tau's parallelepiped, read off the
-memoized scaled inverse of tau's rows (y, 1), with the apex
-folded into a floor: a point's height is one more than the floor of
-the other coordinates' sum, and its bucket is a linear form in its
-group coordinates.  The group is walked in flat blocks of at most
-_BLOCK points, each packed into fixed-width fields of one int per
-generator and one for the bucket form, so that every step of the walk
-is a few int operations per block, and each block's packed keys are
-counted by one Counter.update.
+memoized scaled inverse of tau's rows (y, 1), with the apex folded
+into a floor: a point's height is one more than the floor of the other
+coordinates' sum, and its bucket is the restriction's form w at its
+group coordinates, w vanishing on the vertices.  The group is walked
+in flat blocks of at most _BLOCK points, each packed into fixed-width
+fields of one int per generator and one for the bucket form, so that
+every step of the walk is a few int operations per block, and each
+block's packed keys are counted by one Counter.update.
 
 relint_counts is the engine's one lattice-point counter: the
 boundary rows of the Hodge tables (faces of every dimension, vertices
@@ -80,7 +80,8 @@ class Character:
 
     Instances normalize themselves: coefficients are reduced mod the
     modulus and the common gcd with the modulus is divided out, so equal
-    characters compare and hash equal.  A non-integer raises TypeError.
+    characters compare and hash equal.  A non-integer or a bool raises
+    TypeError.
     The hash, that of (modulus, coeffs) as the generated one would be, is
     taken once: every memo key holds a character.
     """
@@ -89,6 +90,8 @@ class Character:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(x, bool) for x in (self.modulus, *self.coeffs)):
+            raise TypeError(f"a bool in the character {self.modulus}, {self.coeffs}")
         d = index(self.modulus)
         if d < 1:
             raise ValueError("character modulus must be positive")
@@ -232,7 +235,8 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     The vertex check reads the restriction (d', w', o'): the value at
     the chart point y is (o' + w'.y)/d', so it runs on the first
     computation of each memo key with the outcome every polytope of the
-    shape would get under that restriction.
+    shape would get under that restriction; _box_counts takes w' as
+    its residue form on that premise.
     """
     d, w, o = restricted(poly, char)
     for i in poly.shape.vertex_ids:
@@ -246,8 +250,7 @@ def p_alpha(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     c = [sum(xs) for xs in zip(*(poly.cpoints[i] for i in poly.shape.vertex_ids))]
     phi: dict[int, list[int]] = {}
     for simplex in _top_simplices(poly):
-        ys = [poly.cpoints[i] for i in simplex]
-        box = _box_counts([y + (1,) for y in ys], [ila.dot(w, y) for y in ys], d, c)
+        box = _box_counts([poly.cpoints[i] + (1,) for i in simplex], w, d, c)
         for (height, r), n in box.items():
             phi.setdefault(r, [0] * (m + 2))[height] += n
     out = {r: tuple(row) for r, row in sorted(phi.items())}
@@ -307,17 +310,17 @@ _BLOCK = 1024
 _FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
-def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
+def _box_counts(gens, form, d: int, toward) -> dict[tuple[int, int], int]:
     """{(height, residue): count} over the lattice points b of the
     half-open parallelepiped {sum lam_i gens_i} of a full-dimensional
     simplex's cone, lam_i in (0, 1] if facet i (opposite gens_i) is open
     and in [0, 1) if closed; the height is b's last coordinate, the
-    residue phi(b) mod d for the linear form with phi(gens_i) = weights_i.
+    residue form . b' mod d for b' the others, form being the linear
+    form w of p_alpha's restriction (d, w, o).
 
     gens_0 must be the apex (0, ..., 0, 1), every other gens_i must
     have last coordinate 1, and there must be one per coordinate, or the
-    kernel raises; every weight must vanish mod d, as p_alpha's vertex
-    check ensures.  Write gens_i = (y_i, 1) for i >= 1 and Y for the
+    kernel raises.  Write gens_i = (y_i, 1) for i >= 1 and Y for the
     matrix of rows y_i.  The rows of row_hnf(Y) are triangular, so the
     vectors 0 <= x_k < diagonal_k meet every coset of Z^m / Z y once,
     |det Y| = NVol of the simplex of them in all; intlinalg.hnf_diagonal
@@ -336,9 +339,9 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     Those are columns 1..m of det M * M^-1 for M the rows gens, cut to
     their first m entries (negated when det M < 0), and M's inverse is
     polytope.scaled_inverse's, shared with a simplex shape's facets.
-    And phi vanishes mod d on every generator, so the residue is
-    phi(x) mod d, one integer phi(e_k) per axis:
-    phi(e_k) = sum_i weights_i * col_i[k] / det, an exact division.
+    And form vanishes mod d on every y_i (p_alpha's vertex check; not
+    tested here) and b' - x lies in the lattice they span, so the
+    residue is form . x mod d.
 
     The group is walked in flat blocks of at most _BLOCK points: axis k
     takes chunks[k] consecutive values in a block (later axes slower; a
@@ -371,14 +374,7 @@ def _box_counts(gens, weights, d: int, toward) -> dict[tuple[int, int], int]:
     inv = [col[:-1] for col in cols[1:]]
     if det < 0:
         det, inv = -det, [tuple(-x for x in col) for col in inv]
-    form = []
-    for row in zip(*inv):
-        q, r = divmod(sum(map(mul, weights[1:], row)), det)
-        if r:
-            raise InternalConsistencyError(
-                f"weights {weights} are not integral on the lattice of {gens}"
-            )
-        form.append(q % d)
+    form = [x % d for x in form]
     if not any(form):
         d = 1
     bound = (len(inv) + 1) * max(det, d)

@@ -256,17 +256,18 @@ def _pyramid_normalized_volume(verts, k):
 
 
 def _integral(x) -> bool:
-    """Whether x has an integer value; an infinite or NaN float has none."""
+    """Whether x has an integer value; an infinite or NaN float has none,
+    and a bool, though Python counts it an int, is refused."""
     try:
-        return x == int(x)
+        return not isinstance(x, bool) and x == int(x)
     except (OverflowError, ValueError):
         return False
 
 
 def _oracle_support(points, n):
     """The support as sorted distinct integer points, and n, checked: a
-    non-integral or infinite coordinate raises ValueError instead of
-    being truncated."""
+    non-integral, infinite or bool coordinate raises ValueError instead
+    of being truncated or read as 0 or 1."""
     pts = set()
     for p in points:
         if not all(_integral(x) for x in p):
@@ -369,8 +370,8 @@ def brieskorn_pham_spectrum(exponents) -> dict[Fraction, int]:
     The sums are kept as integer residues mod L = lcm(a_i) and the
     variables are folded in one at a time, so no exponent tuple is
     walked: each fold touches every residue reached so far a_i - 1
-    times.  No exponents, or a non-integral or infinite one, raises
-    ValueError."""
+    times.  No exponents, or a non-integral, infinite or bool one,
+    raises ValueError."""
     exps = list(exponents)
     if not exps or not all(_integral(a) for a in exps):
         raise ValueError(f"exponents {exps} are not a nonempty list of integers")

@@ -27,12 +27,12 @@ restriction, *args); clear_caches() empties it in one statement.
 
 The geometry is combinatorial once the facets are known: chart
 coordinates come by forward substitution through the Hermite basis, the
-zero sets of the double description's rays are the facets' points, the
-proper faces are intersection_closure of those under themselves, the
-vertices are the one-point faces, and a face's dimension is read off
-its chain of subfaces in the face lattice.  newton.newton_polyhedron
-finds the compact faces of a Newton polyhedron by the same closure,
-seeded with its compact facets.
+zero sets of the double description's rays are the facets' points, a
+vertex is a point where the facets through it meet in it alone, the
+proper faces are intersection_closure of the facets' vertex sets under
+themselves, and a face's dimension is read off its chain of subfaces in
+the face lattice.  newton.newton_polyhedron finds the compact faces of a
+Newton polyhedron by the same closure, seeded with its compact facets.
 
 Most shapes the engine builds are simplices: the cones conv({0} u gamma)
 over simplicial faces gamma and all their faces.  A shape whose chart
@@ -163,7 +163,7 @@ def intersection_closure(seeds, cuts) -> set[frozenset]:
     """Every nonempty set a seed cuts down to by intersecting it with any
     number of cuts, the seeds included.
 
-    With the facets' point sets as both seeds and cuts these are the
+    With the facets' vertex sets as both seeds and cuts these are the
     proper faces of a polytope; newton.newton_polyhedron takes its
     compact faces as the closure of the compact facets under every
     facet.
@@ -283,19 +283,18 @@ class Shape:
         return tuple((u, b) for u, b, _ in self.facets)
 
     @cached_property
-    def face_closure(self) -> frozenset[frozenset[int]]:
-        """The proper faces as point-id sets: intersection_closure of the
-        facets' points under themselves."""
-        sets = [z for _, _, z in self.facets]
-        return frozenset(intersection_closure(sets, sets))
-
-    @cached_property
     def vertex_ids(self) -> tuple[int, ...]:
         """Indices into cpoints of the vertices of the hull: the points
-        that are faces by themselves.  Every point of a simplex is one."""
+        where the facets through them meet in that point alone.  Every
+        point of a simplex is one."""
         if self.simplex:
             return tuple(range(len(self.cpoints)))
-        return tuple(sorted(i for f in self.face_closure if len(f) == 1 for i in f))
+        ids = frozenset(range(len(self.cpoints)))
+        return tuple(
+            i
+            for i in range(len(self.cpoints))
+            if ids.intersection(*(z for _, _, z in self.facets if i in z)) == {i}
+        )
 
     @cached_property
     def facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
@@ -307,11 +306,12 @@ class Shape:
     def face_lattice(self) -> Mapping[frozenset[int], int]:
         """All nonempty faces, as a read-only {vertex-id set: dimension}.
 
-        Includes the polytope itself (top face) and every vertex.  Faces
-        are the face closure cut to the vertices; two distinct faces have
-        distinct vertex sets, so the representation is faithful.  A
-        vertex has dimension 0 and any other face one more than the
-        largest dimension of its proper faces, which the lattice holds.
+        Includes the polytope itself (top face) and every vertex.  The
+        proper faces are intersection_closure of the facets' vertex sets
+        under themselves; two distinct faces have distinct vertex sets,
+        so the representation is faithful.  A vertex has dimension 0 and
+        any other face one more than the largest dimension of its proper
+        faces, which the lattice holds.
         The faces of a simplex are its nonempty vertex subsets, each of
         dimension one less than its size.
         """
@@ -324,8 +324,8 @@ class Shape:
                     for face in itertools.combinations(ids, k)
                 }
             )
-        vids = frozenset(self.vertex_ids)
-        faces = {vids} | {f & vids for f in self.face_closure}
+        sets = self.facet_vertex_sets
+        faces = {frozenset(self.vertex_ids)} | intersection_closure(sets, sets)
         out: dict[frozenset[int], int] = {}
         for f in sorted(faces, key=len):
             out[f] = 1 + max((d for g, d in out.items() if g < f), default=-1)

@@ -1,14 +1,16 @@
 """Seeded random convenient supports shared by the property tests, the
-supports of the golden `--json` corpus, the benchmark's rounds, and a
-reference edge walk."""
+supports of the golden `--json` corpus, the benchmark's rounds, an
+explicit walk of the tables the answer builds, and a reference edge
+walk."""
 
 import sys
 from math import gcd
 from pathlib import Path
 from random import Random
 
+from newton_monodromy.ehrhart import Character
 from newton_monodromy.frontend import load_support, parse_polynomial
-from newton_monodromy.newton import SupportSet
+from newton_monodromy.newton import SupportSet, newton_polyhedron
 
 SEED = 20260816
 
@@ -45,6 +47,30 @@ def golden_supports():
             yield load_support(str(GOLDEN / argv[1]))
         else:
             yield parse_polynomial(argv[0])
+
+
+def table_pairs(supports, lowest: int = 1):
+    """Yield the (polytope, character) pair of every Hodge table that the
+    answer's recursion builds on the supports, walked explicitly rather
+    than recorded from the answer: for each orbit representative of
+    compact faces, its cone under its character and, if the face has
+    dimension >= 1, the face under the trivial character; after each of
+    these, the polytope of each of its faces of dimension >= lowest
+    under the same character.  Its faces of dimension >= 1 are the
+    strata the recursion builds tables for; lowest=0 adds the vertices.
+    No memo cuts the walk short, so a pair may come more than once."""
+    for support in supports:
+        np_ = newton_polyhedron(support)
+        trivial = Character.trivial(np_.n)
+        for face, _ in np_.representatives():
+            roots = [(face.delta, face.char)]
+            if face.dim >= 1:
+                roots.append((face.poly, trivial))
+            for poly, char in roots:
+                yield poly, char
+                for sub, sdim in poly.face_lattice.items():
+                    if sdim >= lowest:
+                        yield poly.face_polytope(sub), char
 
 
 def workload_round(name: str, seed: int = 1):

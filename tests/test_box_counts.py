@@ -1,7 +1,8 @@
 """The box kernel of p_alpha against a plain enumeration of the
 half-open parallelepiped: random full-dimensional simplices through the
-origin under random sides, and every top simplex the answer reaches on
-the golden and battery inputs under the sides the kernel picks."""
+origin under random sides, and every top simplex of the tables the
+answer builds on the golden and battery inputs under the sides the
+kernel picks."""
 
 from collections import Counter
 from fractions import Fraction
@@ -11,13 +12,11 @@ from random import Random
 
 import pytest
 
-from _battery import golden_supports, random_supports
+from _battery import golden_supports, random_supports, table_pairs
 
 from newton_monodromy import clear_caches, ehrhart
 from newton_monodromy import intlinalg as ila
 from newton_monodromy.errors import InternalConsistencyError
-from newton_monodromy.monodromy import jordan_blocks
-from newton_monodromy.newton import newton_polyhedron
 
 
 def _half_open_box(gens, weights, sides):
@@ -53,7 +52,10 @@ def _half_open_box(gens, weights, sides):
         yield from zip([h // det for h in heights], [v // det for v in values])
 
 
-def _reference(gens, weights, d, sides):
+def _reference(gens, form, d, sides):
+    """The enumeration's counts under the form, read through the weights
+    phi(gens_i) = form . y_i of its generators (y_i, 1)."""
+    weights = [ila.dot(form, g[:-1]) for g in gens]
     return dict(Counter((h, v % d) for h, v in _half_open_box(gens, weights, sides)))
 
 
@@ -79,9 +81,9 @@ def _toward_for(gens, sides):
 
 
 def _random_cases(seed=20261019, count=120):
-    """(gens, weights, d): a random full-dimensional simplex 0, y_1, ...,
-    y_m of Z^m, its cone generators (y, 1), and a character mod d that
-    vanishes on every y_i.  The y_i are the rows of a nonsingular m x m
+    """(gens, w, d): a random full-dimensional simplex 0, y_1, ..., y_m
+    of Z^m, its cone generators (y, 1), and the form w of a character
+    mod d that vanishes on every y_i.  The y_i are the rows of a nonsingular m x m
     matrix Y; each column c_k of det * Y^-1 has y_i . c_k = det * [i = k],
     so w = sum_k r_k c_k + d * z has w . y_i = r_i det = 0 mod d for any
     divisor d of det."""
@@ -102,7 +104,7 @@ def _random_cases(seed=20261019, count=120):
             w = [u + r * x for u, x in zip(w, c)]
         gens = [(0,) * m + (1,)] + [y + (1,) for y in rows]
         made += 1
-        yield gens, [ila.dot(w, g[:-1]) for g in gens], d
+        yield gens, w, d
 
 
 def test_box_counts_match_the_enumeration_on_random_simplices():
@@ -112,12 +114,12 @@ def test_box_counts_match_the_enumeration_on_random_simplices():
     apex's."""
     rng = Random(7)
     sizes, buckets, masks = [], [], set()
-    for gens, weights, d in _random_cases():
+    for gens, w, d in _random_cases():
         sides = [True] + [rng.random() < 0.5 for _ in gens[1:]]
         toward = _toward_for(gens, sides)
         assert _sides(gens, toward) == sides
-        got = ehrhart._box_counts(gens, weights, d, toward)
-        assert got == _reference(gens, weights, d, sides), (gens, weights, d, sides)
+        got = ehrhart._box_counts(gens, w, d, toward)
+        assert got == _reference(gens, w, d, sides), (gens, w, d, sides)
         sizes.append(sum(got.values()))
         buckets.append(len({r for _, r in got}))
         masks.add(tuple(sides))
@@ -132,7 +134,7 @@ def test_box_counts_break_ties_by_the_coordinate_axes():
     or small random ones."""
     rng = Random(11)
     ties = 0
-    for gens, weights, d in _random_cases(seed=5, count=60):
+    for gens, w, d in _random_cases(seed=5, count=60):
         ys = [g[:-1] for g in gens[1:]]
         m = len(ys)
         for toward in (
@@ -141,8 +143,8 @@ def test_box_counts_break_ties_by_the_coordinate_axes():
             [rng.randint(-1, 1) for _ in range(m)],
         ):
             sides = _sides(gens, toward)
-            got = ehrhart._box_counts(gens, weights, d, toward)
-            assert got == _reference(gens, weights, d, sides), (gens, toward)
+            got = ehrhart._box_counts(gens, w, d, toward)
+            assert got == _reference(gens, w, d, sides), (gens, toward)
             ties += any(ila.dot(toward, y) == 0 for y in ys)
     assert ties > 30
 
@@ -159,10 +161,10 @@ def test_box_counts_break_ties_by_the_coordinate_axes():
 def test_box_counts_walk_the_blocks(ys):
     m = len(ys[0])
     gens = [(0,) * m + (1,)] + [y + (1,) for y in ys]
-    weights = [0] * len(gens)
+    form = [0] * m
     for sides in product([True], *[[True, False]] * m):
-        got = ehrhart._box_counts(gens, weights, 1, _toward_for(gens, sides))
-        assert got == _reference(gens, weights, 1, sides), sides
+        got = ehrhart._box_counts(gens, form, 1, _toward_for(gens, sides))
+        assert got == _reference(gens, form, 1, sides), sides
 
 
 def test_box_counts_reject_a_simplex_off_the_origin():
@@ -182,14 +184,15 @@ def test_box_counts_reject_a_simplex_that_is_not_full_dimensional():
 
 @pytest.fixture(scope="module")
 def answered():
-    """The kernel calls and the top simplices of every polytope the
-    answer reaches on 40 battery supports and the golden inputs."""
+    """The kernel calls and the top simplices of p_alpha on every table
+    pair of the answer on 40 battery supports and the golden inputs,
+    walked by table_pairs."""
     calls, simplices = [], []
     kernel, top = ehrhart._box_counts, ehrhart._top_simplices
 
-    def record_kernel(gens, weights, d, toward):
-        calls.append((gens, weights, d, toward))
-        return kernel(gens, weights, d, toward)
+    def record_kernel(gens, form, d, toward):
+        calls.append((gens, form, d, toward))
+        return kernel(gens, form, d, toward)
 
     def record_top(poly):
         out = top(poly)
@@ -200,8 +203,8 @@ def answered():
         mp.setattr(ehrhart, "_box_counts", record_kernel)
         mp.setattr(ehrhart, "_top_simplices", record_top)
         clear_caches()
-        for support in [*random_supports(40), *golden_supports()]:
-            jordan_blocks(newton_polyhedron(support))
+        for poly, char in table_pairs([*random_supports(40), *golden_supports()]):
+            ehrhart.p_alpha(poly, char)
     clear_caches()
     return calls, simplices
 
@@ -210,10 +213,10 @@ def test_box_counts_match_the_enumeration_on_the_answered_simplices(answered):
     calls, _ = answered
     assert len(calls) > 100
     closed = 0
-    for gens, weights, d, toward in calls:
+    for gens, form, d, toward in calls:
         sides = _sides(gens, toward)
-        got = ehrhart._box_counts(gens, weights, d, toward)
-        assert got == _reference(gens, weights, d, sides)
+        got = ehrhart._box_counts(gens, form, d, toward)
+        assert got == _reference(gens, form, d, sides)
         closed += not all(sides)
     assert any(d > 1 for _, _, d, _ in calls)
     assert closed
@@ -247,13 +250,11 @@ def test_top_simplices_start_at_the_chart_origin(answered):
 
 
 def _box(ys, w, d):
-    """(gens, weights) of the simplex 0, y_1, ..., y_m under the form
-    phi(y, h) = w . y, which must vanish mod d on every y_i."""
+    """The generators of the simplex 0, y_1, ..., y_m, under a form w
+    that must vanish mod d on every y_i."""
     m = len(ys)
-    gens = [(0,) * m + (1,)] + [tuple(y) + (1,) for y in ys]
-    weights = [ila.dot(w, g[:-1]) for g in gens]
-    assert all(wt % d == 0 for wt in weights)
-    return gens, weights
+    assert all(ila.dot(w, y) % d == 0 for y in ys)
+    return [(0,) * m + (1,)] + [tuple(y) + (1,) for y in ys]
 
 
 # (ys, w, d, bits): the width the bound (m + 1) * max(det, d) calls for
@@ -278,7 +279,7 @@ def test_box_counts_pack_every_field_width(ys, w, d, bits):
     under only the narrower widths the kernel refuses it, under the
     widths from its own up it matches the enumeration on every choice of
     open and closed sides."""
-    gens, weights = _box(ys, w, d)
+    gens = _box(ys, w, d)
     m = len(ys)
     det = abs(ila.det(ys))
     reduced = d if any(wk % d for wk in w) else 1
@@ -289,16 +290,16 @@ def test_box_counts_pack_every_field_width(ys, w, d, bits):
     narrower = [f for f in fields if f[0] < bits]
     for sides in product([True], *[[True, False]] * m):
         toward = _toward_for(gens, sides)
-        want = _reference(gens, weights, d, sides)
+        want = _reference(gens, w, d, sides)
         with pytest.MonkeyPatch.context() as mp:
             for width in own:
                 mp.setattr(ehrhart, "_FIELDS", (width,))
-                assert ehrhart._box_counts(gens, weights, d, toward) == want
+                assert ehrhart._box_counts(gens, w, d, toward) == want
             if narrower:
                 mp.setattr(ehrhart, "_FIELDS", tuple(narrower))
                 with pytest.raises(InternalConsistencyError, match="overflows"):
-                    ehrhart._box_counts(gens, weights, d, toward)
-        assert ehrhart._box_counts(gens, weights, d, toward) == want
+                    ehrhart._box_counts(gens, w, d, toward)
+        assert ehrhart._box_counts(gens, w, d, toward) == want
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64])
@@ -308,17 +309,17 @@ def test_box_counts_match_the_enumeration_in_each_width(bits, answered, monkeypa
     gives the same counts."""
     rng = Random(bits)
     cases = []
-    for gens, weights, d in _random_cases(seed=bits, count=40):
+    for gens, w, d in _random_cases(seed=bits, count=40):
         sides = [True] + [rng.random() < 0.5 for _ in gens[1:]]
-        cases.append((gens, weights, d, _toward_for(gens, sides)))
+        cases.append((gens, w, d, _toward_for(gens, sides)))
     width = [f for f in ehrhart._FIELDS if f[0] == bits]
     monkeypatch.setattr(ehrhart, "_FIELDS", tuple(width))
     walked = 0
-    for gens, weights, d, toward in cases + answered[0]:
-        want = _reference(gens, weights, d, _sides(gens, toward))
+    for gens, form, d, toward in cases + answered[0]:
+        want = _reference(gens, form, d, _sides(gens, toward))
         if len(gens) * max(sum(want.values()), d) >> bits - 1:
             continue
-        assert ehrhart._box_counts(gens, weights, d, toward) == want
+        assert ehrhart._box_counts(gens, form, d, toward) == want
         walked += 1
     assert walked >= 30
 
@@ -326,7 +327,7 @@ def test_box_counts_match_the_enumeration_in_each_width(bits, answered, monkeypa
 def test_box_counts_refuse_a_box_past_64_bit_fields_before_walking(monkeypatch):
     """A bound of 2^63 leaves no guard bit in a 64-bit field; the kernel
     raises before it derives a block or walks one."""
-    gens, weights = _box([(2,)], (2**61,), 2**62)
+    gens = _box([(2,)], (2**61,), 2**62)
 
     def no_walk(*args):
         raise AssertionError("walked")
@@ -334,8 +335,8 @@ def test_box_counts_refuse_a_box_past_64_bit_fields_before_walking(monkeypatch):
     monkeypatch.setattr(ehrhart, "product", no_walk)
     monkeypatch.setattr(ila, "hnf_diagonal", no_walk)
     with pytest.raises(InternalConsistencyError, match="overflows 64-bit fields"):
-        ehrhart._box_counts(gens, weights, 2**62, [1])
+        ehrhart._box_counts(gens, (2**61,), 2**62, [1])
     # one bit less fits, and is walked
     monkeypatch.undo()
-    gens, weights = _box([(2,)], (2**60,), 2**61)
-    assert ehrhart._box_counts(gens, weights, 2**61, [1]) == {(1, 2**60): 1, (2, 0): 1}
+    gens = _box([(2,)], (2**60,), 2**61)
+    assert ehrhart._box_counts(gens, (2**60,), 2**61, [1]) == {(1, 2**60): 1, (2, 0): 1}

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from _battery import golden_supports, random_supports
+from _battery import golden_supports, random_supports, table_pairs
 from _buckets import as_fractions, read_buckets
 
 from newton_monodromy import clear_caches, ehrhart, hodge, oracles
@@ -19,7 +19,6 @@ from newton_monodromy.ehrhart import (
 from newton_monodromy.errors import InternalConsistencyError
 from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.hodge import hodge_table
-from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import Polytope, make_polytope
 
@@ -35,13 +34,17 @@ def test_character_normalization():
 
 def test_character_rejects_non_integers():
     """A non-integral modulus or coefficient raises instead of being
-    truncated: 2.5 is not read as 2, nor 1/2 as 0."""
+    truncated: 2.5 is not read as 2, nor 1/2 as 0.  Nor is a bool, though
+    Python counts it an int: True, (False, True) is not modulus 1."""
     with pytest.raises(TypeError):
         Character(2.5, (1, 1))
     with pytest.raises(TypeError):
         Character(2, (1.5, 1))
     with pytest.raises(TypeError):
         Character(4, (F(1, 2), 1))
+    for modulus, coeffs in ((True, (False, True)), (2, (True, 0)), (True, (1,))):
+        with pytest.raises(TypeError, match="bool"):
+            Character(modulus, coeffs)
 
 
 def test_character_is_idempotent_under_renormalization():
@@ -193,26 +196,19 @@ def _dilate_scan_p_alpha(poly, char):
 
 
 def _reached_pairs(supports):
-    """Every (polytope, character) pair whose numerators jordan_blocks
-    reads on the supports, one per restricted character."""
+    """Every (polytope, character) pair of a table the answer builds on
+    the supports (table_pairs), whose numerators the table reads, one
+    per restricted character."""
     seen = {}
-    real = ehrhart.p_alpha
-
-    def record(poly, char):
-        seen.setdefault((poly.key, ehrhart.restricted(poly, char)), (poly, char))
-        return real(poly, char)
-
     clear_caches()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ehrhart, "p_alpha", record)
-        for support in supports:
-            jordan_blocks(newton_polyhedron(support))
+    for poly, char in table_pairs(supports):
+        seen.setdefault((poly.key, ehrhart.restricted(poly, char)), (poly, char))
     return list(seen.values())
 
 
 def test_p_alpha_matches_the_dilate_scan():
     """The half-open box sums equal the numerators of the dilate scan on every
-    pair that jordan_blocks reaches on 40 battery supports, 45 more in
+    table pair of the answer on 40 battery supports, 45 more in
     three and four variables, the golden inputs, two Fermat surfaces, a
     Fermat quartic threefold and a support with a non-simplicial compact
     face.  The memo is keyed by shape, so translates of a face are reached
@@ -266,9 +262,9 @@ def test_p_alpha_matches_the_dilate_scan_on_non_simplices():
     closed = 0
     real = ehrhart._box_counts
 
-    def record(gens, weights, d, toward):
+    def record(gens, form, d, toward):
         nonlocal closed
-        out = real(gens, weights, d, toward)
+        out = real(gens, form, d, toward)
         closed += max(h for h, _ in out) < len(gens)
         return out
 
@@ -385,8 +381,8 @@ def test_p_alpha_catches_a_dropped_height_one_box_point(monkeypatch):
     """The cusp's one interior point (1, 1) is a box point of height 1."""
     real = ehrhart._box_counts
 
-    def lossy(gens, weights, d, toward):
-        counts = dict(real(gens, weights, d, toward))
+    def lossy(gens, form, d, toward):
+        counts = dict(real(gens, form, d, toward))
         key = next(key for key in counts if key[0] == 1)
         counts[key] -= 1
         return counts
@@ -410,13 +406,13 @@ def test_p_alpha_catches_a_flipped_facet_side(monkeypatch, flipped):
     real = ehrhart._box_counts
     y1, y2 = (make_polytope(_SQUARE[0]).cpoints[i] for i in flipped[1:])
 
-    def flip(gens, weights, d, toward):
-        out = real(gens, weights, d, toward)
+    def flip(gens, form, d, toward):
+        out = real(gens, form, d, toward)
         if [g[:-1] for g in gens[1:]] != [y1, y2]:
             return out
         s = -1 if any(h == 3 for h, _ in out) else 1
         toward = [s * a + b for a, b in zip(y1, y2)]
-        return real(gens, weights, d, toward)
+        return real(gens, form, d, toward)
 
     monkeypatch.setattr(ehrhart, "_box_counts", flip)
     _fresh_p_alpha_raises(*_SQUARE, "phi_1")

@@ -24,7 +24,7 @@ from newton_monodromy.newton import SupportSet, newton_polyhedron
 from newton_monodromy.oracles import validate
 from newton_monodromy.polytope import make_polytope
 
-from _battery import edge_points, golden_supports, random_supports
+from _battery import edge_points, golden_supports, random_supports, table_pairs
 from _buckets import as_fractions, read_buckets
 
 F = Fraction
@@ -532,23 +532,11 @@ def _ref_row_sums(poly, char):
 
 
 def _reached_table_pairs(supports):
-    """Every (polytope, character) pair whose residue table jordan_blocks
-    reads on the supports, cone tables and strata alike, in first-read
-    order."""
-    seen = {}
-    real = hodge_table
-
-    def record(poly, char):
-        seen.setdefault((poly, char), None)
-        return real(poly, char)
-
+    """Every (polytope, character) pair of a residue table the answer
+    builds on the supports, cone tables and strata alike (table_pairs),
+    in walk order."""
     clear_caches()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hodge, "hodge_table", record)
-        mp.setattr(monodromy, "hodge_table", record)
-        for support in supports:
-            jordan_blocks(newton_polyhedron(support))
-    return list(seen)
+    return list(dict.fromkeys(table_pairs(supports)))
 
 
 def _residue_keys(mapping, d):
@@ -569,7 +557,7 @@ NON_SIMPLICIAL_FAN_INPUTS = (
 
 
 def test_public_views_match_the_fraction_assembly():
-    """On every pair jordan_blocks reaches on 40 battery supports, 10 more
+    """On every table pair of the answer on 40 battery supports, 10 more
     in three and four variables, the golden inputs and four inputs with
     non-simplicial normal fans, hodge_table, boundary_values and
     _row_sums, read as Fractions, equal the Fraction-keyed assembly

@@ -89,10 +89,17 @@ def test_kouchnirenko_rejects_bad_support():
 
 
 def test_kouchnirenko_rejects_non_integer_exponents():
-    """A fractional exponent is refused, not truncated to x^2 + y^3."""
+    """A fractional exponent is refused, not truncated to x^2 + y^3, and
+    a bool is refused, not read as 0 or 1: (2, False), (False, 2) is no
+    x^2 + y^2 of mu 1.  An integral float is read as its integer."""
     for half in (2.5, F(5, 2)):
         with pytest.raises(ValueError, match="bad support point"):
             kouchnirenko_mu([(half, 0), (0, 3)])
+    with pytest.raises(ValueError, match="bad support point"):
+        kouchnirenko_mu([(2, False), (False, 2)])
+    with pytest.raises(ValueError, match="bad support point"):
+        varchenko_multiplicities([(2, 0), (True, 3), (0, 2)])
+    assert kouchnirenko_mu([(2.0, 0), (0, 2.0)]) == 1
 
 
 def _fermat(n, e):
@@ -579,9 +586,9 @@ def test_brieskorn_pham_spectrum_small_cases():
 
 
 def test_brieskorn_pham_spectrum_rejects_non_integers_and_no_exponents():
-    """2.5 is not truncated to 2, and no exponents is not the spectrum
-    {0: 1} of the empty product."""
-    for bad in ([2.5, 3], [F(7, 2), 3], []):
+    """2.5 is not truncated to 2, True is no exponent 1, and no exponents
+    is not the spectrum {0: 1} of the empty product."""
+    for bad in ([2.5, 3], [F(7, 2), 3], [True, 3], [3, False], []):
         with pytest.raises(ValueError, match="nonempty list of integers"):
             brieskorn_pham_spectrum(bad)
     assert brieskorn_pham_spectrum([2.0, F(3)]) == brieskorn_pham_spectrum((2, 3))

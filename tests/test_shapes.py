@@ -22,7 +22,7 @@ from newton_monodromy.monodromy import jordan_blocks
 from newton_monodromy.newton import newton_polyhedron
 from newton_monodromy.polytope import Polytope, Shape, make_polytope
 
-from _battery import golden_supports, random_supports
+from _battery import golden_supports, random_supports, table_pairs
 
 SEPTIC = "x^7 + y^7 + z^7 + x^2*y^2*z^2"
 
@@ -91,21 +91,11 @@ def test_a_translate_shares_the_shape_and_the_numerators():
 
 
 def _reached_pairs(supports):
-    """Every (polytope, character) on which jordan_blocks looks up a
-    memoized function over the supports, in first-read order."""
-    seen = {}
-    real = ehrhart.restricted
-
-    def record(poly, char):
-        seen.setdefault((poly, char), None)
-        return real(poly, char)
-
+    """Every (polytope, character) of the answer's tables on the
+    supports and of all their faces, vertices included (table_pairs), on
+    which the answer may look up a memoized function, in walk order."""
     clear_caches()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ehrhart, "restricted", record)
-        for support in supports:
-            jordan_blocks(newton_polyhedron(support))
-    return list(seen)
+    return list(dict.fromkeys(table_pairs(supports, lowest=0)))
 
 
 def _reads(poly, char):
@@ -126,7 +116,7 @@ def _reads(poly, char):
 
 
 def test_shape_keyed_memo_matches_per_instance_computation():
-    """Every pair jordan_blocks reaches on 40 battery supports, the golden
+    """Every pair the answer's tables reach on 40 battery supports, the golden
     inputs, the septic surface and the Fermat quartic threefold reads,
     through the memo that the whole corpus filled by shape, what its own
     polytope computes after clear_caches() with sharing switched off, when

@@ -21,13 +21,15 @@ from newton_monodromy.polytope import Polytope, Shape
 
 SEPTIC = "x^7 + y^7 + z^7 + x^2*y^2*z^2"
 QUADRILATERAL = "x^4 + x^2*y + x^2*z + y^4 + z^4"
+NON_SIMPLICIAL = "x^5 + y^4 + z^5 + y*z^2 + x*y*z + x^4*y*z^4"
 
 
 def _cold_round():
-    """A cold answer and validate on the septic surface and on the cone
-    over a quadrilateral, which has a shape that is no simplex."""
+    """A cold answer and validate on the septic surface, on the cone over
+    a quadrilateral, which has a shape that is no simplex, and on a
+    support with a non-simplicial compact face."""
     clear_caches()
-    for text in (SEPTIC, QUADRILATERAL):
+    for text in (SEPTIC, QUADRILATERAL, NON_SIMPLICIAL):
         np_ = newton.newton_polyhedron(parse_polynomial(text))
         fastpath_unipotent(np_)
         jordan_blocks(np_)
