@@ -36,7 +36,7 @@ character's restriction to that lattice (restricted), and it lies in
 integer residue r mod d' of the value r/d': relint_counts and p_alpha
 here, and the tables and row sums in hodge, key by residues, and a
 caller that merges the buckets of a face into those of a larger
-polytope multiplies them by residue_step.
+polytope multiplies them by d' / d'_sub (hodge._faces).
 
 The engine's one store, polytope._MEMO, holds everything computed from
 an interned polytope: the restrictions, the volumes, and the results of
@@ -172,21 +172,6 @@ def memoized(fn):
     return lookup
 
 
-def residue_step(d: int, sub, char: Character) -> int:
-    """The factor d / d_sub that takes a bucket residue of the polytope
-    sub (d_sub = restricted(sub, char)[0]) to a residue mod d.  A face's
-    lattice lies in its polytope's, so d_sub divides the modulus of every
-    polytope sub is a face of, and any common multiple of such moduli; a
-    d_sub that does not divide d is an engine error, not a bucket to
-    round."""
-    step, rest = divmod(d, restricted(sub, char)[0])
-    if rest:
-        raise InternalConsistencyError(
-            f"bucket modulus of {sub.points} does not divide {d}"
-        )
-    return step
-
-
 def residue(alpha, d: int) -> int | None:
     """The integer r with alpha = r/d, or None when d * alpha is not one;
     alpha is a Fraction or an int."""
@@ -194,7 +179,6 @@ def residue(alpha, d: int) -> int | None:
     return None if rest else r
 
 
-@memoized
 def relint_counts(poly, char: Character, k: int) -> Mapping[int, int]:
     """Bucketed count of interior lattice points of the k-th dilate.
 
@@ -202,8 +186,17 @@ def relint_counts(poly, char: Character, k: int) -> Mapping[int, int]:
     ascending order; values are positive counts.  k = 0 returns an empty
     mapping.  The relative interior of a point is the point itself: its
     chart is Z^0, and lattice_scan returns the one chart point ().  Under
-    a trivial restriction (d' = 1) every point falls in bucket 0.
+    a trivial restriction (d' = 1) every point falls in bucket 0.  A k
+    that is no int >= 0, a bool included, raises InputError before the
+    memo is read, where True would find the entry of 1.
     """
+    if type(k) is not int or k < 0:
+        raise InputError(f"dilate {k!r} is not an int >= 0")
+    return _relint_counts(poly, char, k)
+
+
+@memoized
+def _relint_counts(poly, char: Character, k: int) -> Mapping[int, int]:
     if k == 0:
         return {}
     d, w, o = restricted(poly, char)

@@ -206,18 +206,30 @@ def parse_polynomial(text: str, variable_order=None) -> SupportSet:
     return SupportSet(variables=order, points=tuple(points))
 
 
+def _unrepeated(pairs) -> dict:
+    """A JSON object as a dict; a repeated key, which json lets the last
+    one win, raises."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        raise SupportSchemaError(f"repeated key among {[k for k, _ in pairs]}")
+    return out
+
+
 def load_support(path: str) -> SupportSet:
     """Support set from a JSON file {"variables": [...], "support": [[...]]}.
 
-    The schema is strict: exactly those two keys, distinct identifier
-    names, equal-length nonnegative integer exponent vectors, and no
-    duplicate points.
+    The schema is strict: exactly those two keys, each given once,
+    distinct identifier names, equal-length nonnegative integer exponent
+    vectors, and no duplicate points.  A file that cannot be opened or
+    is not UTF-8 text raises SupportSchemaError as well.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SupportSchemaError(f"invalid JSON: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh, object_pairs_hook=_unrepeated)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SupportSchemaError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SupportSchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SupportSchemaError("top level must be an object")
     extra = sorted(set(data) - {"variables", "support"})

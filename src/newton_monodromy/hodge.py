@@ -9,7 +9,7 @@ alpha = r/d' for d' = restricted(poly, char)[0], so a table is a mapping
 {(p, q, r): int} keyed by the residue r in range(d'), zero entries
 dropped: the conjugate bucket of r is (-r) % d', and the table of a
 stratum, whose own modulus divides d', has its residues multiplied by
-ehrhart.residue_step before they are merged.
+the quotient, which _faces keeps per (polytope, character).
 
 The computation is the classical one: closed formulas for both extreme
 rows and for the high range p+q > dim-1, a stratification of the
@@ -48,9 +48,9 @@ from math import comb
 from types import MappingProxyType
 
 from . import ehrhart
-from .ehrhart import Character, memoized, residue_step, restricted
+from .ehrhart import Character, memoized, restricted
 from .errors import InputError, InternalConsistencyError
-from .polytope import cached
+from .polytope import _intern, cached
 
 
 def _merge(
@@ -77,9 +77,10 @@ def _clean(table: dict) -> dict:
 
 
 def lefschetz_twist(table: dict, k: int) -> dict:
-    """Multiply a table by (1 - L)^k, k >= 0; L shifts (p, q) by (1, 1)."""
-    if k < 0:
-        raise ValueError(f"twist exponent {k} is negative")
+    """Multiply a table by (1 - L)^k, k an int >= 0 (not a bool); L
+    shifts (p, q) by (1, 1).  Any other k raises InputError."""
+    if type(k) is not int or k < 0:
+        raise InputError(f"twist exponent {k!r} is negative or no int")
     out: dict = {}
     _merge(out, table, twist=k)
     return _clean(out)
@@ -140,9 +141,7 @@ def _boundary_rows(poly, char: Character):
     d = restricted(poly, char)[0]
     sign = (-1) ** (m - 1)
     lsum = {k: Counter() for k in range(m + 1)}
-    for face, fdim in poly.face_lattice.items():
-        sub = poly.face_polytope(face)
-        step = residue_step(d, sub, char)
+    for fdim, sub, step in _faces(poly, char).values():
         for r, c in ehrhart.relint_counts(sub, char, 1).items():
             lsum[fdim][r * step] += c
     skel = lsum[0] + lsum[1]
@@ -198,6 +197,15 @@ def _boundary_mismatch(table, bv, alphas, m):
     return None
 
 
+def _conjugation_mismatch(table, d):
+    """The first key (p, q, a) of table whose entry differs from the one
+    at (q, p, -a mod d), an absent key standing for 0, or None."""
+    for (p, q, a), v in table.items():
+        if table.get((q, p, -a % d), 0) != v:
+            return p, q, a
+    return None
+
+
 def _count_chains(lattice, m: int) -> dict:
     """{F: {k: number of chains F_0 > ... > F_k = F}} over the proper
     faces F of an m-polytope's face lattice {face: dim}, the cones of the
@@ -221,6 +229,26 @@ def _chains(shape) -> Mapping:
     return MappingProxyType(_count_chains(shape.face_lattice, shape.dim))
 
 
+@cached
+def _faces(poly, char: Character) -> Mapping:
+    """{face: (dim, face polytope, step)} in face_lattice order, read-only,
+    kept per (polytope, character) for every walk over poly's faces.
+    step = d' / d'_sub takes a residue of the face to one of poly.  A
+    face's lattice lies in its polytope's, so d'_sub divides d'; a
+    quotient that is no integer is an engine error, not one to round."""
+    d = restricted(poly, char)[0]
+    out = {}
+    for face, fdim in poly.face_lattice.items():
+        sub = _intern(poly.face_points(face))
+        step, rest = divmod(d, restricted(sub, char)[0])
+        if rest:
+            raise InternalConsistencyError(
+                f"bucket modulus of {sub.points} does not divide {d}"
+            )
+        out[face] = (fdim, sub, step)
+    return MappingProxyType(out)
+
+
 def _strata_sum(poly, char: Character, m: int) -> dict:
     """Sum over torus orbits of the boundary strata of the closure.
 
@@ -232,11 +260,10 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
     polynomial sum_k c_k (L - 1)^(m - k - 1 - dim F), so F's table is
     merged once, with that polynomial's coefficients.
     """
-    d = restricted(poly, char)[0]
-    lat = poly.face_lattice
+    faces = _faces(poly, char)
     S: dict = {}
     for face, ends in _chains(poly.shape).items():
-        fdim = lat[face]
+        fdim, sub, step = faces[face]
         if not fdim:
             continue
         top = m - 1 - fdim
@@ -245,9 +272,8 @@ def _strata_sum(poly, char: Character, m: int) -> dict:
             j = top - k
             for i in range(j + 1):
                 weights[i] += c * (-1) ** (j - i) * comb(j, i)
-        sub = poly.face_polytope(face)
         terms = [(i, w) for i, w in enumerate(weights) if w]
-        _merge_terms(S, hodge_table(sub, char), terms, residue_step(d, sub, char))
+        _merge_terms(S, hodge_table(sub, char), terms, step)
     return _clean(S)
 
 
@@ -299,11 +325,9 @@ def _post_checks(poly, d, table, bv, alphas, m):
             f"assembled table contradicts boundary value at {k} mod {d}: "
             f"{table.get(k, 0)} != {bv.get(k, 0)}"
         )
-    for (p, q, a), v in table.items():
-        if table.get((q, p, -a % d), 0) != v:
-            raise InternalConsistencyError(
-                f"conjugation symmetry broken at {(p, q, a)} mod {d}"
-            )
+    k = _conjugation_mismatch(table, d)
+    if k is not None:
+        raise InternalConsistencyError(f"conjugation symmetry broken at {k} mod {d}")
     total = sum(table.values())
     want = (-1) ** (m - 1) * ehrhart.normalized_volume(poly)
     if total != want:
@@ -324,12 +348,9 @@ def _row_sums(poly, char: Character) -> Mapping[int, tuple[int, ...]]:
     (k+1)-faces containing it, counted with one subset test per face
     pair.  A read-only mapping of tuples."""
     m = poly.dim
-    d = restricted(poly, char)[0]
     lat = poly.face_lattice
     phis = {}
-    for face, fdim in lat.items():
-        sub = poly.face_polytope(face)
-        step = residue_step(d, sub, char)
+    for face, (fdim, sub, step) in _faces(poly, char).items():
         # sigma of the face: phi_0 + ... + phi_dim per bucket
         phis[face] = {
             r * step: (-1) ** fdim * v

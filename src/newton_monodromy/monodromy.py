@@ -77,8 +77,11 @@ class JordanSpectrum:
 
     def block_sizes(self, eigenvalue: Fraction) -> dict[int, int]:
         """{size: count} of the blocks at one eigenvalue, given as an
-        int, a Fraction or a string 'a/b' (hodge.read_eigenvalue)."""
+        int, a Fraction or a string 'a/b' (hodge.read_eigenvalue), in
+        [0, 1); one outside raises InputError."""
         eigenvalue = read_eigenvalue(eigenvalue)
+        if not 0 <= eigenvalue < 1:
+            raise InputError(f"eigenvalue {eigenvalue} is not in [0, 1)")
         return {
             size: cnt
             for (ev, size), cnt in sorted(self.blocks.items())

@@ -9,14 +9,14 @@ coordinate section's undominated points (a point above another
 coordinatewise is neither tight nor in the way on a facet with positive
 normal); a second finds the lower facets by one brute-force
 supporting-hyperplane search over the k-subsets of each list, normals
-from a fraction-free integer elimination of its own.  The number of
+from _bareiss, its one fraction-free elimination.  The number of
 those subsets is the search's price: validate reads it between the
 steps and runs the second only within heavy_limit.  A facet gamma of
 more than k points is cut down to its vertices, the points that the
 facets through them, lower or coordinate, hold alone.  The pyramid
 conv(0 u gamma) over a facet of k vertices is a simplex, and its
-normalized volume is |det| of them, from a fraction-free (Bareiss)
-determinant, also of its own.  A pyramid over a facet of more vertices
+normalized volume is |det| of them, the last pivot of the same
+elimination.  A pyramid over a facet of more vertices
 V is triangulated by lifting 0 and V to heights M^0, M^1, ...: the same
 search in dimension k + 1 finds the lower facets of the lift, each a
 simplex, and their determinants add up to the volume.  That search
@@ -48,6 +48,7 @@ from .errors import InputError, InternalConsistencyError
 from .hodge import (
     _boundary_mismatch,
     _chains,
+    _conjugation_mismatch,
     _merge,
     _row_sums,
     boundary_values,
@@ -74,41 +75,57 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _nullspace_generator(rows, k):
-    """Primitive integer generator of the nullspace of rows in Z^k,
-    or None unless the nullspace is exactly one-dimensional.
-
-    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot
-    column by cross-multiplying with the pivot row, then divided by the
-    gcd of its entries, so every entry stays an integer."""
+def _bareiss(rows, k):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows
+    over their first k columns.  Returns (rows, pivot columns, sign of
+    the row swaps, last pivot d); each pivot row ends with d in its
+    pivot column and 0 in the others.  At a pivot, a row with a nonzero
+    in its column is cross-multiplied with the pivot row and divided,
+    exactly, by the pivot of its own last update (lag); a row with a
+    zero there would only be scaled, so it waits until it is updated,
+    made the pivot row or returned."""
     mat = [list(r) for r in rows]
-    pivot_cols = []
-    r = 0
+    lag = [1] * len(mat)
+    cols: list[int] = []
+    sign = prev = 1
     for c in range(k):
+        r = len(cols)
         pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+            lag[r], lag[pr] = lag[pr], lag[r]
+            sign = -sign
         prow = mat[r]
+        if lag[r] != prev:
+            prow = mat[r] = [x * prev // lag[r] for x in prow]
         pv = prow[c]
         for i, row in enumerate(mat):
             f = row[c]
-            if i != r and f:
-                row = [pv * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
-        pivot_cols.append(c)
-        r += 1
-    if r != k - 1:
+            if f and i != r:
+                mat[i] = [(pv * x - f * y) // lag[i] for x, y in zip(row, prow)]
+                lag[i] = pv
+        lag[r] = prev = pv
+        cols.append(c)
+    mat = [row if w == prev else [x * prev // w for x in row] for row, w in zip(mat, lag)]
+    return mat, cols, sign, prev
+
+
+def _nullspace_generator(rows, k):
+    """Primitive integer generator of the nullspace of rows in Z^k,
+    or None unless the nullspace is exactly one-dimensional.  After
+    _bareiss, pivot row i reads d * x_c + a_i * x_free = 0, so
+    x = (x_free = d, x_c = -a_i), made primitive with x_free > 0."""
+    mat, cols, _, d = _bareiss(rows, k)
+    if len(cols) != k - 1:
         return None
-    (free,) = [c for c in range(k) if c not in pivot_cols]
-    # row ri reads mat[ri][c] * x_c + mat[ri][free] * x_free = 0
-    scale = lcm(*(abs(mat[ri][c]) for ri, c in enumerate(pivot_cols)))
+    (free,) = set(range(k)).difference(cols)
     sol = [0] * k
-    sol[free] = scale
-    for ri, c in enumerate(pivot_cols):
-        sol[c] = -mat[ri][free] * (scale // mat[ri][c])
-    g = gcd(*sol)
+    sol[free] = d
+    for row, c in zip(mat, cols):
+        sol[c] = -row[free]
+    g = gcd(*sol) if d > 0 else -gcd(*sol)
     return tuple(x // g for x in sol)
 
 
@@ -191,35 +208,10 @@ def _facet_vertices(low, k):
 
 
 def _det(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: each step cross-multiplies with the pivot row and
-    divides by the previous pivot, a division that is always exact, so
-    every entry stays an integer and the last pivot is the determinant,
-    up to the sign of the row swaps."""
-    mat = [list(r) for r in rows]
-    k = len(mat)
-    sign, prev = 1, 1
-    for c in range(k):
-        pr = next((i for i in range(c, k) if mat[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            sign = -sign
-        prow = mat[c]
-        pv = prow[c]
-        for i in range(c + 1, k):
-            f = mat[i][c]
-            mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], prow)]
-        prev = pv
-    return sign * prev
-
-
-def _simplex_volume(cell):
-    """k! times the volume of the k-simplex with the k + 1 vertices cell
-    in R^k: |det| of the edges from its first vertex."""
-    base, *rest = cell
-    return abs(_det([[x - y for x, y in zip(p, base)] for p in rest]))
+    """Determinant of a square integer matrix: the sign of _bareiss's
+    row swaps times its last pivot, or 0 when a column has no pivot."""
+    _, cols, sign, last = _bareiss(rows, len(rows))
+    return sign * last if len(cols) == len(rows) else 0
 
 
 def _pyramid_normalized_volume(verts, k):
@@ -232,7 +224,8 @@ def _pyramid_normalized_volume(verts, k):
     points go to heights M^0, M^1, ... in R^(k+1), with M = (k+1)! C^k
     + 1 and C the largest coordinate, and the lower facets of the lift
     (last normal coordinate > 0), from _supporting_hyperplanes, project
-    to the simplices of a regular (placing) triangulation of P.  Each
+    to the simplices of a regular (placing) triangulation of P, each of
+    normalized volume |det| of its vertices' rows (y, 1).  Each
     lower facet holds exactly k + 1 lifted points: k + 2 points spanning
     R^k have one affine dependence, its coefficients are (k+1)-minors of
     points in [0, C]^k, so each is less than M in absolute value, and no
@@ -251,7 +244,7 @@ def _pyramid_normalized_volume(verts, k):
                 raise InternalConsistencyError(
                     f"lifted cell {cell} over {verts} is no simplex"
                 )
-            total += _simplex_volume(cell)
+            total += abs(_det([(*p, 1) for p in cell]))
     return total
 
 
@@ -611,12 +604,10 @@ def validate(np_: NewtonPolyhedron, heavy_limit: int = 100_000) -> ValidationRep
 
     def chk_conjugation():
         for poly, char, f in tables:
-            d, table = restricted(poly, char)[0], hodge_table(poly, char)
-            for (p, q, a), v in table.items():
-                if table.get((q, p, -a % d), 0) != v:
-                    raise InternalConsistencyError(
-                        f"conjugation at {(p, q, a)} on face {f.points}"
-                    )
+            d = restricted(poly, char)[0]
+            k = _conjugation_mismatch(hodge_table(poly, char), d)
+            if k is not None:
+                raise InternalConsistencyError(f"conjugation at {k} on face {f.points}")
         return ""
 
     run("conjugation-symmetry", chk_conjugation)

@@ -496,11 +496,9 @@ class Polytope:
         points = self.points
         return tuple(points[i] for i in sorted(face))
 
-    @cached
     def face_polytope(self, face: frozenset[int]) -> "Polytope":
-        """The interned polytope of a face, kept per (polytope, face).
-        face_points is already a key, so it is interned as it is, with
-        no second normalization."""
+        """The interned polytope of a face.  face_points is already a
+        key, so it is interned as it is, with no second normalization."""
         return _intern(self.face_points(face))
 
 

@@ -113,4 +113,58 @@ MUTANTS = (
         "        return x == int(x)\n",
         "tests/test_oracles.py::test_kouchnirenko_rejects_non_integer_exponents",
     ),
+    # _faces keeps each face's dimension, polytope and residue step
+    Mutant(
+        "hodge.py",
+        "        step, rest = divmod(d, restricted(sub, char)[0])\n",
+        "        step, rest = divmod(restricted(sub, char)[0], d)\n",
+        "tests/test_hodge.py::test_stratum_modulus_must_divide_the_polytope_modulus",
+    ),
+    Mutant(
+        "hodge.py",
+        "        if rest:\n            raise InternalConsistencyError(\n"
+        "                f\"bucket modulus",
+        "        if False:\n            raise InternalConsistencyError(\n"
+        "                f\"bucket modulus",
+        "tests/test_hodge.py::test_stratum_modulus_must_divide_the_polytope_modulus",
+    ),
+    Mutant(
+        "hodge.py",
+        "        out[face] = (fdim, sub, step)\n",
+        "        out[face] = (step, sub, fdim)\n",
+        "tests/test_hodge.py::test_stratum_modulus_must_divide_the_polytope_modulus",
+    ),
+    Mutant(
+        "hodge.py",
+        "        sub = _intern(poly.face_points(face))\n",
+        "        sub = poly.face_polytope(face)\n",
+        "tests/test_hodge.py::test_stratum_modulus_must_divide_the_polytope_modulus",
+        "face_polytope interns face_points as it is, so both name one polytope",
+    ),
+    # the conjugate entry is compared, an absent one standing for 0
+    Mutant(
+        "hodge.py",
+        "        if table.get((q, p, -a % d), 0) != v:\n",
+        "        if table.get((q, p, -a % d), v) != v:\n",
+        "tests/test_hodge.py::test_conjugation_mismatch_reads_the_conjugate_entry",
+    ),
+    # the oracle's one elimination
+    Mutant(
+        "oracles.py",
+        "            sign = -sign\n",
+        "            sign = sign\n",
+        "tests/test_oracles.py::test_det_matches_fraction_elimination",
+    ),
+    Mutant(
+        "oracles.py",
+        "                lag[i] = pv\n",
+        "                pass\n",
+        "tests/test_oracles.py::test_integer_nullspace_matches_fraction_elimination",
+    ),
+    Mutant(
+        "oracles.py",
+        "    mat = [row if w == prev else [x * prev // w for x in row] for row, w in zip(mat, lag)]\n",
+        "",
+        "tests/test_oracles.py::test_integer_nullspace_matches_fraction_elimination",
+    ),
 )

@@ -86,6 +86,18 @@ def test_origin_in_support_via_file(capsys, tmp_path):
     assert "origin is in the support" in err
 
 
+def test_unreadable_support_file_exits_2(capsys, tmp_path):
+    """A --support path that is missing, a directory, or not UTF-8 is
+    invalid input: exit code 2 and one error line, no traceback."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path / "missing.json", tmp_path, binary):
+        code = cli.main(["--support", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, path
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_support_file_roundtrip(capsys, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(

@@ -16,7 +16,7 @@ from newton_monodromy.ehrhart import (
     p_alpha,
     relint_counts,
 )
-from newton_monodromy.errors import InternalConsistencyError
+from newton_monodromy.errors import InputError, InternalConsistencyError
 from newton_monodromy.frontend import parse_polynomial
 from newton_monodromy.hodge import hodge_table
 from newton_monodromy.newton import newton_polyhedron
@@ -110,6 +110,23 @@ def test_relint_counts_vertex():
     assert read_buckets(relint_counts, v, c, 1) == {F(5, 6): 1}
     assert read_buckets(relint_counts, v, c, 2) == {F(4, 6): 1}
     assert relint_counts(v, c, 0) == {}
+
+
+def test_relint_counts_refuses_a_dilate_that_is_no_int():
+    """k must be an int >= 0: -1 would count nothing though -P has
+    interior points, and True would answer for k = 1.  The refusal comes
+    before the memo is read, so it holds whether or not the entry of 1
+    is kept."""
+    tri = make_polytope([(0, 0), (3, 0), (0, 3)])
+    c = Character(3, (1, 2))
+    for kept in (False, True):
+        clear_caches()
+        if kept:
+            assert relint_counts(tri, c, 1)
+        for bad in (-1, True, False, 1.0, "1", None):
+            with pytest.raises(InputError, match="is not an int >= 0"):
+                relint_counts(tri, c, bad)
+    clear_caches()
 
 
 def test_p_alpha_unit_segment():
@@ -505,7 +522,7 @@ def test_characters_with_one_restriction_share_memo_entries():
         direct = as_fractions(got, ehrhart.restricted(seg, a)[0])
         assert direct == _direct_counts(seg, a, k) == _direct_counts(seg, b, k)
     assert read_buckets(relint_counts, seg, a, 2) == {F(0): 1, F(1, 2): 2}
-    assert len(_entries(relint_counts)) == 3
+    assert len(_entries(ehrhart._relint_counts)) == 3
 
     tri = make_polytope([(0, 0, 0), (2, 0, 0), (0, 3, 0)])
     c = Character(6, (3, 2, 0))
@@ -543,7 +560,7 @@ def test_restrictions_that_differ_get_their_own_entries():
                 d = ehrhart.restricted(poly, c)[0]
                 assert as_fractions(counts, d) == _direct_counts(poly, c, k), (poly, c, k)
             assert k > 1 or got[0] != got[1]
-    assert len(_entries(relint_counts)) == 12
+    assert len(_entries(ehrhart._relint_counts)) == 12
 
     # vertex-trivial characters of a segment of length 2: w = 0 against w = 1
     seg2 = make_polytope([(0, 0), (2, 0)])
@@ -560,7 +577,7 @@ def test_restrictions_that_differ_get_their_own_entries():
 def test_clear_caches_empties_the_restriction_memo():
     cusp = make_polytope([(0, 0), (2, 0), (0, 3)])
     hodge_table(cusp, Character(6, (3, 2)))
-    for fn in (ehrhart.restricted, normalized_volume, relint_counts, p_alpha):
+    for fn in (ehrhart.restricted, normalized_volume, ehrhart._relint_counts, p_alpha):
         assert _entries(fn), fn
     clear_caches()
     assert not ehrhart._MEMO

@@ -157,6 +157,27 @@ def test_load_support_schema_errors(tmp_path):
             load_support(_write(tmp_path, data))
 
 
+def test_load_support_refuses_unreadable_files_and_a_repeated_key(tmp_path):
+    """A missing path, a directory and bytes that are no UTF-8 raise
+    SupportSchemaError, not OSError or UnicodeDecodeError; a key given
+    twice raises too, where json would keep the last one."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    twice = tmp_path / "twice.json"
+    twice.write_text(
+        '{"variables": ["x"], "variables": ["x", "y"], "support": [[2, 0], [0, 3]]}'
+    )
+    cases = [
+        (tmp_path / "missing.json", "cannot read .*missing.json"),
+        (tmp_path, "cannot read"),
+        (binary, "cannot read .*codec can.t decode"),
+        (twice, r"repeated key among \[.variables., .variables., .support.\]"),
+    ]
+    for path, pattern in cases:
+        with pytest.raises(SupportSchemaError, match=pattern):
+            load_support(str(path))
+
+
 def test_schema_errors_are_input_errors():
     assert issubclass(SupportSchemaError, InputError)
     assert issubclass(PolynomialSyntaxError, InputError)

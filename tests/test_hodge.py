@@ -47,6 +47,15 @@ def test_twist_and_torus_factor_expansions():
     }
 
 
+def test_lefschetz_twist_rejects_an_exponent_that_is_no_int():
+    """A bool or a non-int exponent raises InputError; True would twist
+    once as if it were 1."""
+    unit = {(0, 0, F(0)): 1}
+    for bad in (True, False, 1.0, "1", F(1)):
+        with pytest.raises(InputError, match="negative or no int"):
+            lefschetz_twist(unit, bad)
+
+
 def test_lefschetz_twist_rejects_a_negative_exponent():
     """(1 - L)^-1 is no finite table; it is not the empty one."""
     unit = {(0, 0, F(0)): 1}
@@ -118,6 +127,17 @@ def test_table_total_is_signed_volume():
     tri = make_polytope([(0, 0), (3, 0), (0, 3)])
     assert sum(hodge_table(tri, Character(3, (1, 1))).values()) == -9
     assert sum(hodge_table(tri, Character.trivial(2)).values()) == -9
+
+
+def test_conjugation_mismatch_reads_the_conjugate_entry():
+    """_conjugation_mismatch, which the table's own check and validate's
+    conjugation-symmetry both read, compares e^{p,q}_a with
+    e^{q,p}_{-a mod d}, an absent entry standing for 0."""
+    table = {(0, 1, 2): 3, (1, 0, 3): 3, (1, 1, 0): 1}
+    assert hodge._conjugation_mismatch(table, 5) is None
+    assert hodge._conjugation_mismatch({**table, (1, 0, 3): 4}, 5) == (0, 1, 2)
+    assert hodge._conjugation_mismatch({(0, 1, 2): 3}, 5) == (0, 1, 2)
+    assert hodge._conjugation_mismatch(table, 6) == (0, 1, 2)
 
 
 def test_table_conjugation_symmetry():
@@ -617,15 +637,39 @@ def test_public_views_match_the_fraction_assembly():
     assert len(pairs) - len(by_restriction) > 500
 
 
-def test_stratum_modulus_must_divide_the_polytope_modulus():
-    """A stratum's residues are widened by d' / d'_sub, which must be an
+def test_stratum_modulus_must_divide_the_polytope_modulus(monkeypatch):
+    """_faces keeps each face's dimension, interned polytope and the
+    factor d' / d'_sub that widens its residues, which must be an
     integer; a modulus that does not divide raises instead of rounding."""
     tri = make_polytope([(0, 0), (2, 0), (0, 3)])
-    edge = make_polytope([(2, 0), (0, 3)])
     char = Character(6, (3, 2))
-    assert ehrhart.residue_step(6, edge, char) == 6 // restricted(edge, char)[0]
-    with pytest.raises(InternalConsistencyError, match="does not divide"):
-        ehrhart.residue_step(5, tri, char)
+    clear_caches()
+    faces = hodge._faces(tri, char)
+    assert list(faces) == list(tri.face_lattice)
+    steps = {}
+    for face, (fdim, sub, step) in faces.items():
+        assert fdim == tri.face_lattice[face]
+        assert sub is make_polytope(tri.face_points(face))
+        steps[sub.points] = step
+    # the vertices restrict to modulus 1, the edges from the origin to 2
+    # and 3, the third edge to 1, the triangle to 6 itself
+    assert steps == {
+        ((0, 0),): 6,
+        ((2, 0),): 6,
+        ((0, 3),): 6,
+        ((0, 0), (2, 0)): 3,
+        ((0, 0), (0, 3)): 2,
+        ((0, 3), (2, 0)): 6,
+        ((0, 0), (0, 3), (2, 0)): 1,
+    }
+    real = hodge.restricted
+    monkeypatch.setattr(
+        hodge, "restricted", lambda p, c: (5, *real(p, c)[1:]) if p is tri else real(p, c)
+    )
+    clear_caches()
+    with pytest.raises(InternalConsistencyError, match="does not divide 5"):
+        hodge._faces(tri, char)
+    clear_caches()
 
 
 def test_chains_of_faces_of_a_square_and_a_triangle():
@@ -760,7 +804,7 @@ def _dense_boundary_rows(poly, char):
     lsum = {k: Counter() for k in range(m + 1)}
     for face, fdim in poly.face_lattice.items():
         sub = poly.face_polytope(face)
-        step = ehrhart.residue_step(d, sub, char)
+        step = d // restricted(sub, char)[0]
         for r, c in relint_counts(sub, char, 1).items():
             lsum[fdim][r * step] += c
     skel = lsum[0] + lsum[1]
@@ -797,7 +841,7 @@ def _per_chain_length_strata_sum(poly, char, m):
         if not lat[face]:
             continue
         sub = poly.face_polytope(face)
-        table, step = hodge_table(sub, char), ehrhart.residue_step(d, sub, char)
+        table, step = hodge_table(sub, char), d // restricted(sub, char)[0]
         for k, c in ends.items():
             j = m - k - 1 - lat[face]
             hodge._merge(S, table, c * (-1) ** j, step, j)

@@ -353,6 +353,18 @@ def test_prime_face_blocks_reads_eigenvalues_exactly():
         prime_face_blocks(np_, 0.1, 1)
 
 
+def test_block_sizes_refuses_an_eigenvalue_outside_the_unit_interval():
+    """block_sizes reads eigenvalues in [0, 1), as fastpath_top,
+    prime_face_blocks and the CLI do: 1 is the eigenvalue 0 under
+    another name and 4/3 is none, so both raise instead of returning
+    no blocks."""
+    spectrum = jordan_blocks(newton_polyhedron(parse_polynomial("x^3 + y^3 + z^3")))
+    assert spectrum.block_sizes(0) == {1: 2}
+    for bad in (1, "4/3", F(-1, 3), "1"):
+        with pytest.raises(InputError, match=r"not in \[0, 1\)"):
+            spectrum.block_sizes(bad)
+
+
 def test_block_sizes_reads_eigenvalues_exactly():
     spectrum = jordan_blocks(_np(TWO_SQUARES))
     assert spectrum.block_sizes(F(1, 10)) == {1: 2}
@@ -489,7 +501,7 @@ def _all_faces_motivic_table(np_):
     trivial = Character.trivial(np_.n)
     modulus = lcm(*(ehrhart.restricted(f.delta, f.char)[0] for f in np_.faces))
     for face in np_.faces:
-        step = ehrhart.residue_step(modulus, face.delta, face.char)
+        step = modulus // ehrhart.restricted(face.delta, face.char)[0]
         table = hodge.hodge_table(face.delta, face.char)
         hodge._merge(first, table, step=step, twist=face.twist)
         if face.dim >= 1:

@@ -45,13 +45,13 @@ def test_clear_caches_leaves_nothing_kept():
     for fn in (
         polytope._intern,
         polytope._shape,
-        Polytope.face_polytope,
         polytope.scaled_inverse,
         ehrhart.restricted,
-        ehrhart.relint_counts,
+        ehrhart._relint_counts,
         ehrhart.p_alpha,
         hodge.boundary_values,
         hodge._chains,
+        hodge._faces,
         hodge.hodge_table,
         hodge._row_sums,
         newton._face_character,
